@@ -2,12 +2,15 @@
 
 The end-to-end criteria (4-6, 9) share one full benchmark run: the synthetic
 500-image dataset, 10-fold cross-validation, master seed 0, 1000-iteration
-budget, full method matrix. Run with ``pytest tests/test_acceptance.py -v -s``
-to see the per-criterion lines and timings.
+budget, full method matrix. Criterion 9 repeats it with two worker
+processes and checks both executions against pinned digests. Run with
+``pytest tests/test_acceptance.py -v -s`` to see the per-criterion lines and
+timings.
 """
 
 from __future__ import annotations
 
+import hashlib
 import time
 
 import numpy as np
@@ -24,7 +27,6 @@ from situsearch.evaluation import (
     emit_report,
     median_iterations,
     run_experiment,
-    report_to_dict,
 )
 from situsearch.gaussian import MultivariateGaussian, condition, marginal
 from situsearch.geometry import BoundingBox, iou
@@ -47,6 +49,14 @@ BENCH_METHODS = [
     "salience-learned-learned",
     "salience-learned-learned-noprov",
 ]
+
+# SHA-256 of the emitted benchmark files (500 images, 10 folds, master seed 0,
+# 1000 iterations, cell size 1.0, BENCH_METHODS). Any change to them means the
+# random stream or the search changed and must be declared as such.
+PINNED_SHA256 = {
+    "report.json": "92398608fce116e2938105c68ed06ba3173136a992b6be872a2f91c53cdf4209",
+    "summary.csv": "82fcb8b56bdcce38b1505727272004161f0e33907dfa23898479c95cb911817e",
+}
 
 
 def report_line(criterion: int, message: str) -> None:
@@ -434,12 +444,15 @@ def test_criterion_9_full_benchmark_byte_identical(
         master_seed=0,
         max_iterations=1000,
         cell_size=1.0,
+        jobs=2,
     )
-    assert report_to_dict(second) == report_to_dict(benchmark_report)
-    dir_a = tmp_path / "a"
-    dir_b = tmp_path / "b"
-    emit_report(benchmark_report, dir_a)
-    emit_report(second, dir_b)
-    for name in ("report.json", "summary.csv"):
-        assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes()
-    report_line(9, "two full benchmark executions produced byte-identical report.json and summary.csv")
+    for name, report in (("serial", benchmark_report), ("jobs2", second)):
+        emit_report(report, tmp_path / name)
+        for filename, expected in PINNED_SHA256.items():
+            digest = hashlib.sha256((tmp_path / name / filename).read_bytes()).hexdigest()
+            assert digest == expected, f"{name} {filename} digest {digest} != pinned {expected}"
+    report_line(
+        9,
+        "serial and jobs=2 benchmark executions both match the pinned "
+        "report.json and summary.csv digests",
+    )
