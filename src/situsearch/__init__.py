@@ -17,7 +17,6 @@ from .datagen import (
     load_generator_config,
     render_annotation_image,
     save_annotation,
-    save_dataset,
     save_generator_config,
     split_folds,
 )
@@ -49,7 +48,6 @@ from .gaussian import (
     condition,
     fit,
     fit_univariate,
-    log_normal_sample,
     marginal,
     rasterize_2d,
     uniform_map,
@@ -78,8 +76,6 @@ from .situation_model import (
     CategorySearchDist,
     CategorySet,
     SituationModel,
-    condition_on_workspace,
-    initial_distributions,
     learn,
     load_model,
     save_model,

@@ -87,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--jobs",
         type=int,
-        default=int(os.environ.get("SITUATE_JOBS", "1")),
+        default=os.environ.get("SITUATE_JOBS", "1"),  # parsed only when bench runs
         help="parallel worker processes (default: SITUATE_JOBS or 1)",
     )
     _add_common_run_flags(p)

@@ -117,13 +117,6 @@ def load_annotation(path: str | Path) -> SituationAnnotation:
     return ann
 
 
-def save_dataset(annotations: Sequence[SituationAnnotation], directory: str | Path) -> None:
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    for ann in annotations:
-        save_annotation(ann, directory / f"{ann.image_id}.json")
-
-
 GENERATOR_CONFIG_NAME = "generator_config.json"
 
 

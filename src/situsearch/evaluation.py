@@ -19,7 +19,7 @@ import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -48,8 +48,9 @@ from .situation_model import learn
 
 REPORT_FORMAT_VERSION = 1
 
-# Canonical method tokens, ordered as reported. The combined variant keeps
-# the plain "learned" suffix: its salience location prior already names it.
+# Canonical method tokens, ordered as reported. A situation model combines
+# with salience exactly when the location prior is salience, so the
+# salience variants keep the plain "learned" suffix.
 METHOD_TOKENS: dict[str, MethodConfig] = {
     "uniform-uniform-none": MethodConfig(
         location_prior=LOCATION_UNIFORM, box_prior=BOX_UNIFORM, situation_model=MODEL_NONE
@@ -79,15 +80,7 @@ METHOD_TOKENS: dict[str, MethodConfig] = {
 
 def method_label(config: MethodConfig) -> str:
     """Render a config as its Fig-style token."""
-    if config.situation_model == MODEL_NONE:
-        model = "none"
-    elif (
-        config.situation_model == MODEL_LEARNED_SALIENCE
-        and config.location_prior != LOCATION_SALIENCE
-    ):
-        model = "learned-salience"
-    else:
-        model = "learned"
+    model = "none" if config.situation_model == MODEL_NONE else "learned"
     label = f"{config.location_prior}-{config.box_prior}-{model}"
     if not config.provisional_enabled:
         label += "-noprov"
@@ -395,52 +388,6 @@ def report_to_dict(report: ExperimentReport) -> dict:
             for m in report.methods
         ],
     }
-
-
-def report_from_dict(data: Mapping) -> ExperimentReport:
-    try:
-        if data["format_version"] != REPORT_FORMAT_VERSION:
-            raise InvalidInputError(f"unsupported report version {data['format_version']}")
-        methods = []
-        for m in data["methods"]:
-            runs = [
-                RunRecord(
-                    image_id=r["image_id"],
-                    fold=r["fold"],
-                    width=r["width"],
-                    height=r["height"],
-                    completed=r["completed"],
-                    total_iterations=r["total_iterations"],
-                    detections=dict(r["detections"]),
-                    detection_order=[(c, t) for c, t in r["detection_order"]],
-                    proposals=r.get("proposals"),
-                )
-                for r in m["runs"]
-            ]
-            methods.append(
-                MethodResult(
-                    label=m["label"],
-                    config=MethodConfig(**m["config"]),
-                    runs=runs,
-                    median=m["median_iterations"],
-                    failure_count=m["failure_count"],
-                    interval_medians=tuple(m["interval_medians"]),
-                    cumulative=list(m["cumulative_curve"]),
-                )
-            )
-        return ExperimentReport(
-            master_seed=data["master_seed"],
-            folds=data["folds"],
-            num_images=data["num_images"],
-            categories=list(data["categories"]),
-            methods=methods,
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidInputError(f"malformed report document: {exc}") from exc
-
-
-def load_report(path: str | Path) -> ExperimentReport:
-    return report_from_dict(json.loads(Path(path).read_text()))
 
 
 def _fmt(value: int | None) -> str:

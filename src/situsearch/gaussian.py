@@ -18,7 +18,6 @@ The observed block is solved through a Cholesky factorization of the
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -175,10 +174,6 @@ def fit(samples: Sequence[Sequence[float]] | np.ndarray, dims: Sequence[str]) ->
     return MultivariateGaussian(dims=dims, mean=mean, cov=cov, epsilon=eps)
 
 
-def sample(dist: MultivariateGaussian, rng: np.random.Generator) -> np.ndarray:
-    return dist.sample(rng)
-
-
 def condition(dist: MultivariateGaussian, observed: Mapping[str, float]) -> MultivariateGaussian:
     """Condition on exact values for a subset of dimensions.
 
@@ -248,9 +243,6 @@ class UnivariateNormal:
         if not (self.std > 0) or not math.isfinite(self.std) or not math.isfinite(self.mean):
             raise InvalidInputError(f"std must be positive and finite, got {self.std}")
 
-    def sample(self, rng: np.random.Generator) -> float:
-        return self.mean + self.std * rng.standard_normal()
-
 
 def fit_univariate(values: Sequence[float] | np.ndarray, label: str = "") -> UnivariateNormal:
     x = np.asarray(values, dtype=float)
@@ -262,15 +254,6 @@ def fit_univariate(values: Sequence[float] | np.ndarray, label: str = "") -> Uni
     var = float(((x - mean) ** 2).mean())
     std = math.sqrt(max(var, FIT_RIDGE_FLOOR))
     return UnivariateNormal(mean=mean, std=std, label=label)
-
-
-def log_normal_sample(
-    dist: UnivariateNormal | MultivariateGaussian, rng: np.random.Generator
-) -> float | np.ndarray:
-    """exp of a normal draw: strictly positive, median exp(mean)."""
-    if isinstance(dist, UnivariateNormal):
-        return math.exp(dist.sample(rng))
-    return np.exp(dist.sample(rng))
 
 
 @dataclass(eq=False)
@@ -365,7 +348,7 @@ def rasterize_2d(dist: MultivariateGaussian, frame: ImageFrame, cell_size: float
 
 
 # ---------------------------------------------------------------------------
-# JSON serialization (bit-stable ordering for golden tests)
+# Serialization (bit-stable ordering for golden tests)
 
 def gaussian_to_dict(dist: MultivariateGaussian) -> dict:
     return {
@@ -386,11 +369,3 @@ def gaussian_from_dict(data: Mapping) -> MultivariateGaussian:
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInputError(f"malformed gaussian document: {exc}") from exc
     return MultivariateGaussian(dims=dims, mean=mean, cov=cov, epsilon=epsilon)
-
-
-def gaussian_to_json(dist: MultivariateGaussian) -> str:
-    return json.dumps(gaussian_to_dict(dist), sort_keys=True)
-
-
-def gaussian_from_json(text: str) -> MultivariateGaussian:
-    return gaussian_from_dict(json.loads(text))

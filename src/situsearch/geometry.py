@@ -34,9 +34,6 @@ class ImageFrame:
     def area(self) -> float:
         return self.norm_width * self.norm_height
 
-    def contains(self, x: float, y: float) -> bool:
-        return abs(x) <= self.norm_width / 2 and abs(y) <= self.norm_height / 2
-
 
 def normalize_frame(orig_width: float, orig_height: float) -> ImageFrame:
     """Build the normalized frame for an image of the given pixel size.

@@ -8,7 +8,8 @@ the detection final and absorbing; a score at or above the provisional
 threshold parks the proposal as provisional, replaceable only by a higher
 scoring one. Any Workspace change re-conditions the situation model, so
 every detection (even a mediocre provisional one) immediately steers the
-remaining search.
+remaining search. Methods with the salience location prior multiply every
+conditioned location map by the salience map.
 
 Distributions are recomputed only when the Workspace changes; between
 changes the loop is a tight sample/score/file cycle.
@@ -40,7 +41,7 @@ BOX_UNIFORM = "uniform"
 BOX_LEARNED = "learned"
 MODEL_NONE = "none"
 MODEL_LEARNED = "learned"
-MODEL_LEARNED_SALIENCE = "learned_salience"
+MODEL_LEARNED_SALIENCE = "learned_salience"  # the learned model with the salience prior
 
 PROVISIONAL = "provisional"
 FINAL = "final"
@@ -158,13 +159,21 @@ class MethodConfig:
             )
         if self.max_iterations < 1:
             raise InvalidInputError(f"max_iterations must be >= 1, got {self.max_iterations}")
+        # A situation model folds salience into its conditioned maps exactly
+        # when the location prior is salience.
+        if self.situation_model != MODEL_NONE and (
+            (self.situation_model == MODEL_LEARNED_SALIENCE)
+            != (self.location_prior == LOCATION_SALIENCE)
+        ):
+            raise InvalidInputError(
+                f"situation model {self.situation_model!r} does not match location prior "
+                f"{self.location_prior!r}: use {MODEL_LEARNED_SALIENCE!r} with the "
+                f"{LOCATION_SALIENCE!r} prior and {MODEL_LEARNED!r} otherwise"
+            )
 
     @property
     def needs_salience(self) -> bool:
-        return (
-            self.location_prior == LOCATION_SALIENCE
-            or self.situation_model == MODEL_LEARNED_SALIENCE
-        )
+        return self.location_prior == LOCATION_SALIENCE
 
 
 @dataclass
@@ -249,11 +258,10 @@ def run_image(
         prior_boxes = {c: prior_alpha_gamma(model, c) for c in model.categories}
     else:
         prior_boxes = {c: LogUniformBox() for c in model.categories}
-
-    def prior_dist(cat: str) -> CategorySearchDist:
-        return CategorySearchDist(category=cat, location=prior_location, alpha_gamma=prior_boxes[cat])
-
-    dists = {c: prior_dist(c) for c in model.categories}
+    dists = {
+        c: CategorySearchDist(category=c, location=prior_location, alpha_gamma=prior_boxes[c])
+        for c in model.categories
+    }
     workspace = Workspace(model.categories)
     records: list[ProposalRecord] | None = [] if config.record_proposals else None
     detections: dict[str, int | None] = {c: None for c in model.categories}
@@ -285,12 +293,10 @@ def run_image(
         if config.situation_model != MODEL_NONE:
             detected = dict(workspace.detected_boxes())
             for cat in workspace.remaining():
-                others = {c: b for c, b in detected.items() if c != cat}
-                if not others:
-                    dists[cat] = prior_dist(cat)
-                    continue
-                cond = conditioned_distribution(model, cat, others, frame, config.cell_size)
-                if config.situation_model == MODEL_LEARNED_SALIENCE:
+                if not detected.keys() - {cat}:
+                    continue  # only its own detection so far: it keeps the prior
+                cond = conditioned_distribution(model, cat, detected, frame, config.cell_size)
+                if config.location_prior == LOCATION_SALIENCE:
                     cond = CategorySearchDist(
                         category=cat,
                         location=combine(cond.location, salience),

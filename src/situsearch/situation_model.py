@@ -9,11 +9,11 @@ A situation model holds, for a fixed three-category scene type:
 * the same pair/triple structure over (log area-ratio, log aspect-ratio).
 
 At search time each category is given a location map plus a box-descriptor
-distribution. With no detections these are the priors (location uniform);
-with one detection of another category the pairwise joint is conditioned on
-it; with two, the three-way joint is conditioned on both. A category's own
-detection never conditions its own distributions, and provisional detections
-condition exactly like final ones.
+distribution. Until another category is detected these are the search
+method's priors; with one detection of another category the pairwise joint
+is conditioned on it; with two, the three-way joint is conditioned on both.
+A category's own detection never conditions its own distributions, and
+provisional detections condition exactly like final ones.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -37,7 +37,7 @@ from .gaussian import (
     gaussian_from_dict,
     gaussian_to_dict,
     rasterize_2d,
-    uniform_map,
+    uniform_map,  # unused here; the benchmark tracer patches this module attribute
 )
 from .geometry import BoundingBox, ImageFrame, normalize_frame, to_normalized
 
@@ -65,12 +65,6 @@ class CategorySet:
         if len(set(cats)) != len(cats):
             raise InvalidInputError(f"category names must be unique, got {cats}")
         object.__setattr__(self, "categories", cats)
-
-    def __iter__(self):
-        return iter(self.categories)
-
-    def __len__(self) -> int:
-        return len(self.categories)
 
     def pairs(self) -> list[tuple[str, str]]:
         c = self.categories
@@ -227,19 +221,6 @@ def prior_alpha_gamma(model: SituationModel, category: str) -> MultivariateGauss
     )
 
 
-def initial_distributions(
-    model: SituationModel, frame: ImageFrame, cell_size: float = 1.0
-) -> dict[str, CategorySearchDist]:
-    """Uniform location everywhere, box priors per category."""
-    uniform = uniform_map(frame, cell_size)
-    return {
-        cat: CategorySearchDist(
-            category=cat, location=uniform, alpha_gamma=prior_alpha_gamma(model, cat)
-        )
-        for cat in model.categories
-    }
-
-
 def conditioned_distribution(
     model: SituationModel,
     category: str,
@@ -249,68 +230,39 @@ def conditioned_distribution(
 ) -> CategorySearchDist:
     """Search distributions for one category given current detections.
 
-    Detections of the category itself are ignored. With one other detection
-    the pairwise joints are conditioned on it; with two, the three-way joints
-    are conditioned on both.
+    Detections of the category itself are ignored; at least one other
+    category must be detected. With one other detection the pairwise joints
+    are conditioned on it; with two, the three-way joints are conditioned on
+    both.
     """
     if category not in model.categories:
         raise InvalidInputError(f"unknown category {category!r}")
-    others = [
-        (cat, detections[cat])
-        for cat in model.categories
-        if cat != category and cat in detections
-    ]
-
+    others = [cat for cat in model.categories if cat != category and cat in detections]
     if not others:
-        return CategorySearchDist(
-            category=category,
-            location=uniform_map(frame, cell_size),
-            alpha_gamma=prior_alpha_gamma(model, category),
-        )
-
+        raise InvalidInputError(f"no detection of another category to condition {category!r} on")
     if len(others) == 1:
-        other_cat, box = others[0]
-        pair = model.category_set.pair_key(category, other_cat)
-        alpha, gamma = box_descriptor(box, frame)
-        loc_cond = condition(
-            model.loc_pair[pair], {f"x_{other_cat}": box.cx, f"y_{other_cat}": box.cy}
-        )
-        box_cond = condition(
-            model.box_pair[pair], {f"alpha_{other_cat}": alpha, f"gamma_{other_cat}": gamma}
-        )
+        pair = model.category_set.pair_key(category, others[0])
+        loc_joint, box_joint = model.loc_pair[pair], model.box_pair[pair]
     else:
-        loc_obs: dict[str, float] = {}
-        box_obs: dict[str, float] = {}
-        for other_cat, box in others:
-            loc_obs[f"x_{other_cat}"] = box.cx
-            loc_obs[f"y_{other_cat}"] = box.cy
-            alpha, gamma = box_descriptor(box, frame)
-            box_obs[f"alpha_{other_cat}"] = alpha
-            box_obs[f"gamma_{other_cat}"] = gamma
-        loc_cond = condition(model.loc_triple, loc_obs)
-        box_cond = condition(model.box_triple, box_obs)
+        loc_joint, box_joint = model.loc_triple, model.box_triple
+
+    loc_obs: dict[str, float] = {}
+    box_obs: dict[str, float] = {}
+    for other_cat in others:
+        box = detections[other_cat]
+        loc_obs[f"x_{other_cat}"] = box.cx
+        loc_obs[f"y_{other_cat}"] = box.cy
+        alpha, gamma = box_descriptor(box, frame)
+        box_obs[f"alpha_{other_cat}"] = alpha
+        box_obs[f"gamma_{other_cat}"] = gamma
+    loc_cond = condition(loc_joint, loc_obs)
+    box_cond = condition(box_joint, box_obs)
 
     return CategorySearchDist(
         category=category,
         location=rasterize_2d(loc_cond, frame, cell_size),
         alpha_gamma=box_cond,
     )
-
-
-def condition_on_workspace(
-    model: SituationModel, workspace, frame: ImageFrame, cell_size: float = 1.0
-) -> dict[str, CategorySearchDist]:
-    """Per-category search distributions given a workspace's detections.
-
-    The workspace must provide detected_boxes() -> iterable of
-    (category, BoundingBox); provisional and final detections condition
-    identically. An empty workspace reproduces initial_distributions().
-    """
-    detections = dict(workspace.detected_boxes())
-    return {
-        cat: conditioned_distribution(model, cat, detections, frame, cell_size)
-        for cat in model.categories
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -334,12 +286,31 @@ def model_to_dict(model: SituationModel) -> dict:
     }
 
 
+def _check_keys(section: str, found: Iterable[str], expected: Sequence[str]) -> None:
+    """Reject a model section whose keys differ from the ones the categories imply."""
+    found = list(found)
+    culprits = [f"missing {k!r}" for k in expected if k not in found]
+    culprits += [f"unexpected {k!r}" for k in found if k not in expected]
+    if culprits:
+        raise InvalidInputError(f"model {section}: {', '.join(culprits)}")
+
+
+def _check_dims(section: str, joint: MultivariateGaussian, expected: tuple[str, ...]) -> None:
+    if joint.dims != expected:
+        raise InvalidInputError(
+            f"model {section} has dims {list(joint.dims)}, expected {list(expected)}"
+        )
+
+
 def model_from_dict(data: Mapping) -> SituationModel:
+    """Parse a model document, checking every section against its category set."""
     try:
         version = data["format_version"]
         if version != MODEL_FORMAT_VERSION:
             raise InvalidInputError(f"unsupported model format version {version}")
         category_set = CategorySet(tuple(data["categories"]))
+        cats = category_set.categories
+        _check_keys("box_priors", data["box_priors"], cats)
         priors = {
             c: BoxPrior(
                 alpha=UnivariateNormal(p["alpha"]["mean"], p["alpha"]["std"], f"alpha_{c}"),
@@ -348,22 +319,30 @@ def model_from_dict(data: Mapping) -> SituationModel:
             for c, p in data["box_priors"].items()
         }
 
-        def pair_map(section: Mapping) -> dict[tuple[str, str], MultivariateGaussian]:
+        def pair_map(name: str, dims) -> dict[tuple[str, str], MultivariateGaussian]:
+            section = data[name]
+            _check_keys(name, section, [f"{a}|{b}" for a, b in category_set.pairs()])
             out = {}
-            for key, g in section.items():
-                a, b = key.split("|")
-                out[(a, b)] = gaussian_from_dict(g)
+            for a, b in category_set.pairs():
+                key = f"{a}|{b}"
+                out[(a, b)] = gaussian_from_dict(section[key])
+                _check_dims(f"{name}[{key!r}]", out[(a, b)], dims((a, b)))
             return out
+
+        def triple(name: str, dims) -> MultivariateGaussian:
+            joint = gaussian_from_dict(data[name])
+            _check_dims(name, joint, dims(cats))
+            return joint
 
         return SituationModel(
             category_set=category_set,
             box_priors=priors,
-            loc_pair=pair_map(data["loc_pair"]),
-            loc_triple=gaussian_from_dict(data["loc_triple"]),
-            box_pair=pair_map(data["box_pair"]),
-            box_triple=gaussian_from_dict(data["box_triple"]),
+            loc_pair=pair_map("loc_pair", loc_dims),
+            loc_triple=triple("loc_triple", loc_dims),
+            box_pair=pair_map("box_pair", box_dims),
+            box_triple=triple("box_triple", box_dims),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InvalidInputError(f"malformed model document: {exc}") from exc
 
 

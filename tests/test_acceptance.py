@@ -226,6 +226,7 @@ def test_criterion_3_model_recovery_from_generator():
 # Criterion 4: end-to-end benefit of the situation model
 
 
+@pytest.mark.slow
 def test_criterion_4_situation_model_beats_uniform_baseline(benchmark_report):
     situation = method(benchmark_report, "uniform-learned-learned")
     baseline = method(benchmark_report, "uniform-uniform-none")
@@ -244,6 +245,7 @@ def test_criterion_4_situation_model_beats_uniform_baseline(benchmark_report):
 # Criterion 5: provisional-detection ablation
 
 
+@pytest.mark.slow
 def test_criterion_5_disabling_provisionals_at_least_doubles_median(benchmark_report):
     with_prov = method(benchmark_report, "salience-learned-learned")
     without = method(benchmark_report, "salience-learned-learned-noprov")
@@ -262,6 +264,7 @@ def test_criterion_5_disabling_provisionals_at_least_doubles_median(benchmark_re
 # Criterion 6: interval structure
 
 
+@pytest.mark.slow
 def test_criterion_6_interval_structure(benchmark_report):
     for label in ("uniform-learned-learned", "salience-learned-learned"):
         t01, t12, t23 = method(benchmark_report, label).interval_medians
@@ -434,6 +437,7 @@ def test_criterion_8_statistics_properties():
 # Criterion 9: benchmark determinism
 
 
+@pytest.mark.slow
 def test_criterion_9_full_benchmark_byte_identical(
     synthetic_500, benchmark_report, tmp_path
 ):

@@ -187,6 +187,32 @@ def test_run_missing_model_exits_two(dataset_dir, tmp_path):
     assert main(["run", "--model", str(tmp_path / "no.json"), "--image-annotation", str(ann)]) == 2
 
 
+def test_run_model_missing_box_prior_exits_one(dataset_dir, model_path, tmp_path, capsys):
+    # Rejected when the model loads, for every method, not mid-search.
+    doc = json.loads(model_path.read_text())
+    del doc["box_priors"]["leash"]
+    bad = tmp_path / "bad_model.json"
+    bad.write_text(json.dumps(doc))
+    ann = annotation_files(dataset_dir)[0]
+    for method in ("uniform-learned-learned", "uniform-uniform-none"):
+        args = ["run", "--model", str(bad), "--image-annotation", str(ann), "--method", method]
+        assert main([*args, "--cell-size", "8"]) == 1
+        assert "box_priors: missing 'leash'" in capsys.readouterr().err
+
+
+def test_malformed_situate_jobs_fails_only_bench(dataset_dir, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("SITUATE_JOBS", "abc")
+    with pytest.raises(SystemExit) as exc:
+        main(["learn", "--help"])
+    assert exc.value.code == 0
+    out = tmp_path / "model.json"
+    assert main(["learn", "--data", str(dataset_dir), "--out", str(out)]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--data", str(dataset_dir), "--out", str(tmp_path / "r")])
+    assert exc.value.code == 2
+    assert "--jobs: invalid int value: 'abc'" in capsys.readouterr().err
+
+
 def test_bench_writes_reports_and_is_deterministic(dataset_dir, tmp_path, capsys):
     args = [
         "bench",

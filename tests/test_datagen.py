@@ -16,7 +16,6 @@ from situsearch.datagen import (
     load_dataset,
     render_annotation_image,
     save_annotation,
-    save_dataset,
     split_folds,
 )
 from situsearch.errors import DatasetError, GenerationError, InvalidInputError, ParseError
@@ -43,7 +42,8 @@ def make_annotation(image_id="img0", width=640, height=480):
 
 def test_save_load_round_trip(tmp_path):
     annotations = [make_annotation(f"img{i}") for i in range(3)]
-    save_dataset(annotations, tmp_path)
+    for ann in annotations:
+        save_annotation(ann, tmp_path / f"{ann.image_id}.json")
     loaded = load_dataset(tmp_path)
     assert loaded == annotations
 

@@ -149,6 +149,19 @@ def test_method_config_validates_fields():
         MethodConfig(max_iterations=0)
 
 
+def test_method_config_rejects_salience_mismatch():
+    # A situation model combines with salience exactly when the location
+    # prior is salience; either mismatch would run a different method than
+    # its label names.
+    with pytest.raises(InvalidInputError, match="location prior"):
+        MethodConfig(location_prior="salience", situation_model="learned")
+    with pytest.raises(InvalidInputError, match="location prior"):
+        MethodConfig(location_prior="uniform", situation_model="learned_salience")
+    assert MethodConfig(location_prior="salience", situation_model="learned_salience").needs_salience
+    assert MethodConfig(location_prior="salience", situation_model="none").needs_salience
+    assert not MethodConfig(location_prior="uniform", situation_model="learned").needs_salience
+
+
 # ---------------------------------------------------------------------------
 # score_proposal
 
@@ -339,7 +352,7 @@ def test_salience_method_requires_map(degenerate_model):
         run_image(
             degenerate_model,
             None,
-            run_config(location_prior="salience"),
+            run_config(location_prior="salience", situation_model="learned_salience"),
             easy_annotation(),
             np.random.default_rng(0),
         )

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,21 +10,28 @@ from scipy import stats
 
 from situsearch.datagen import SituationAnnotation, default_generator_config, generate_synthetic
 from situsearch.errors import DatasetError, InsufficientDataError, InvalidInputError
-from situsearch.gaussian import MultivariateGaussian, condition, rasterize_2d, uniform_map
+from situsearch.gaussian import (
+    MultivariateGaussian,
+    condition,
+    grid_shape,
+    rasterize_2d,
+    uniform_map,
+)
 from situsearch.geometry import BoundingBox, normalize_frame, to_normalized
-from situsearch.search import Workspace, ObjectProposal, sample_proposal
+from situsearch.salience import SalienceMap, combine
+from situsearch.search import MethodConfig, run_image, sample_proposal
 from situsearch.situation_model import (
     CategorySearchDist,
     CategorySet,
     LogUniformBox,
     box_descriptor,
     box_from_descriptor,
-    condition_on_workspace,
     conditioned_distribution,
-    initial_distributions,
     learn,
     load_model,
+    model_from_dict,
     model_to_dict,
+    prior_alpha_gamma,
     save_model,
 )
 
@@ -119,24 +128,75 @@ def test_pairwise_joints_agree_with_triple_marginals(synthetic_model):
 
 
 # ---------------------------------------------------------------------------
-# initial distributions
+# the search's distributions: priors, then conditioning on the Workspace
+
+
+def scaled_annotation(width=640, height=480):
+    """The three ground-truth boxes placed at fixed fractions of the image."""
+    return SituationAnnotation(
+        image_id=f"scaled_{width}x{height}",
+        width=width,
+        height=height,
+        boxes={
+            "dog_walker": (0.1 * width, 0.1 * height, 0.15 * width, 0.35 * height),
+            "dog": (0.4 * width, 0.5 * height, 0.18 * width, 0.12 * height),
+            "leash": (0.26 * width, 0.33 * height, 0.14 * width, 0.15 * height),
+        },
+    )
+
+
+def dists_after_first_detection(
+    model, config, annotation, score=0.3, category="dog_walker", salience=None
+):
+    """The distributions run_image hands its observer at its one Workspace change.
+
+    The scripted scorer gives ``score`` to the first proposal of ``category``
+    and 0 to every other proposal. Returns that proposal's box and the
+    per-category distributions right after it was filed.
+    """
+    hits = []
+
+    def scorer(p):
+        if p.category == category and not hits:
+            hits.append(p.box)
+            return score
+        return 0.0
+
+    changes = []
+    run_image(
+        model,
+        salience,
+        replace(config, max_iterations=50),
+        annotation,
+        np.random.default_rng(0),
+        scorer=scorer,
+        observer=lambda t, ws, dists: changes.append(dict(dists)),
+    )
+    assert len(changes) == 1
+    return hits[0], changes[0]
+
+
+def assert_prior(model, dist, category):
+    """Uniform location with the category's learned box prior."""
+    grid = dist.location.grid
+    assert np.allclose(grid, 1.0 / grid.size)
+    prior = model.box_priors[category]
+    assert dist.alpha_gamma.mean[0] == prior.alpha.mean
+    assert dist.alpha_gamma.cov[0, 0] == pytest.approx(prior.alpha.std**2)
+    assert dist.alpha_gamma.cov[0, 1] == 0.0
 
 
 def test_initial_distributions_are_uniform_with_prior_boxes(synthetic_model):
-    frame = normalize_frame(640, 480)
-    dists = initial_distributions(synthetic_model, frame, cell_size=4)
+    config = MethodConfig(situation_model="none", cell_size=4)
+    _, dists = dists_after_first_detection(synthetic_model, config, scaled_annotation())
     for cat in CATS:
-        grid = dists[cat].location.grid
-        assert np.allclose(grid, 1.0 / grid.size)
-        prior = synthetic_model.box_priors[cat]
-        assert dists[cat].alpha_gamma.mean[0] == prior.alpha.mean
-        assert dists[cat].alpha_gamma.cov[0, 0] == pytest.approx(prior.alpha.std**2)
-        assert dists[cat].alpha_gamma.cov[0, 1] == 0.0
+        assert_prior(synthetic_model, dists[cat], cat)
 
 
 def test_initial_distributions_follow_frame_shape(synthetic_model):
-    wide = initial_distributions(synthetic_model, normalize_frame(2000, 500), cell_size=4)
-    tall = initial_distributions(synthetic_model, normalize_frame(500, 2000), cell_size=4)
+    config = MethodConfig(situation_model="none", cell_size=4)
+    _, wide = dists_after_first_detection(synthetic_model, config, scaled_annotation(2000, 500))
+    _, tall = dists_after_first_detection(synthetic_model, config, scaled_annotation(500, 2000))
     w_grid = wide["dog"].location.grid
     t_grid = tall["dog"].location.grid
     assert w_grid.shape != t_grid.shape
@@ -144,84 +204,75 @@ def test_initial_distributions_follow_frame_shape(synthetic_model):
     assert abs(w_grid.sum() - 1) < 1e-9 and abs(t_grid.sum() - 1) < 1e-9
 
 
-# ---------------------------------------------------------------------------
-# conditioning on the workspace
-
-
-def _workspace_with(model, detections: dict[str, BoundingBox], kind="provisional"):
-    ws = Workspace(model.categories)
-    for i, (cat, box) in enumerate(detections.items()):
-        score = 0.3 if kind == "provisional" else 0.9
-        ws.observe(ObjectProposal(cat, box, score), score, iteration=i + 1)
-    return ws
-
-
 def test_empty_workspace_matches_initial(synthetic_model):
+    """With no detection of another category a category keeps the method's prior."""
     frame = normalize_frame(640, 480)
-    ws = Workspace(synthetic_model.categories)
-    conditioned = condition_on_workspace(synthetic_model, ws, frame, cell_size=4)
-    initial = initial_distributions(synthetic_model, frame, cell_size=4)
-    for cat in CATS:
+    box = BoundingBox(cx=0.0, cy=0.0, w=90.0, h=200.0)
+    for detections in ({}, {"dog_walker": box}):
+        with pytest.raises(InvalidInputError, match="no detection of another category"):
+            conditioned_distribution(synthetic_model, "dog_walker", detections, frame, 4)
+
+    # Salience methods: the prior is the salience map, and every conditioned
+    # location map is multiplied by it.
+    grid = np.random.default_rng(0).random(grid_shape(frame, 4)) + 0.1
+    salience = SalienceMap(frame=frame, cell_size=4, grid=grid)
+    config = MethodConfig(
+        location_prior="salience", situation_model="learned_salience", cell_size=4
+    )
+    walker, dists = dists_after_first_detection(
+        synthetic_model, config, scaled_annotation(), salience=salience
+    )
+    assert dists["dog_walker"].location is salience
+    for cat in ("dog", "leash"):
+        cond = conditioned_distribution(synthetic_model, cat, {"dog_walker": walker}, frame, 4)
         np.testing.assert_array_equal(
-            conditioned[cat].location.grid, initial[cat].location.grid
-        )
-        np.testing.assert_array_equal(
-            conditioned[cat].alpha_gamma.mean, initial[cat].alpha_gamma.mean
+            dists[cat].location.grid, combine(cond.location, salience).grid
         )
 
 
 def test_single_detection_matches_manual_pipeline(synthetic_model):
-    """condition_on_workspace == condition() + rasterize_2d composed by hand."""
+    """The search's conditioning == condition() + rasterize_2d composed by hand."""
     frame = normalize_frame(640, 480)
-    walker_box = BoundingBox(cx=-40.0, cy=10.0, w=80.0, h=190.0)
-    ws = _workspace_with(synthetic_model, {"dog_walker": walker_box})
-    conditioned = condition_on_workspace(synthetic_model, ws, frame, cell_size=4)
+    config = MethodConfig(cell_size=4)
+    walker_box, dists = dists_after_first_detection(synthetic_model, config, scaled_annotation())
 
     alpha, gamma = box_descriptor(walker_box, frame)
     for cat in ("dog", "leash"):
         pair = synthetic_model.loc_pair[("dog_walker", cat)]
         loc = condition(pair, {"x_dog_walker": walker_box.cx, "y_dog_walker": walker_box.cy})
         expected_map = rasterize_2d(loc, frame, cell_size=4)
-        np.testing.assert_allclose(
-            conditioned[cat].location.grid, expected_map.grid, atol=1e-9
-        )
+        np.testing.assert_allclose(dists[cat].location.grid, expected_map.grid, atol=1e-9)
         box_joint = synthetic_model.box_pair[("dog_walker", cat)]
         expected_box = condition(
             box_joint, {"alpha_dog_walker": alpha, "gamma_dog_walker": gamma}
         )
-        np.testing.assert_allclose(conditioned[cat].alpha_gamma.mean, expected_box.mean)
-        np.testing.assert_allclose(conditioned[cat].alpha_gamma.cov, expected_box.cov)
+        np.testing.assert_allclose(dists[cat].alpha_gamma.mean, expected_box.mean)
+        np.testing.assert_allclose(dists[cat].alpha_gamma.cov, expected_box.cov)
 
 
 def test_self_detection_leaves_own_distributions_alone(synthetic_model):
-    frame = normalize_frame(640, 480)
-    walker_box = BoundingBox(cx=0.0, cy=0.0, w=90.0, h=200.0)
-    ws = _workspace_with(synthetic_model, {"dog_walker": walker_box})
-    conditioned = condition_on_workspace(synthetic_model, ws, frame, cell_size=4)
-    initial = initial_distributions(synthetic_model, frame, cell_size=4)
-    np.testing.assert_array_equal(
-        conditioned["dog_walker"].location.grid, initial["dog_walker"].location.grid
-    )
-    np.testing.assert_array_equal(
-        conditioned["dog_walker"].alpha_gamma.mean, initial["dog_walker"].alpha_gamma.mean
-    )
+    config = MethodConfig(cell_size=4)
+    _, dists = dists_after_first_detection(synthetic_model, config, scaled_annotation())
+    assert_prior(synthetic_model, dists["dog_walker"], "dog_walker")
+    assert not np.allclose(dists["dog"].location.grid, dists["dog_walker"].location.grid)
 
 
 def test_two_detections_concentrate_leash_map(synthetic_model):
     frame = normalize_frame(640, 480)
     walker = BoundingBox(cx=-60.0, cy=0.0, w=85.0, h=195.0)
     dog = BoundingBox(cx=45.0, cy=70.0, w=105.0, h=70.0)
-    ws = _workspace_with(synthetic_model, {"dog_walker": walker, "dog": dog}, kind="final")
-    conditioned = condition_on_workspace(synthetic_model, ws, frame, cell_size=4)
+    both = conditioned_distribution(
+        synthetic_model, "leash", {"dog_walker": walker, "dog": dog}, frame, cell_size=4
+    )
 
     one_det = conditioned_distribution(
         synthetic_model, "leash", {"dog_walker": walker}, frame, cell_size=4
     )
     prior_peak = 1.0 / one_det.location.grid.size
-    assert conditioned["leash"].location.grid.max() > one_det.location.grid.max()
+    assert both.location.grid.max() > one_det.location.grid.max()
     assert one_det.location.grid.max() > prior_peak
     # two-detection conditional centers near the walker-dog midpoint
-    grid = conditioned["leash"].location.grid
+    grid = both.location.grid
     r, c = np.unravel_index(np.argmax(grid), grid.shape)
     x = -frame.norm_width / 2 + (c + 0.5) * 4
     y = -frame.norm_height / 2 + (r + 0.5) * 4
@@ -230,14 +281,14 @@ def test_two_detections_concentrate_leash_map(synthetic_model):
 
 
 def test_provisional_and_final_condition_identically(synthetic_model):
-    frame = normalize_frame(640, 480)
-    box = BoundingBox(cx=10.0, cy=-5.0, w=100.0, h=180.0)
-    prov = _workspace_with(synthetic_model, {"dog_walker": box}, kind="provisional")
-    final = _workspace_with(synthetic_model, {"dog_walker": box}, kind="final")
-    a = condition_on_workspace(synthetic_model, prov, frame, cell_size=8)
-    b = condition_on_workspace(synthetic_model, final, frame, cell_size=8)
-    for cat in CATS:
+    # Scoring draws no randomness, so both runs file the same first box.
+    config = MethodConfig(cell_size=8)
+    box_a, a = dists_after_first_detection(synthetic_model, config, scaled_annotation(), 0.3)
+    box_b, b = dists_after_first_detection(synthetic_model, config, scaled_annotation(), 0.9)
+    assert box_a == box_b
+    for cat in ("dog", "leash"):
         np.testing.assert_array_equal(a[cat].location.grid, b[cat].location.grid)
+        np.testing.assert_array_equal(a[cat].alpha_gamma.mean, b[cat].alpha_gamma.mean)
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +350,11 @@ def test_sampled_area_ratio_follows_alpha_marginal():
 
 def test_sampled_proposals_stay_in_frame(synthetic_model):
     frame = normalize_frame(640, 480)
-    dists = initial_distributions(synthetic_model, frame, cell_size=4)
+    uniform = uniform_map(frame, cell_size=4)
+    dists = {
+        cat: CategorySearchDist(cat, uniform, prior_alpha_gamma(synthetic_model, cat))
+        for cat in CATS
+    }
     rng = np.random.default_rng(7)
     hx, hy = frame.norm_width / 2, frame.norm_height / 2
     for _ in range(500):
@@ -337,3 +392,43 @@ def test_model_save_load_bit_for_bit(synthetic_model, tmp_path):
     path2 = tmp_path / "model2.json"
     save_model(loaded, path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def test_model_missing_box_prior_names_category(synthetic_model):
+    doc = model_to_dict(synthetic_model)
+    del doc["box_priors"]["leash"]
+    with pytest.raises(InvalidInputError, match="box_priors: missing 'leash'"):
+        model_from_dict(doc)
+    doc = model_to_dict(synthetic_model)
+    doc["box_priors"]["cat"] = doc["box_priors"]["dog"]
+    with pytest.raises(InvalidInputError, match="box_priors: unexpected 'cat'"):
+        model_from_dict(doc)
+    doc["box_priors"] = list(CATS)
+    with pytest.raises(InvalidInputError, match="malformed model document"):
+        model_from_dict(doc)
+
+
+def test_model_pair_keys_must_match_category_pairs(synthetic_model):
+    doc = model_to_dict(synthetic_model)
+    doc["loc_pair"]["dog|dog_walker"] = doc["loc_pair"].pop("dog_walker|dog")
+    with pytest.raises(
+        InvalidInputError,
+        match=re.escape("loc_pair: missing 'dog_walker|dog', unexpected 'dog|dog_walker'"),
+    ):
+        model_from_dict(doc)
+    doc = model_to_dict(synthetic_model)
+    del doc["box_pair"]["dog|leash"]
+    with pytest.raises(InvalidInputError, match=re.escape("box_pair: missing 'dog|leash'")):
+        model_from_dict(doc)
+
+
+def test_model_joint_dims_must_match_categories(synthetic_model):
+    doc = model_to_dict(synthetic_model)
+    doc["loc_pair"]["dog_walker|leash"]["dims"] = ["x_dog_walker", "y_dog_walker", "x_dog", "y_dog"]
+    with pytest.raises(InvalidInputError, match=re.escape("loc_pair['dog_walker|leash'] has dims")):
+        model_from_dict(doc)
+    doc = model_to_dict(synthetic_model)
+    dims = doc["box_triple"]["dims"]
+    dims[0], dims[1] = dims[1], dims[0]
+    with pytest.raises(InvalidInputError, match="box_triple has dims"):
+        model_from_dict(doc)
