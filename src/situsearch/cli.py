@@ -87,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--jobs",
         type=int,
-        default=os.environ.get("SITUATE_JOBS", "1"),  # parsed only when bench runs
+        default=None,
         help="parallel worker processes (default: SITUATE_JOBS or 1)",
     )
     _add_common_run_flags(p)
@@ -190,6 +190,13 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    jobs = args.jobs
+    if jobs is None:
+        raw = os.environ.get("SITUATE_JOBS", "1")
+        try:
+            jobs = int(raw)
+        except ValueError:
+            raise ParseError(f"SITUATE_JOBS must be an integer, got {raw!r}") from None
     tokens = evaluation.expand_method_spec(args.methods)
     dataset = load_dataset(args.data)
 
@@ -202,7 +209,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         tokens,
         k=args.folds,
         master_seed=args.seed,
-        jobs=max(1, args.jobs),
+        jobs=max(1, jobs),
         max_iterations=args.max_iter,
         cell_size=args.cell_size,
         progress=progress,

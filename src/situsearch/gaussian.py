@@ -126,13 +126,14 @@ class MultivariateGaussian:
         ia = self.cov[1, 1] / det
         ib = -self.cov[0, 1] / det
         ic = self.cov[0, 0] / det
-        q = (
-            ia * dx[None, :] ** 2
-            + 2.0 * ib * dy[:, None] * dx[None, :]
-            + ic * dy[:, None] ** 2
-        )
+        # q = ia dx^2 + 2 ib dy dx + ic dy^2 in one buffer; the order of the
+        # operations fixes the bits of every map, so it stays left to right.
+        q = np.multiply(2.0 * ib * dy[:, None], dx[None, :])
+        np.add(ia * dx[None, :] ** 2, q, out=q)
+        q += ic * dy[:, None] ** 2
         q -= q.min()  # stabilize the exponential; normalization happens downstream
-        return np.exp(-0.5 * q)
+        q *= -0.5
+        return np.exp(q, out=q)
 
 
 def _safe_cholesky(cov: np.ndarray) -> np.ndarray:
@@ -274,12 +275,16 @@ class LocationMap:
         g = np.asarray(self.grid, dtype=float)
         if g.ndim != 2 or g.size == 0:
             raise InvalidInputError(f"grid must be a non-empty 2-d array, got shape {g.shape}")
-        if np.any(g < 0) or not np.all(np.isfinite(g)):
-            raise InvalidInputError("grid cells must be finite and non-negative")
+        # A NaN or negative cell fails the min; an infinite cell, or finite
+        # cells whose sum overflows, fail the sum.
         total = float(g.sum())
+        if not g.min() >= 0 or not math.isfinite(total):
+            raise InvalidInputError("grid cells must be finite and non-negative with a finite sum")
         if total <= 0:
             raise InvalidInputError("grid must have positive total mass")
-        self.grid = _readonly(g / total)
+        grid = g / total
+        grid.flags.writeable = False
+        self.grid = grid
 
     @property
     def shape(self) -> tuple[int, int]:

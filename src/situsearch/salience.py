@@ -150,16 +150,17 @@ def load_salience(path: str | Path, frame: ImageFrame, cell_size: float = 1.0) -
     if values.size != rows * cols:
         raise ParseError(f"{path}: expected {rows * cols} values, got {values.size}")
     grid = values.reshape(rows, cols)
-    if np.any(grid < 0) or not np.all(np.isfinite(grid)):
-        raise InvalidInputError(f"{path}: salience values must be finite and non-negative")
     expected = grid_shape(frame, cell_size)
     if (rows, cols) != expected:
         raise InvalidInputError(
             f"{path}: grid {rows}x{cols} does not match expected {expected[0]}x{expected[1]}"
         )
-    if float(grid.sum()) <= 0:
+    if not grid.any():  # all zeros: no salience signal, so no preference
         grid = np.full((rows, cols), 1.0 / (rows * cols))
-    return SalienceMap(frame=frame, cell_size=cell_size, grid=grid)
+    try:
+        return SalienceMap(frame=frame, cell_size=cell_size, grid=grid)
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"{path}: {exc}") from exc
 
 
 def combine(location: LocationMap, salience: SalienceMap, epsilon: float | None = None) -> LocationMap:
@@ -176,5 +177,6 @@ def combine(location: LocationMap, salience: SalienceMap, epsilon: float | None 
         epsilon = default_epsilon(location.grid.size)
     if epsilon <= 0:
         raise InvalidInputError(f"epsilon must be positive, got {epsilon}")
-    product = location.grid * salience.grid + epsilon
+    product = location.grid * salience.grid
+    product += epsilon
     return LocationMap(frame=location.frame, cell_size=location.cell_size, grid=product)

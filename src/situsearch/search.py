@@ -6,13 +6,16 @@ and box distributions, scores it against ground truth with the IOU oracle,
 and files it in the Workspace. A score at or above the final threshold makes
 the detection final and absorbing; a score at or above the provisional
 threshold parks the proposal as provisional, replaceable only by a higher
-scoring one. Any Workspace change re-conditions the situation model, so
-every detection (even a mediocre provisional one) immediately steers the
-remaining search. Methods with the salience location prior multiply every
-conditioned location map by the salience map.
+scoring one. A changed Workspace re-conditions each remaining category, so
+every detection (even a mediocre provisional one) steers the remaining
+search. Methods with the salience location prior multiply every conditioned
+location map by the salience map.
 
-Distributions are recomputed only when the Workspace changes; between
-changes the loop is a tight sample/score/file cycle.
+Conditioning draws no random numbers, so a category's conditioned map is
+built only when that category is next drawn from, or shown to an observer,
+on the Workspace as it stood at its last change; a map replaced by a later
+change before any draw is never built. Between changes the loop is a tight
+sample/score/file cycle.
 """
 
 from __future__ import annotations
@@ -212,6 +215,25 @@ def sample_proposal(
     return ObjectProposal(category=dist.category, box=box)
 
 
+def _conditioned(
+    model: SituationModel,
+    salience: SalienceMap | None,
+    config: MethodConfig,
+    category: str,
+    detected: Mapping[str, BoundingBox],
+    frame: ImageFrame,
+) -> CategorySearchDist:
+    """A category's distributions given the detections of the Workspace."""
+    cond = conditioned_distribution(model, category, detected, frame, config.cell_size)
+    if config.location_prior == LOCATION_SALIENCE:
+        cond = CategorySearchDist(
+            category=category,
+            location=combine(cond.location, salience),
+            alpha_gamma=cond.alpha_gamma,
+        )
+    return cond
+
+
 def _ground_truth(annotation, model: SituationModel, frame: ImageFrame) -> dict[str, BoundingBox]:
     gt = {}
     for cat in model.categories:
@@ -263,6 +285,10 @@ def run_image(
         for c in model.categories
     }
     workspace = Workspace(model.categories)
+    # Categories whose distributions lag the Workspace, and the detections
+    # at its last change that they are to be conditioned on.
+    stale: set[str] = set()
+    detected: dict[str, BoundingBox] = {}
     records: list[ProposalRecord] | None = [] if config.record_proposals else None
     detections: dict[str, int | None] = {c: None for c in model.categories}
     order: list[tuple[str, int]] = []
@@ -272,6 +298,9 @@ def run_image(
         iterations = t
         remaining = workspace.remaining()
         category = remaining[int(rng.integers(len(remaining)))]
+        if category in stale:
+            stale.discard(category)
+            dists[category] = _conditioned(model, salience, config, category, detected, frame)
         proposal = sample_proposal(dists[category], frame, rng)
         score = float(scorer(proposal))
         if records is not None:
@@ -292,18 +321,13 @@ def run_image(
             order.append((category, t))
         if config.situation_model != MODEL_NONE:
             detected = dict(workspace.detected_boxes())
-            for cat in workspace.remaining():
-                if not detected.keys() - {cat}:
-                    continue  # only its own detection so far: it keeps the prior
-                cond = conditioned_distribution(model, cat, detected, frame, config.cell_size)
-                if config.location_prior == LOCATION_SALIENCE:
-                    cond = CategorySearchDist(
-                        category=cat,
-                        location=combine(cond.location, salience),
-                        alpha_gamma=cond.alpha_gamma,
-                    )
-                dists[cat] = cond
+            # A category with only its own detection so far keeps the prior.
+            stale = {cat for cat in workspace.remaining() if detected.keys() - {cat}}
         if observer is not None:
+            for cat in workspace.remaining():
+                if cat in stale:
+                    dists[cat] = _conditioned(model, salience, config, cat, detected, frame)
+            stale.clear()
             observer(t, workspace, dists)
         if workspace.is_complete():
             break

@@ -5,12 +5,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from situsearch.errors import InsufficientDataError, InvalidInputError
 from situsearch.gaussian import (
     LocationMap,
     MultivariateGaussian,
     UnivariateNormal,
+    cell_centers,
     condition,
     fit,
     fit_univariate,
@@ -352,6 +355,76 @@ def test_point_mass_map_samples_inside_its_cell():
         x, y = lmap.sample_point(rng)
         assert 50 <= x <= 150  # column 3 of 5: [-250+300, -250+400]
         assert -150 <= y <= -50
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        [[1.0, math.nan, 1.0], [1.0, 1.0, 1.0]],
+        [[1.0, math.inf, 1.0], [1.0, 1.0, 1.0]],
+        [[1.0, -math.inf, 1.0], [1.0, 1.0, 1.0]],
+        [[1.0, -0.1, 1.0], [1.0, 1.0, 1.0]],
+        np.full((2, 3), 1e308),  # finite cells whose sum overflows
+    ],
+    ids=["nan", "pos-inf", "neg-inf", "negative", "overflowing-sum"],
+)
+def test_location_map_rejects_invalid_cells(grid):
+    with pytest.raises(InvalidInputError):
+        LocationMap(frame=normalize_frame(1000, 1000), cell_size=250, grid=np.array(grid))
+
+
+# ---------------------------------------------------------------------------
+# bit-exact grid arithmetic: the in-place code against the textbook expressions
+
+
+def textbook_pdf_grid(dist: MultivariateGaussian, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    dx = xs - dist.mean[0]
+    dy = ys - dist.mean[1]
+    det = dist.cov[0, 0] * dist.cov[1, 1] - dist.cov[0, 1] ** 2
+    if det <= 0 or not math.isfinite(det):
+        out = np.zeros((len(dy), len(dx)))
+        out[int(np.argmin(np.abs(dy))), int(np.argmin(np.abs(dx)))] = 1.0
+        return out
+    ia = dist.cov[1, 1] / det
+    ib = -dist.cov[0, 1] / det
+    ic = dist.cov[0, 0] / det
+    q = ia * dx[None, :] ** 2 + 2.0 * ib * dy[:, None] * dx[None, :] + ic * dy[:, None] ** 2
+    return np.exp(-0.5 * (q - q.min()))
+
+
+@st.composite
+def location_gaussians(draw) -> MultivariateGaussian:
+    """2-d Gaussians from wide to near-singular and exactly degenerate."""
+    sx = draw(st.floats(min_value=1e-4, max_value=1e3))
+    sy = draw(st.floats(min_value=1e-4, max_value=1e3))
+    rho = draw(st.one_of(st.sampled_from([-1.0, 1.0, 1 - 1e-12, -1 + 1e-9]), st.floats(-1, 1)))
+    mean = draw(st.tuples(st.floats(-600, 600), st.floats(-600, 600)))
+    cov = np.array([[sx * sx, rho * sx * sy], [rho * sx * sy, sy * sy]])
+    try:
+        return MultivariateGaussian(dims=("x", "y"), mean=np.array(mean), cov=cov)
+    except InvalidInputError:
+        assume(False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dist=location_gaussians(), cell=st.sampled_from([1.0, 2.5, 7.0]))
+def test_pdf_grid_and_location_map_are_bit_identical_to_textbook(dist, cell):
+    frame = normalize_frame(640, 480)
+    xs, ys = cell_centers(frame, cell)
+    want = textbook_pdf_grid(dist, xs, ys)
+    got = dist.pdf_grid(xs, ys)
+    assert np.array_equal(got, want, equal_nan=True)
+    total = want.sum()
+    if total > 0 and math.isfinite(total):
+        lmap = LocationMap(frame=frame, cell_size=cell, grid=got)
+        assert np.array_equal(lmap.grid, want / want.sum())
+
+
+def test_location_map_leaves_its_input_alone():
+    grid = np.array([[1.0, 3.0], [2.0, 2.0]])
+    lmap = LocationMap(frame=normalize_frame(1000, 1000), cell_size=250, grid=grid)
+    np.testing.assert_array_equal(grid, [[1.0, 3.0], [2.0, 2.0]])
+    assert lmap.grid is not grid and not lmap.grid.flags.writeable
 
 
 # ---------------------------------------------------------------------------

@@ -2,14 +2,17 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from situsearch.errors import InvalidInputError, ParseError
-from situsearch.gaussian import LocationMap, uniform_map
+from situsearch.gaussian import LocationMap, MultivariateGaussian, rasterize_2d, uniform_map
 from situsearch.geometry import normalize_frame
 from situsearch.salience import (
     SalienceMap,
     combine,
     compute_salience,
+    default_epsilon,
     load_salience,
     save_salience,
     smooth_grid,
@@ -142,6 +145,13 @@ def test_load_rejects_negative_values(tmp_path):
         load_salience(path, normalize_frame(400, 200), cell_size=250)
 
 
+def test_load_rejects_overflowing_values_and_names_the_file(tmp_path):
+    path = tmp_path / "huge.sal"
+    path.write_text("SALIENCE v1\n1 2\n1e308 1e308\n")
+    with pytest.raises(InvalidInputError, match="huge.sal"):
+        load_salience(path, normalize_frame(400, 200), cell_size=250)
+
+
 def test_load_rejects_shape_mismatch(tmp_path):
     path = tmp_path / "shape.sal"
     path.write_text("SALIENCE v1\n2 2\n1 1\n1 1\n")
@@ -213,6 +223,25 @@ def test_combine_never_emits_zero_cells():
     salience = SalienceMap(frame=frame, cell_size=100, grid=np.array(spike))
     out = combine(location, salience)
     assert (out.grid > 0).all()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    sx=st.floats(min_value=1e-4, max_value=1e3),
+    sy=st.floats(min_value=1e-4, max_value=1e3),
+    rho=st.one_of(st.sampled_from([-1.0, 1.0, 1 - 1e-12]), st.floats(-1, 1)),
+    mean=st.tuples(st.floats(-600, 600), st.floats(-600, 600)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_combine_is_bit_identical_to_textbook(sx, sy, rho, mean, seed):
+    frame = normalize_frame(640, 480)
+    cov = np.array([[sx * sx, rho * sx * sy], [rho * sx * sy, sy * sy]])
+    dist = MultivariateGaussian(dims=("x", "y"), mean=np.array(mean), cov=cov)
+    location = rasterize_2d(dist, frame, cell_size=2.0)
+    raw = np.random.default_rng(seed).uniform(0, 1, size=location.grid.shape)
+    salience = SalienceMap(frame=frame, cell_size=2.0, grid=raw)
+    product = location.grid * salience.grid + default_epsilon(raw.size)
+    assert np.array_equal(combine(location, salience).grid, product / product.sum())
 
 
 def test_combine_rejects_shape_mismatch():

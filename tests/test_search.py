@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 from collections import defaultdict
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from situsearch import search
 from situsearch.datagen import SituationAnnotation
 from situsearch.errors import InvalidInputError
+from situsearch.evaluation import METHOD_TOKENS, config_for_token, salience_for_annotation
 from situsearch.geometry import BoundingBox, normalize_frame, to_normalized
 from situsearch.search import (
     FINAL,
@@ -367,6 +370,83 @@ def test_run_requires_full_ground_truth(degenerate_model):
     )
     with pytest.raises(InvalidInputError):
         run_image(degenerate_model, None, run_config(), partial, np.random.default_rng(0))
+
+
+# ---------------------------------------------------------------------------
+# lazy conditioning
+
+
+@pytest.fixture(scope="module")
+def held_out(small_synthetic_dataset):
+    """A model learned on most of the shared dataset, and six images it did not see."""
+    return learn(small_synthetic_dataset[:50]), small_synthetic_dataset[50:56]
+
+
+def held_out_runs(held_out, token, observer=None):
+    model, annotations = held_out
+    config = replace(config_for_token(token), cell_size=8.0, record_proposals=True)
+    for ann in annotations:
+        salience = salience_for_annotation(ann, config.cell_size) if config.needs_salience else None
+        rng = np.random.default_rng(3)
+        yield run_image(model, salience, config, ann, rng, observer=observer)
+
+
+@pytest.mark.parametrize("token", list(METHOD_TOKENS))
+def test_lazy_conditioning_matches_eager(held_out, token):
+    # An observer must see every remaining category's current maps, so a
+    # no-op one makes run_image build each stale map at every Workspace
+    # change: the eager schedule.
+    lazy = list(held_out_runs(held_out, token))
+    eager = list(held_out_runs(held_out, token, observer=lambda *_: None))
+    for a, b in zip(lazy, eager):
+        assert a.to_dict() == b.to_dict()
+        assert a.proposals == b.proposals
+
+
+@pytest.mark.parametrize(
+    "token", [t for t, c in METHOD_TOKENS.items() if c.situation_model != search.MODEL_NONE]
+)
+def test_every_lazily_built_map_is_drawn_from_before_the_next_change(
+    held_out, token, monkeypatch
+):
+    events: list[tuple[str, object]] = []
+    conditioned, sample, observe = (
+        search.conditioned_distribution,
+        search.sample_proposal,
+        Workspace.observe,
+    )
+
+    def counting_conditioned(*args, **kwargs):
+        dist = conditioned(*args, **kwargs)
+        events.append(("built", dist.alpha_gamma))
+        return dist
+
+    def counting_sample(dist, frame, rng):
+        events.append(("drawn", dist.alpha_gamma))
+        return sample(dist, frame, rng)
+
+    def counting_observe(self, *args, **kwargs):
+        changed = observe(self, *args, **kwargs)
+        if changed:
+            events.append(("change", None))
+        return changed
+
+    monkeypatch.setattr(search, "conditioned_distribution", counting_conditioned)
+    monkeypatch.setattr(search, "sample_proposal", counting_sample)
+    monkeypatch.setattr(Workspace, "observe", counting_observe)
+
+    for _ in held_out_runs(held_out, token):
+        pass
+    lazy_built = [i for i, (kind, _) in enumerate(events) if kind == "built"]
+    assert lazy_built
+    for i in lazy_built:  # drawn from at once, so before any later change
+        assert events[i + 1][0] == "drawn" and events[i + 1][1] is events[i][1]
+
+    events.clear()
+    for _ in held_out_runs(held_out, token, observer=lambda *_: None):
+        pass
+    eager_built = sum(kind == "built" for kind, _ in events)
+    assert len(lazy_built) < eager_built
 
 
 # ---------------------------------------------------------------------------
