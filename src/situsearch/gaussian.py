@@ -296,14 +296,16 @@ class LocationMap:
 
     def sample_point(self, rng: np.random.Generator) -> tuple[float, float]:
         """Draw a cell by mass, then a uniform point inside it (clamped to frame)."""
-        u = rng.random() * self._cdf[-1]
-        idx = int(np.searchsorted(self._cdf, u, side="right"))
-        idx = min(idx, self.grid.size - 1)
+        cdf = self._cdf
+        # One call for the three uniforms the cell and the point in it take:
+        # the same values, in the same order, as three rng.random() calls.
+        u, ux, uy = rng.random(3).tolist()
+        idx = min(int(cdf.searchsorted(u * cdf[-1], "right")), cdf.size - 1)
         row, col = divmod(idx, self.grid.shape[1])
         hx = self.frame.norm_width / 2
         hy = self.frame.norm_height / 2
-        x = -hx + (col + rng.random()) * self.cell_size
-        y = -hy + (row + rng.random()) * self.cell_size
+        x = -hx + (col + ux) * self.cell_size
+        y = -hy + (row + uy) * self.cell_size
         return min(x, hx), min(y, hy)
 
 
@@ -341,15 +343,18 @@ def rasterize_2d(dist: MultivariateGaussian, frame: ImageFrame, cell_size: float
         raise InvalidInputError(f"rasterize_2d needs a 2-d distribution, got {dist.dim}-d")
     xs, ys = cell_centers(frame, cell_size)
     grid = dist.pdf_grid(xs, ys)
-    total = float(grid.sum())
-    if total <= 0 or not math.isfinite(total):
-        # Mean far outside the frame with tiny variance: nearest cell gets all mass.
+    try:
+        return LocationMap(frame=frame, cell_size=cell_size, grid=grid)
+    except InvalidInputError:
+        # The density is NaN or zero everywhere when the quadratic form
+        # overflows in every cell (a mean far outside the frame with tiny
+        # variance): the nearest cell gets all mass.
         grid = np.zeros_like(grid)
         grid[
             int(np.clip(np.argmin(np.abs(ys - dist.mean[1])), 0, len(ys) - 1)),
             int(np.clip(np.argmin(np.abs(xs - dist.mean[0])), 0, len(xs) - 1)),
         ] = 1.0
-    return LocationMap(frame=frame, cell_size=cell_size, grid=grid)
+        return LocationMap(frame=frame, cell_size=cell_size, grid=grid)
 
 
 # ---------------------------------------------------------------------------

@@ -57,7 +57,7 @@ def normalize_frame(orig_width: float, orig_height: float) -> ImageFrame:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundingBox:
     """Axis-aligned box: center (cx, cy) and size (w, h), normalized-frame units."""
 
@@ -67,9 +67,11 @@ class BoundingBox:
     h: float
 
     def __post_init__(self) -> None:
-        if not (self.w > 0 and self.h > 0):
-            raise InvalidInputError(f"box must have positive size, got w={self.w}, h={self.h}")
-        if not all(math.isfinite(v) for v in (self.cx, self.cy, self.w, self.h)):
+        w, h = self.w, self.h
+        if not (w > 0 and h > 0):
+            raise InvalidInputError(f"box must have positive size, got w={w}, h={h}")
+        isfinite = math.isfinite
+        if not (isfinite(self.cx) and isfinite(self.cy) and isfinite(w) and isfinite(h)):
             raise InvalidInputError("box coordinates must be finite")
 
     @property
@@ -128,27 +130,35 @@ def to_original(box: BoundingBox, frame: ImageFrame) -> tuple[float, float, floa
 
 def iou(a: BoundingBox, b: BoundingBox) -> float:
     """Intersection over union of two boxes; 0 when disjoint."""
-    ix = min(a.x1, b.x1) - max(a.x0, b.x0)
-    iy = min(a.y1, b.y1) - max(a.y0, b.y0)
+    # The corners and areas are formed as the properties form them, so the
+    # result is bit-for-bit the same as through x0/x1/y0/y1/area.
+    acx, acy, aw, ah = a.cx, a.cy, a.w, a.h
+    bcx, bcy, bw, bh = b.cx, b.cy, b.w, b.h
+    ix = min(acx + aw / 2, bcx + bw / 2) - max(acx - aw / 2, bcx - bw / 2)
+    iy = min(acy + ah / 2, bcy + bh / 2) - max(acy - ah / 2, bcy - bh / 2)
     if ix <= 0 or iy <= 0:
         return 0.0
     inter = ix * iy
-    union = a.area + b.area - inter
+    union = aw * ah + bw * bh - inter
     return inter / union
 
 
 def crop_to_frame(box: BoundingBox, frame: ImageFrame) -> BoundingBox:
     """Intersect a box with the frame rectangle.
 
-    Raises NoOverlapError when the box lies entirely outside the frame;
-    callers treat such a proposal as score 0.
+    Raises NoOverlapError when the box lies entirely outside the frame, or
+    when its intersection with the frame has no width or height in floating
+    point. The search never passes such a box: ``box_from_descriptor``
+    bounds the sides of every box it makes, and proposals are centred in
+    the frame.
     """
+    cx, cy, w, h = box.cx, box.cy, box.w, box.h
     hx = frame.norm_width / 2
     hy = frame.norm_height / 2
-    x0 = max(box.x0, -hx)
-    x1 = min(box.x1, hx)
-    y0 = max(box.y0, -hy)
-    y1 = min(box.y1, hy)
+    x0 = max(cx - w / 2, -hx)
+    x1 = min(cx + w / 2, hx)
+    y0 = max(cy - h / 2, -hy)
+    y1 = min(cy + h / 2, hy)
     if x1 <= x0 or y1 <= y0:
         raise NoOverlapError("box lies entirely outside the image frame")
     return BoundingBox(cx=(x0 + x1) / 2, cy=(y0 + y1) / 2, w=x1 - x0, h=y1 - y0)

@@ -54,7 +54,7 @@ DEFAULT_FINAL_THRESHOLD = 0.5
 DEFAULT_MAX_ITERATIONS = 1000
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class ObjectProposal:
     """A candidate detection: category plus box; score filled in when scored."""
 
@@ -128,9 +128,6 @@ class Workspace:
         return [
             c for c in self.categories if self.slots[c] is None or self.slots[c].kind != FINAL
         ]
-
-    def is_complete(self) -> bool:
-        return not self.remaining()
 
 
 @dataclass(frozen=True)
@@ -212,7 +209,7 @@ def sample_proposal(
     cx, cy = dist.location.sample_point(rng)
     alpha, gamma = dist.sample_alpha_gamma(rng)
     box = crop_to_frame(box_from_descriptor(cx, cy, alpha, gamma, frame), frame)
-    return ObjectProposal(category=dist.category, box=box)
+    return ObjectProposal(dist.category, box)
 
 
 def _conditioned(
@@ -263,8 +260,6 @@ def run_image(
     """
     frame = normalize_frame(annotation.width, annotation.height)
     gt = _ground_truth(annotation, model, frame)
-    if scorer is None:
-        scorer = lambda proposal: score_proposal(gt, proposal)
 
     if config.needs_salience:
         if salience is None:
@@ -294,15 +289,18 @@ def run_image(
     order: list[tuple[str, int]] = []
 
     iterations = 0
+    remaining = workspace.remaining()  # refreshed at each Workspace change
     for t in range(1, config.max_iterations + 1):
         iterations = t
-        remaining = workspace.remaining()
         category = remaining[int(rng.integers(len(remaining)))]
         if category in stale:
             stale.discard(category)
             dists[category] = _conditioned(model, salience, config, category, detected, frame)
         proposal = sample_proposal(dists[category], frame, rng)
-        score = float(scorer(proposal))
+        if scorer is None:
+            score = score_proposal(gt, proposal)
+        else:
+            score = float(scorer(proposal))
         if records is not None:
             records.append(ProposalRecord(t, category, proposal.box, score))
         changed = workspace.observe(
@@ -315,6 +313,7 @@ def run_image(
         )
         if not changed:
             continue
+        remaining = workspace.remaining()
         slot = workspace.slots[category]
         if slot is not None and slot.kind == FINAL:
             detections[category] = t
@@ -322,20 +321,20 @@ def run_image(
         if config.situation_model != MODEL_NONE:
             detected = dict(workspace.detected_boxes())
             # A category with only its own detection so far keeps the prior.
-            stale = {cat for cat in workspace.remaining() if detected.keys() - {cat}}
+            stale = {cat for cat in remaining if detected.keys() - {cat}}
         if observer is not None:
-            for cat in workspace.remaining():
+            for cat in remaining:
                 if cat in stale:
                     dists[cat] = _conditioned(model, salience, config, cat, detected, frame)
             stale.clear()
             observer(t, workspace, dists)
-        if workspace.is_complete():
+        if not remaining:
             break
 
     return RunResult(
         detections=detections,
         total_iterations=iterations,
-        completed=workspace.is_complete(),
+        completed=not remaining,
         detection_order=order,
         proposals=records,
     )

@@ -51,6 +51,14 @@ MODEL_FORMAT_VERSION = 1
 LOG_AREA_RANGE = (math.log(0.01), math.log(0.5))
 LOG_ASPECT_RANGE = (math.log(0.25), math.log(4.0))
 
+# The floor on the sides of a box made from a descriptor, in normalized-frame
+# units: far below any box a fitted model draws, it keeps the crop of a box
+# centred in the frame from rounding to zero width.
+MIN_BOX_SIDE = 1e-6
+# math.exp overflows above ~709.78; a side of sqrt(frame area) * e^700 is far
+# beyond the ceiling of twice the frame's side anyway.
+_MAX_LOG_SIDE = 700.0
+
 
 @dataclass(frozen=True)
 class CategorySet:
@@ -125,8 +133,8 @@ class CategorySearchDist:
     def sample_alpha_gamma(self, rng: np.random.Generator) -> tuple[float, float]:
         if isinstance(self.alpha_gamma, LogUniformBox):
             return self.alpha_gamma.sample(rng)
-        a, g = self.alpha_gamma.sample(rng)
-        return float(a), float(g)
+        a, g = self.alpha_gamma.sample(rng).tolist()
+        return a, g
 
 
 def loc_dims(categories: Sequence[str]) -> tuple[str, ...]:
@@ -149,11 +157,21 @@ def box_from_descriptor(
 
     With A the frame area: w*h = e^alpha * A and w/h = e^gamma, so
     w = sqrt(A) * exp((alpha+gamma)/2) and h = sqrt(A) * exp((alpha-gamma)/2).
+    Each side is clamped to [MIN_BOX_SIDE, twice the frame's side], so every
+    finite descriptor gives a box. A box centred in the frame crops to the
+    same box whether or not its sides were clamped to the ceiling.
     """
     root_area = math.sqrt(frame.area)
-    w = root_area * math.exp((alpha + gamma) / 2)
-    h = root_area * math.exp((alpha - gamma) / 2)
-    return BoundingBox(cx=cx, cy=cy, w=w, h=h)
+    max_w = 2 * frame.norm_width
+    max_h = 2 * frame.norm_height
+    log_w = (alpha + gamma) / 2
+    log_h = (alpha - gamma) / 2
+    w = max_w if log_w > _MAX_LOG_SIDE else root_area * math.exp(log_w)
+    h = max_h if log_h > _MAX_LOG_SIDE else root_area * math.exp(log_h)
+    if not (MIN_BOX_SIDE <= w <= max_w and MIN_BOX_SIDE <= h <= max_h):
+        w = min(max(w, MIN_BOX_SIDE), max_w)  # NaN stays NaN, for BoundingBox to reject
+        h = min(max(h, MIN_BOX_SIDE), max_h)
+    return BoundingBox(cx, cy, w, h)
 
 
 def learn(training: Sequence, categories: Sequence[str] | None = None) -> SituationModel:

@@ -317,6 +317,21 @@ def test_rasterize_sums_to_one_and_nonnegative():
         assert (grid >= 0).all()
 
 
+def test_rasterize_overflowing_density_falls_back_to_the_nearest_cell():
+    # The quadratic form overflows in every cell, so the density is NaN
+    # everywhere; the whole mass goes to the cell nearest the mean.
+    frame = normalize_frame(640, 480)
+    dist = MultivariateGaussian(
+        dims=("x", "y"), mean=np.array([1e4, 0.0]), cov=np.diag([1e-306, 1.0])
+    )
+    with np.errstate(over="ignore", invalid="ignore"):  # the overflow is the case under test
+        assert np.isnan(dist.pdf_grid(*cell_centers(frame, 1.0))).all()
+        grid = rasterize_2d(dist, frame).grid
+    expected = np.zeros((434, 578))
+    expected[216, 577] = 1.0
+    assert np.array_equal(grid, expected)
+
+
 def test_rasterize_validates_inputs():
     frame = normalize_frame(1000, 1000)
     three = MultivariateGaussian(dims=("x", "y", "z"), mean=np.zeros(3), cov=np.eye(3))

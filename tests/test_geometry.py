@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -208,3 +211,123 @@ def test_crop_output_contained_in_box_and_frame():
         assert cropped.x1 <= min(box.x1, hx) + 1e-12
         assert cropped.y0 >= max(box.y0, -hy) - 1e-12
         assert cropped.y1 <= min(box.y1, hy) + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# The per-proposal geometry, bit for bit against the property-based bodies
+
+
+def property_crop_to_frame(box: BoundingBox, frame) -> BoundingBox:
+    """crop_to_frame written through the corner properties, as the oracle."""
+    hx = frame.norm_width / 2
+    hy = frame.norm_height / 2
+    x0 = max(box.x0, -hx)
+    x1 = min(box.x1, hx)
+    y0 = max(box.y0, -hy)
+    y1 = min(box.y1, hy)
+    if x1 <= x0 or y1 <= y0:
+        raise NoOverlapError("box lies entirely outside the image frame")
+    return BoundingBox(cx=(x0 + x1) / 2, cy=(y0 + y1) / 2, w=x1 - x0, h=y1 - y0)
+
+
+def property_iou(a: BoundingBox, b: BoundingBox) -> float:
+    """iou written through the corner and area properties, as the oracle."""
+    ix = min(a.x1, b.x1) - max(a.x0, b.x0)
+    iy = min(a.y1, b.y1) - max(a.y0, b.y0)
+    if ix <= 0 or iy <= 0:
+        return 0.0
+    inter = ix * iy
+    union = a.area + b.area - inter
+    return inter / union
+
+
+def bits(box: BoundingBox) -> tuple[str, ...]:
+    return tuple(float(v).hex() for v in (box.cx, box.cy, box.w, box.h))
+
+
+def outcome(fn, *args):
+    """(kind, value): the exception type and message, or the result's bits."""
+    try:
+        result = fn(*args)
+    except (InvalidInputError, NoOverlapError) as exc:
+        return type(exc).__name__, str(exc)
+    return "ok", bits(result) if isinstance(result, BoundingBox) else float(result).hex()
+
+
+@st.composite
+def frame_and_box(draw):
+    """A frame and a box near it: inside, crossing or touching an edge, or outside.
+
+    Centres are drawn in and beyond the frame, and also exactly at its edges
+    (the clamp ``sample_point`` applies); sides run from far below a pixel to
+    several frame sides, and a box may end exactly on a frame edge.
+    """
+    frame = normalize_frame(draw(st.integers(1, 4000)), draw(st.integers(1, 4000)))
+    hx, hy = frame.norm_width / 2, frame.norm_height / 2
+    sides = st.one_of(
+        st.floats(1e-9, 1.0),
+        st.floats(1.0, 4 * max(hx, hy)),
+        st.sampled_from([hx, hy, 2 * hx, 2 * hy]),
+    )
+    w, h = draw(sides), draw(sides)
+    cx = draw(
+        st.one_of(
+            st.floats(-2 * hx, 2 * hx),
+            st.sampled_from([-hx, hx, 0.0, -hx - w / 2, hx + w / 2, -hx + w / 2, hx - w / 2]),
+        )
+    )
+    cy = draw(
+        st.one_of(
+            st.floats(-2 * hy, 2 * hy),
+            st.sampled_from([-hy, hy, 0.0, -hy - h / 2, hy + h / 2, -hy + h / 2, hy - h / 2]),
+        )
+    )
+    return frame, BoundingBox(cx, cy, w, h)
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=frame_and_box())
+def test_crop_to_frame_is_bit_identical_to_property_form(case):
+    frame, box = case
+    assert outcome(crop_to_frame, box, frame) == outcome(property_crop_to_frame, box, frame)
+
+
+@settings(max_examples=400, deadline=None)
+@given(first=frame_and_box(), second=frame_and_box(), near=st.booleans())
+def test_iou_is_bit_identical_to_property_form(first, second, near):
+    a, b = first[1], second[1]
+    if near:  # centres within 50 units of each other, so the boxes mostly overlap
+        a = BoundingBox(a.cx % 50, a.cy % 50, a.w, a.h)
+        b = BoundingBox(b.cx % 50, b.cy % 50, b.w, b.h)
+    for x, y in ((a, b), (b, a), (a, a)):
+        assert outcome(iou, x, y) == outcome(property_iou, x, y)
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ((0.0, 0.0, 0.0, 1.0), "box must have positive size, got w=0.0, h=1.0"),
+        ((0.0, 0.0, 1.0, -2.0), "box must have positive size, got w=1.0, h=-2.0"),
+        ((0.0, 0.0, float("nan"), 1.0), "box must have positive size, got w=nan, h=1.0"),
+        ((0.0, 0.0, float("inf"), 1.0), "box coordinates must be finite"),
+        ((0.0, 0.0, 1.0, float("inf")), "box coordinates must be finite"),
+        ((float("nan"), 0.0, 1.0, 1.0), "box coordinates must be finite"),
+        ((0.0, float("-inf"), 1.0, 1.0), "box coordinates must be finite"),
+    ],
+)
+def test_bounding_box_rejects_bad_fields_by_name(fields, message):
+    with pytest.raises(InvalidInputError) as info:
+        BoundingBox(*fields)
+    assert str(info.value) == message
+
+
+def test_bounding_box_is_a_frozen_picklable_dataclass():
+    box = BoundingBox(1.5, -2.0, 3.0, 4.25)
+    assert pickle.loads(pickle.dumps(box)) == box
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        box.cx = 0.0
+    moved = dataclasses.replace(box, cx=7.0, cy=8.0)
+    assert (moved.cx, moved.cy, moved.w, moved.h) == (7.0, 8.0, 3.0, 4.25)
+    with pytest.raises(InvalidInputError):
+        dataclasses.replace(box, w=0.0)
+    assert hash(box) == hash(BoundingBox(1.5, -2.0, 3.0, 4.25))

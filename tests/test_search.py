@@ -1,16 +1,29 @@
 from __future__ import annotations
 
+import hashlib
+import itertools
+import json
+import math
 from collections import defaultdict
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from situsearch import search
-from situsearch.datagen import SituationAnnotation
+from situsearch.datagen import SituationAnnotation, default_generator_config, generate_synthetic
 from situsearch.errors import InvalidInputError
 from situsearch.evaluation import METHOD_TOKENS, config_for_token, salience_for_annotation
-from situsearch.geometry import BoundingBox, normalize_frame, to_normalized
+from situsearch.gaussian import (
+    LocationMap,
+    MultivariateGaussian,
+    UnivariateNormal,
+    grid_shape,
+    uniform_map,
+)
+from situsearch.geometry import BoundingBox, crop_to_frame, normalize_frame, to_normalized
 from situsearch.search import (
     FINAL,
     PROVISIONAL,
@@ -19,9 +32,19 @@ from situsearch.search import (
     Workspace,
     evaluate_proposal_set,
     run_image,
+    sample_proposal,
     score_proposal,
 )
-from situsearch.situation_model import learn
+from situsearch.situation_model import (
+    MIN_BOX_SIDE,
+    BoxPrior,
+    CategorySearchDist,
+    LogUniformBox,
+    box_from_descriptor,
+    conditioned_distribution,
+    learn,
+    prior_alpha_gamma,
+)
 
 CATS = ("dog_walker", "dog", "leash")
 
@@ -515,3 +538,249 @@ def test_budget_cuts_off_search():
 def test_empty_proposals_rejected():
     with pytest.raises(InvalidInputError):
         evaluate_proposal_set([], far_corner_annotation())
+
+
+# ---------------------------------------------------------------------------
+# the per-proposal step, bit for bit against its first-written bodies
+
+
+def reference_sample_point(lmap: LocationMap, rng) -> tuple[float, float]:
+    """LocationMap.sample_point as first written: np.searchsorted, three rng.random() calls."""
+    cdf = np.cumsum(lmap.grid.ravel())
+    u = rng.random() * cdf[-1]
+    idx = int(np.searchsorted(cdf, u, side="right"))
+    idx = min(idx, lmap.grid.size - 1)
+    row, col = divmod(idx, lmap.grid.shape[1])
+    hx = lmap.frame.norm_width / 2
+    hy = lmap.frame.norm_height / 2
+    x = -hx + (col + rng.random()) * lmap.cell_size
+    y = -hy + (row + rng.random()) * lmap.cell_size
+    return min(x, hx), min(y, hy)
+
+
+def reference_box_from_descriptor(cx, cy, alpha, gamma, frame) -> BoundingBox:
+    """box_from_descriptor as first written, with no bounds on the sides."""
+    root_area = math.sqrt(frame.area)
+    w = root_area * math.exp((alpha + gamma) / 2)
+    h = root_area * math.exp((alpha - gamma) / 2)
+    return BoundingBox(cx=cx, cy=cy, w=w, h=h)
+
+
+def reference_sample_proposal(dist: CategorySearchDist, frame, rng) -> ObjectProposal:
+    cx, cy = reference_sample_point(dist.location, rng)
+    if isinstance(dist.alpha_gamma, LogUniformBox):
+        alpha, gamma = dist.alpha_gamma.sample(rng)
+    else:
+        a, g = dist.alpha_gamma.sample(rng)
+        alpha, gamma = float(a), float(g)
+    box = crop_to_frame(reference_box_from_descriptor(cx, cy, alpha, gamma, frame), frame)
+    return ObjectProposal(category=dist.category, box=box)
+
+
+def hexes(*values: float) -> tuple[str, ...]:
+    return tuple(float(v).hex() for v in values)
+
+
+def box_hexes(box: BoundingBox) -> tuple[str, ...]:
+    return hexes(box.cx, box.cy, box.w, box.h)
+
+
+def inside(box: BoundingBox, frame) -> bool:
+    hx, hy = frame.norm_width / 2, frame.norm_height / 2
+    slack = 1e-9 * max(hx, hy)  # corners are recomputed from the cropped centre and size
+    return (
+        box.x0 >= -hx - slack
+        and box.x1 <= hx + slack
+        and box.y0 >= -hy - slack
+        and box.y1 <= hy + slack
+    )
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), before=st.integers(0, 3))
+def test_three_uniforms_in_one_call_match_three_calls(seed, before):
+    one, three = np.random.default_rng(seed), np.random.default_rng(seed)
+    for rng in (one, three):
+        rng.standard_normal(before)  # start from any point of the stream
+    assert hexes(*one.random(3).tolist()) == hexes(*(three.random() for _ in range(3)))
+    assert one.bit_generator.state == three.bit_generator.state
+
+
+@st.composite
+def location_maps(draw):
+    """Small maps on frames of any shape; weights sparse, dense or all in the last cell."""
+    frame = normalize_frame(draw(st.integers(1, 3000)), draw(st.integers(1, 3000)))
+    cell = draw(st.sampled_from([4.0, 7.0, 19.5, 33.3]))
+    if min(frame.norm_width, frame.norm_height) < cell:
+        cell = 1.0
+    rows, cols = grid_shape(frame, cell)
+    assume(rows * cols <= 40_000)
+    weights = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random((rows, cols))
+    kind = draw(st.sampled_from(["dense", "sparse", "last"]))
+    if kind == "sparse":
+        weights[weights < 0.9] = 0.0
+        weights[0, 0] += 1e-300
+    elif kind == "last":  # the clamped edge cells, where x or y would pass the frame
+        weights = np.zeros((rows, cols))
+        weights[-1, -1] = 1.0
+    return LocationMap(frame=frame, cell_size=cell, grid=weights)
+
+
+@settings(max_examples=60, deadline=None)
+@given(lmap=location_maps(), seed=st.integers(0, 2**32 - 1))
+def test_sample_point_is_bit_identical_to_reference(lmap, seed):
+    rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(25):
+        assert hexes(*lmap.sample_point(rng)) == hexes(*reference_sample_point(lmap, reference))
+        assert rng.bit_generator.state == reference.bit_generator.state
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    size=st.tuples(st.integers(1, 4000), st.integers(1, 4000)),
+    fx=st.one_of(st.floats(-1, 1), st.sampled_from([-1.0, 1.0])),
+    fy=st.one_of(st.floats(-1, 1), st.sampled_from([-1.0, 1.0])),
+    alpha=st.one_of(st.floats(-12, 2), st.floats(-3000, 3000)),
+    gamma=st.one_of(st.floats(-4, 4), st.floats(-3000, 3000)),
+)
+def test_box_from_descriptor_matches_reference_inside_its_bounds(size, fx, fy, alpha, gamma):
+    frame = normalize_frame(*size)
+    cx, cy = fx * frame.norm_width / 2, fy * frame.norm_height / 2  # centres reach the edges
+    box = box_from_descriptor(cx, cy, alpha, gamma, frame)
+    assert MIN_BOX_SIDE <= box.w <= 2 * frame.norm_width
+    assert MIN_BOX_SIDE <= box.h <= 2 * frame.norm_height
+    cropped = crop_to_frame(box, frame)  # never raises
+    assert inside(cropped, frame)
+    try:
+        reference = reference_box_from_descriptor(cx, cy, alpha, gamma, frame)
+    except (OverflowError, InvalidInputError):  # e^x overflowed, or a side underflowed to 0
+        return
+    if reference.w < MIN_BOX_SIDE or reference.h < MIN_BOX_SIDE:
+        return  # a side under the floor, raised to MIN_BOX_SIDE by the new body
+    if reference.w <= 2 * frame.norm_width and reference.h <= 2 * frame.norm_height:
+        assert box_hexes(box) == box_hexes(reference)
+    # A side cut to twice the frame's crops exactly as the unbounded one.
+    assert box_hexes(cropped) == box_hexes(crop_to_frame(reference, frame))
+
+
+def test_box_from_descriptor_still_rejects_nan():
+    frame = normalize_frame(640, 480)
+    with pytest.raises(InvalidInputError):
+        box_from_descriptor(0.0, 0.0, float("nan"), 0.0, frame)
+
+
+@pytest.fixture(scope="module")
+def step_dists(held_out):
+    """Uniform, learned-prior and conditioned search distributions on three frames."""
+    model, annotations = held_out
+    out = []
+    for width, height in ((640, 480), (1, 900), (3000, 40)):
+        frame = normalize_frame(width, height)
+        cell = min(8.0, frame.norm_width, frame.norm_height)
+        uniform = uniform_map(frame, cell)
+        out.append((frame, CategorySearchDist("dog", uniform, LogUniformBox())))
+        out.append((frame, CategorySearchDist("dog", uniform, prior_alpha_gamma(model, "dog"))))
+        ann = annotations[0]
+        detected = {"dog_walker": to_normalized(*ann.boxes["dog_walker"], frame)}
+        out.append((frame, conditioned_distribution(model, "leash", detected, frame, cell)))
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**31 + 5])
+def test_sample_proposal_is_bit_identical_to_reference(step_dists, seed):
+    rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+    for frame, dist in step_dists:
+        for _ in range(200):
+            got = sample_proposal(dist, frame, rng)
+            want = reference_sample_proposal(dist, frame, reference)
+            assert got.category == want.category
+            assert box_hexes(got.box) == box_hexes(want.box)
+            assert rng.bit_generator.state == reference.bit_generator.state
+
+
+# SHA-256 of every run's to_dict() and proposal records, per token, over the
+# six held-out images (cell_size 8, rng seed 3), computed before the
+# per-proposal step was trimmed: the random stream and every float must stay.
+PROPOSAL_STREAM_DIGESTS = {
+    "uniform-uniform-none": "347e1ce48e5d06e4e5801ca7cd50106ae70662e88c6894bdc6de84d0186a6327",
+    "uniform-learned-none": "570affc77f906bcdb47f9249c01f9c93207aac8269e6b572a0938cb0831f3224",
+    "salience-uniform-none": "5779c8b024af0046afbb0eff22b3c67a2485708cee6db18786ddcfb3ae9e92b1",
+    "uniform-learned-learned": "f53e77d17831cf353d4894bd016269b1ba7e2f9bf4656cca8b948b12bb0110f7",
+    "salience-learned-learned": "7d300f80ac74c96cce4a2c3abd65d1409bd9f8ec64f1733f5a8e13c1b14f10c3",
+    "salience-learned-learned-noprov": (
+        "e57694c1f38fd8750a8f875ed97295ed32b85cf263d52bc020470be0be1c86f3"
+    ),
+}
+
+
+@pytest.mark.parametrize("token", list(METHOD_TOKENS))
+def test_proposal_stream_matches_pinned_digest(held_out, token):
+    digest = hashlib.sha256()
+    for run in held_out_runs(held_out, token):
+        records = [
+            [r.iteration, r.category, r.box.cx, r.box.cy, r.box.w, r.box.h, r.score]
+            for r in run.proposals
+        ]
+        digest.update(json.dumps([run.to_dict(), records]).encode())
+    assert digest.hexdigest() == PROPOSAL_STREAM_DIGESTS[token]
+
+
+# ---------------------------------------------------------------------------
+# the loop never raises on a valid model
+
+
+def wide_box_model(model, std: float):
+    """The model with box priors of the given std and box joints widened to match."""
+    priors = {
+        c: BoxPrior(UnivariateNormal(p.alpha.mean, std), UnivariateNormal(p.gamma.mean, std))
+        for c, p in model.box_priors.items()
+    }
+
+    def widen(joint):
+        return MultivariateGaussian(joint.dims, joint.mean, joint.cov * std**2, joint.epsilon)
+
+    return replace(
+        model,
+        box_priors=priors,
+        box_pair={pair: widen(j) for pair, j in model.box_pair.items()},
+        box_triple=widen(model.box_triple),
+    )
+
+
+def test_tiny_box_from_a_wide_prior_does_not_crash_the_run(held_out):
+    # With std 50 a proposal's side fell below what the frame's floats could
+    # crop, and run_image raised NoOverlapError mid-run.
+    ann = generate_synthetic(default_generator_config(seed=1), 1)[0]
+    model = wide_box_model(held_out[0], 50.0)
+    config = config_for_token("uniform-learned-none")
+    result = run_image(model, None, config, ann, np.random.default_rng(0))
+    assert result.total_iterations == config.max_iterations
+
+
+@pytest.mark.parametrize("token", list(METHOD_TOKENS))
+@settings(
+    max_examples=12, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(
+    std=st.one_of(st.floats(1.0, 1e6), st.sampled_from([50.0, 1e3, 1e150])),
+    seed=st.integers(0, 2**32 - 1),
+    image=st.integers(0, 5),
+    scripted=st.booleans(),
+)
+def test_run_image_never_raises_on_huge_box_variance(held_out, token, std, seed, image, scripted):
+    model, annotations = held_out
+    ann = annotations[image]
+    config = replace(
+        config_for_token(token), cell_size=8.0, max_iterations=150, record_proposals=True
+    )
+    salience = salience_for_annotation(ann, config.cell_size) if config.needs_salience else None
+    scorer = None
+    if scripted:  # a detection every few proposals, so the wide joints get conditioned
+        scores = itertools.cycle([0.0] * 6 + [0.3] + [0.0] * 6 + [0.6])
+        scorer = lambda proposal: next(scores)
+    rng = np.random.default_rng(seed)
+    result = run_image(wide_box_model(model, std), salience, config, ann, rng, scorer)
+    frame = normalize_frame(ann.width, ann.height)
+    assert result.proposals
+    for record in result.proposals:
+        assert inside(record.box, frame)
