@@ -271,6 +271,26 @@ def _heat_cells(grid: np.ndarray, max_cols: int = 48) -> tuple[np.ndarray, int]:
     return coarse, factor
 
 
+def _heat_rects(
+    coarse: np.ndarray, peak: float, left: float, top: float, cw: float, ch: float
+) -> list[str]:
+    """A gray <rect> for each coarse cell at 2% of the peak or more, row by row.
+
+    Each column's x and each row's y are formatted once; the cell's shade is
+    int(255 * min(level, 1)).
+    """
+    levels = coarse / peak
+    rows, cols = np.nonzero(levels >= 0.02)
+    shades = (255 * np.minimum(levels[rows, cols], 1.0)).astype(int).tolist()
+    xs = [f'<rect x="{left + c * cw:.1f}" y="' for c in range(coarse.shape[1])]
+    size = f'" width="{cw + 0.5:.1f}" height="{ch + 0.5:.1f}" fill="rgb('
+    ys = [f"{top + r * ch:.1f}{size}" for r in range(coarse.shape[0])]
+    return [
+        f'{xs[c]}{ys[r]}{s},{s},{s})"/>'
+        for r, c, s in zip(rows.tolist(), cols.tolist(), shades)
+    ]
+
+
 def workspace_snapshot_svg(
     frame,
     ground_truth: dict,
@@ -353,17 +373,7 @@ def workspace_snapshot_svg(
                 f'<rect x="{px}" y="{py + 18}" width="{panel_w}" height="{map_h:.1f}" '
                 f'fill="#000000"/>'
             )
-            for r in range(coarse.shape[0]):
-                for c in range(coarse.shape[1]):
-                    level = coarse[r, c] / peak
-                    if level < 0.02:
-                        continue
-                    shade = int(255 * min(level, 1.0))
-                    svg.append(
-                        f'<rect x="{px + c * cw:.1f}" y="{py + 18 + r * ch:.1f}" '
-                        f'width="{cw + 0.5:.1f}" height="{ch + 0.5:.1f}" '
-                        f'fill="rgb({shade},{shade},{shade})"/>'
-                    )
+            svg.extend(_heat_rects(coarse, peak, px, py + 18, cw, ch))
         py += map_h + 26
     svg.append("</svg>")
     return "\n".join(svg)

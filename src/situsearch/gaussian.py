@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -93,6 +93,17 @@ class MultivariateGaussian:
     def _chol(self) -> np.ndarray:
         return _safe_cholesky(self.cov)
 
+    @cached_property
+    def _conditionals(self) -> dict[tuple[str, ...], _Conditional]:
+        """condition()'s value-independent algebra, per observed-label tuple."""
+        return {}
+
+    def __getstate__(self) -> dict:
+        # The conditioning memo is rebuilt on demand rather than pickled.
+        state = dict(self.__dict__)
+        state.pop("_conditionals", None)
+        return state
+
     def indices(self, labels: Iterable[str]) -> list[int]:
         idx = self._index
         out = []
@@ -128,12 +139,15 @@ class MultivariateGaussian:
         ic = self.cov[0, 0] / det
         # q = ia dx^2 + 2 ib dy dx + ic dy^2 in one buffer; the order of the
         # operations fixes the bits of every map, so it stays left to right.
-        q = np.multiply(2.0 * ib * dy[:, None], dx[None, :])
-        np.add(ia * dx[None, :] ** 2, q, out=q)
-        q += ic * dy[:, None] ** 2
-        q -= q.min()  # stabilize the exponential; normalization happens downstream
-        q *= -0.5
-        return np.exp(q, out=q)
+        # Where q overflows in every cell the density comes out NaN, which
+        # rasterize_2d replaces by a point mass, so the overflow is silent.
+        with np.errstate(over="ignore", invalid="ignore"):
+            q = np.multiply(2.0 * ib * dy[:, None], dx[None, :])
+            np.add(ia * dx[None, :] ** 2, q, out=q)
+            q += ic * dy[:, None] ** 2
+            q -= q.min()  # stabilize the exponential; normalization happens downstream
+            q *= -0.5
+            return np.exp(q, out=q)
 
 
 def _safe_cholesky(cov: np.ndarray) -> np.ndarray:
@@ -175,46 +189,83 @@ def fit(samples: Sequence[Sequence[float]] | np.ndarray, dims: Sequence[str]) ->
     return MultivariateGaussian(dims=dims, mean=mean, cov=cov, epsilon=eps)
 
 
-def condition(dist: MultivariateGaussian, observed: Mapping[str, float]) -> MultivariateGaussian:
-    """Condition on exact values for a subset of dimensions.
+class _Conditional(NamedTuple):
+    """What conditioning a joint on a tuple of labels does not owe to the values."""
 
-    Returns the Gaussian over the remaining labels, in their original order.
-    A singular observed block is handled by the same trace-scaled ridge used
-    at fit time; it never raises for valid labels.
-    """
-    if not observed:
-        raise InvalidInputError("need at least one observed dimension")
-    obs_idx = dist.indices(observed.keys())
+    template: MultivariateGaussian  # the conditional, with mean mu_a
+    mu_b: np.ndarray
+    gain: np.ndarray  # S_ab S_bb^-1
+
+
+def _conditional(dist: MultivariateGaussian, labels: tuple[str, ...]) -> _Conditional:
+    obs_idx = dist.indices(labels)
     if len(obs_idx) >= dist.dim:
         raise InvalidInputError("cannot condition on every dimension")
     keep_idx = [i for i in range(dist.dim) if i not in set(obs_idx)]
-    values = np.array([float(observed[dist.dims[i]]) for i in obs_idx])
-    if not np.all(np.isfinite(values)):
-        raise InvalidInputError("observed values must be finite")
 
     s_aa = dist.cov[np.ix_(keep_idx, keep_idx)]
     s_ab = dist.cov[np.ix_(keep_idx, obs_idx)]
     s_bb = dist.cov[np.ix_(obs_idx, obs_idx)]
-    mu_a = dist.mean[keep_idx]
-    mu_b = dist.mean[obs_idx]
 
     l_bb = _safe_cholesky(s_bb)
     # gain = S_ab S_bb^-1 via two triangular solves
     tmp = np.linalg.solve(l_bb, s_ab.T)
     gain = np.linalg.solve(l_bb.T, tmp).T
-    new_mean = mu_a + gain @ (values - mu_b)
     new_cov = s_aa - gain @ s_ab.T
     new_cov = (new_cov + new_cov.T) / 2
     # Schur complements are PSD in exact arithmetic; clip numerical dust.
     eigmin = float(np.linalg.eigvalsh(new_cov).min()) if new_cov.size else 0.0
     if eigmin < 0:
         new_cov += (-eigmin + 1e-18) * np.eye(len(keep_idx))
-    return MultivariateGaussian(
+    template = MultivariateGaussian(
         dims=tuple(dist.dims[i] for i in keep_idx),
-        mean=new_mean,
+        mean=dist.mean[keep_idx],
         cov=new_cov,
         epsilon=dist.epsilon,
     )
+    mu_b = dist.mean[obs_idx]
+    # Shared by every conditional built from this entry. The gain keeps its
+    # memory layout, on which the bits of the matrix product may depend.
+    for shared in (template._chol, mu_b, gain):
+        shared.flags.writeable = False
+    return _Conditional(template, mu_b, gain)
+
+
+def condition(dist: MultivariateGaussian, observed: Mapping[str, float]) -> MultivariateGaussian:
+    """Condition on exact values for a subset of dimensions.
+
+    Returns the Gaussian over the remaining labels, in their original order.
+    A singular observed block is handled by the same trace-scaled ridge used
+    at fit time; it never raises for valid labels. Everything but the mean
+    is worked out once per joint and tuple of observed labels, and the
+    returned distributions share those read-only arrays.
+    """
+    if not observed:
+        raise InvalidInputError("need at least one observed dimension")
+    labels = tuple(observed)
+    fixed = dist._conditionals.get(labels)
+    if fixed is None:
+        fixed = dist._conditionals[labels] = _conditional(dist, labels)
+    values = np.array([float(v) for v in observed.values()])
+    if not np.all(np.isfinite(values)):
+        raise InvalidInputError("observed values must be finite")
+    template = fixed.template
+    with np.errstate(over="ignore"):  # an overflowing mean is rejected just below
+        new_mean = template.mean + fixed.gain @ (values - fixed.mu_b)
+    if not np.all(np.isfinite(new_mean)):
+        raise InvalidInputError("mean and covariance must be finite")
+    new_mean.flags.writeable = False
+    # The template's validated fields and cached factor, with the new mean.
+    out = object.__new__(MultivariateGaussian)
+    out.__dict__.update(
+        dims=template.dims,
+        mean=new_mean,
+        cov=template.cov,
+        epsilon=template.epsilon,
+        _index=template._index,
+        _chol=template._chol,
+    )
+    return out
 
 
 def marginal(dist: MultivariateGaussian, keep: Sequence[str]) -> MultivariateGaussian:
@@ -257,6 +308,22 @@ def fit_univariate(values: Sequence[float] | np.ndarray, label: str = "") -> Uni
     return UnivariateNormal(mean=mean, std=std, label=label)
 
 
+def _normalize(grid: np.ndarray) -> np.ndarray:
+    """Check a grid of cell weights and divide it by its total, in place."""
+    if grid.ndim != 2 or grid.size == 0:
+        raise InvalidInputError(f"grid must be a non-empty 2-d array, got shape {grid.shape}")
+    # A NaN or negative cell fails the min; an infinite cell, or finite
+    # cells whose sum overflows, fail the sum.
+    with np.errstate(over="ignore"):
+        total = float(grid.sum())
+    if not grid.min() >= 0 or not math.isfinite(total):
+        raise InvalidInputError("grid cells must be finite and non-negative with a finite sum")
+    if total <= 0:
+        raise InvalidInputError("grid must have positive total mass")
+    grid /= total
+    return grid
+
+
 @dataclass(eq=False)
 class LocationMap:
     """Probability distribution over image locations on a regular grid.
@@ -264,7 +331,8 @@ class LocationMap:
     grid[i, j] is the mass of the cell whose top-left corner sits at
     (-norm_width/2 + j*cell_size, -norm_height/2 + i*cell_size). Cells are
     non-negative and sum to 1. Instances are immutable in practice: the grid
-    is read-only and the sampling CDF is cached.
+    is read-only and the sampling CDF is cached. The constructor normalizes
+    a copy of the grid it is given.
     """
 
     frame: ImageFrame
@@ -272,19 +340,16 @@ class LocationMap:
     grid: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        g = np.asarray(self.grid, dtype=float)
-        if g.ndim != 2 or g.size == 0:
-            raise InvalidInputError(f"grid must be a non-empty 2-d array, got shape {g.shape}")
-        # A NaN or negative cell fails the min; an infinite cell, or finite
-        # cells whose sum overflows, fail the sum.
-        total = float(g.sum())
-        if not g.min() >= 0 or not math.isfinite(total):
-            raise InvalidInputError("grid cells must be finite and non-negative with a finite sum")
-        if total <= 0:
-            raise InvalidInputError("grid must have positive total mass")
-        grid = g / total
+        self.grid = _normalize(np.array(self.grid, dtype=float))
+        self.grid.flags.writeable = False
+
+    @classmethod
+    def _adopt(cls, frame: ImageFrame, cell_size: float, grid: np.ndarray):
+        """A map over a grid the library has just normalized, frozen without a copy."""
         grid.flags.writeable = False
-        self.grid = grid
+        lmap = cls.__new__(cls)
+        lmap.frame, lmap.cell_size, lmap.grid = frame, cell_size, grid
+        return lmap
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -330,31 +395,59 @@ def cell_centers(frame: ImageFrame, cell_size: float) -> tuple[np.ndarray, np.nd
 
 def uniform_map(frame: ImageFrame, cell_size: float = 1.0) -> LocationMap:
     rows, cols = grid_shape(frame, cell_size)
-    return LocationMap(frame=frame, cell_size=cell_size, grid=np.full((rows, cols), 1.0 / (rows * cols)))
+    grid = np.full((rows, cols), 1.0 / (rows * cols))
+    return LocationMap._adopt(frame, cell_size, _normalize(grid))
 
 
-def rasterize_2d(dist: MultivariateGaussian, frame: ImageFrame, cell_size: float = 1.0) -> LocationMap:
+def default_epsilon(num_cells: int) -> float:
+    """The floor a fold adds to each cell: 1e-6 spread across the grid."""
+    return 1e-6 / num_cells
+
+
+def fold(grid: np.ndarray, weights: np.ndarray, epsilon: float) -> np.ndarray:
+    """grid * weights + epsilon cell by cell, in the grid's own buffer.
+
+    A map weighted by another; the result still has to be normalized.
+    """
+    grid *= weights
+    grid += epsilon
+    return grid
+
+
+def rasterize_2d(
+    dist: MultivariateGaussian,
+    frame: ImageFrame,
+    cell_size: float = 1.0,
+    weights: LocationMap | None = None,
+) -> LocationMap:
     """Location map with cell mass proportional to the density at cell centers.
 
     The distribution must be exactly 2-d with dims ordered (x, y). Mass is
-    truncated to the frame and renormalized to sum 1.
+    truncated to the frame and renormalized to sum 1. With ``weights`` (a
+    map on the same grid, such as salience) the normalized density is folded
+    with it and renormalized, in the same buffer: the map
+    ``salience.combine(rasterize_2d(dist, frame, cell_size), weights)`` gives.
     """
     if dist.dim != 2:
         raise InvalidInputError(f"rasterize_2d needs a 2-d distribution, got {dist.dim}-d")
     xs, ys = cell_centers(frame, cell_size)
+    if weights is not None and weights.grid.shape != (len(ys), len(xs)):
+        raise InvalidInputError(f"grid shapes differ: {(len(ys), len(xs))} vs {weights.shape}")
     grid = dist.pdf_grid(xs, ys)
     try:
-        return LocationMap(frame=frame, cell_size=cell_size, grid=grid)
+        _normalize(grid)
     except InvalidInputError:
         # The density is NaN or zero everywhere when the quadratic form
         # overflows in every cell (a mean far outside the frame with tiny
         # variance): the nearest cell gets all mass.
-        grid = np.zeros_like(grid)
+        grid.fill(0.0)
         grid[
             int(np.clip(np.argmin(np.abs(ys - dist.mean[1])), 0, len(ys) - 1)),
             int(np.clip(np.argmin(np.abs(xs - dist.mean[0])), 0, len(xs) - 1)),
         ] = 1.0
-        return LocationMap(frame=frame, cell_size=cell_size, grid=grid)
+    if weights is not None:
+        _normalize(fold(grid, weights.grid, default_epsilon(grid.size)))
+    return LocationMap._adopt(frame, cell_size, grid)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import InvalidInputError, ParseError
-from .gaussian import LocationMap, grid_shape
+from .gaussian import LocationMap, _normalize, default_epsilon, fold, grid_shape
 from .geometry import ImageFrame
 
 CENTER_SIGMAS = (2.0, 4.0, 8.0)  # in rasterization cells
@@ -37,10 +37,6 @@ SALIENCE_MAGIC = "SALIENCE v1"
 @dataclass(eq=False)
 class SalienceMap(LocationMap):
     """A LocationMap whose mass came from image salience rather than a model."""
-
-
-def default_epsilon(num_cells: int) -> float:
-    return 1e-6 / num_cells
 
 
 def smooth_grid(grid: np.ndarray, sigma: float) -> np.ndarray:
@@ -115,7 +111,11 @@ def compute_salience(
             surround = smooth_grid(chan, sigma * SURROUND_FACTOR)
             total += _normalized(np.abs(center - surround))
 
-    gy, gx = np.gradient(channels[0])
+    # A grid one cell across (a 1×N image) has no gradient along that axis.
+    gy, gx = (
+        np.gradient(channels[0], axis=axis) if n > 1 else np.zeros(work_shape)
+        for axis, n in enumerate(work_shape)
+    )
     for degrees in ORIENTATIONS:
         theta = math.radians(degrees)
         energy = np.abs(math.cos(theta) * gx + math.sin(theta) * gy)
@@ -126,7 +126,7 @@ def compute_salience(
     total = _resize(total, final_shape)
     total = np.maximum(total, 0.0)
     total += default_epsilon(total.size) * max(float(total.sum()), 1.0)
-    return SalienceMap(frame=frame, cell_size=cell_size, grid=total)
+    return SalienceMap._adopt(frame, cell_size, _normalize(total))
 
 
 def save_salience(salience: SalienceMap, path: str | Path) -> None:
@@ -158,7 +158,7 @@ def load_salience(path: str | Path, frame: ImageFrame, cell_size: float = 1.0) -
     if not grid.any():  # all zeros: no salience signal, so no preference
         grid = np.full((rows, cols), 1.0 / (rows * cols))
     try:
-        return SalienceMap(frame=frame, cell_size=cell_size, grid=grid)
+        return SalienceMap._adopt(frame, cell_size, _normalize(grid))
     except InvalidInputError as exc:
         raise InvalidInputError(f"{path}: {exc}") from exc
 
@@ -167,7 +167,9 @@ def combine(location: LocationMap, salience: SalienceMap, epsilon: float | None 
     """Pointwise product of two maps plus a floor, renormalized.
 
     The floor keeps every cell reachable even where the supports are
-    disjoint; by default it is 1e-6 spread across the grid.
+    disjoint; by default it is 1e-6 spread across the grid. The search folds
+    salience into each conditioned map as it rasterizes it (``rasterize_2d``
+    with ``weights``), with this same arithmetic.
     """
     if location.grid.shape != salience.grid.shape:
         raise InvalidInputError(
@@ -177,6 +179,5 @@ def combine(location: LocationMap, salience: SalienceMap, epsilon: float | None 
         epsilon = default_epsilon(location.grid.size)
     if epsilon <= 0:
         raise InvalidInputError(f"epsilon must be positive, got {epsilon}")
-    product = location.grid * salience.grid
-    product += epsilon
-    return LocationMap(frame=location.frame, cell_size=location.cell_size, grid=product)
+    product = fold(np.array(location.grid), salience.grid, epsilon)
+    return LocationMap._adopt(location.frame, location.cell_size, _normalize(product))

@@ -9,13 +9,14 @@ threshold parks the proposal as provisional, replaceable only by a higher
 scoring one. A changed Workspace re-conditions each remaining category, so
 every detection (even a mediocre provisional one) steers the remaining
 search. Methods with the salience location prior multiply every conditioned
-location map by the salience map.
+location map by the salience map as it is rasterized.
 
 Conditioning draws no random numbers, so a category's conditioned map is
 built only when that category is next drawn from, or shown to an observer,
 on the Workspace as it stood at its last change; a map replaced by a later
 change before any draw is never built. Between changes the loop is a tight
-sample/score/file cycle.
+sample/score/file cycle. A category's superseded map is released before its
+successor is built, so the two never hold memory at once.
 """
 
 from __future__ import annotations
@@ -28,7 +29,10 @@ import numpy as np
 from .errors import InvalidInputError
 from .gaussian import LocationMap, grid_shape, uniform_map
 from .geometry import BoundingBox, ImageFrame, crop_to_frame, iou, normalize_frame, to_normalized
-from .salience import SalienceMap, combine
+from .salience import (
+    SalienceMap,
+    combine,  # unused here; the benchmark tracer patches this module attribute
+)
 from .situation_model import (
     CategorySearchDist,
     LogUniformBox,
@@ -212,25 +216,6 @@ def sample_proposal(
     return ObjectProposal(dist.category, box)
 
 
-def _conditioned(
-    model: SituationModel,
-    salience: SalienceMap | None,
-    config: MethodConfig,
-    category: str,
-    detected: Mapping[str, BoundingBox],
-    frame: ImageFrame,
-) -> CategorySearchDist:
-    """A category's distributions given the detections of the Workspace."""
-    cond = conditioned_distribution(model, category, detected, frame, config.cell_size)
-    if config.location_prior == LOCATION_SALIENCE:
-        cond = CategorySearchDist(
-            category=category,
-            location=combine(cond.location, salience),
-            alpha_gamma=cond.alpha_gamma,
-        )
-    return cond
-
-
 def _ground_truth(annotation, model: SituationModel, frame: ImageFrame) -> dict[str, BoundingBox]:
     gt = {}
     for cat in model.categories:
@@ -279,6 +264,7 @@ def run_image(
         c: CategorySearchDist(category=c, location=prior_location, alpha_gamma=prior_boxes[c])
         for c in model.categories
     }
+    fold_salience = salience if config.location_prior == LOCATION_SALIENCE else None
     workspace = Workspace(model.categories)
     # Categories whose distributions lag the Workspace, and the detections
     # at its last change that they are to be conditioned on.
@@ -295,7 +281,10 @@ def run_image(
         category = remaining[int(rng.integers(len(remaining)))]
         if category in stale:
             stale.discard(category)
-            dists[category] = _conditioned(model, salience, config, category, detected, frame)
+            dists[category] = None  # release the superseded map before building its successor
+            dists[category] = conditioned_distribution(
+                model, category, detected, frame, config.cell_size, fold_salience
+            )
         proposal = sample_proposal(dists[category], frame, rng)
         if scorer is None:
             score = score_proposal(gt, proposal)
@@ -325,7 +314,10 @@ def run_image(
         if observer is not None:
             for cat in remaining:
                 if cat in stale:
-                    dists[cat] = _conditioned(model, salience, config, cat, detected, frame)
+                    dists[cat] = None
+                    dists[cat] = conditioned_distribution(
+                        model, cat, detected, frame, config.cell_size, fold_salience
+                    )
             stale.clear()
             observer(t, workspace, dists)
         if not remaining:

@@ -245,13 +245,15 @@ def conditioned_distribution(
     detections: Mapping[str, BoundingBox],
     frame: ImageFrame,
     cell_size: float = 1.0,
+    salience: LocationMap | None = None,
 ) -> CategorySearchDist:
     """Search distributions for one category given current detections.
 
     Detections of the category itself are ignored; at least one other
     category must be detected. With one other detection the pairwise joints
     are conditioned on it; with two, the three-way joints are conditioned on
-    both.
+    both. A ``salience`` map is folded into the location map as it is
+    rasterized.
     """
     if category not in model.categories:
         raise InvalidInputError(f"unknown category {category!r}")
@@ -278,7 +280,7 @@ def conditioned_distribution(
 
     return CategorySearchDist(
         category=category,
-        location=rasterize_2d(loc_cond, frame, cell_size),
+        location=rasterize_2d(loc_cond, frame, cell_size, salience),
         alpha_gamma=box_cond,
     )
 

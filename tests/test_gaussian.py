@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from situsearch.gaussian import (
     uniform_map,
 )
 from situsearch.geometry import normalize_frame
+from situsearch.salience import SalienceMap, combine, default_epsilon
 
 
 def random_gaussian(rng: np.random.Generator, d: int) -> MultivariateGaussian:
@@ -324,9 +326,9 @@ def test_rasterize_overflowing_density_falls_back_to_the_nearest_cell():
     dist = MultivariateGaussian(
         dims=("x", "y"), mean=np.array([1e4, 0.0]), cov=np.diag([1e-306, 1.0])
     )
-    with np.errstate(over="ignore", invalid="ignore"):  # the overflow is the case under test
-        assert np.isnan(dist.pdf_grid(*cell_centers(frame, 1.0))).all()
-        grid = rasterize_2d(dist, frame).grid
+    # No RuntimeWarning escapes: the suite turns them into errors.
+    assert np.isnan(dist.pdf_grid(*cell_centers(frame, 1.0))).all()
+    grid = rasterize_2d(dist, frame).grid
     expected = np.zeros((434, 578))
     expected[216, 577] = 1.0
     assert np.array_equal(grid, expected)
@@ -435,11 +437,176 @@ def test_pdf_grid_and_location_map_are_bit_identical_to_textbook(dist, cell):
         assert np.array_equal(lmap.grid, want / want.sum())
 
 
+# Gaussians on and near the point-mass paths of rasterize_2d.
+POINT_MASS_GAUSSIANS = [
+    # Exactly degenerate: pdf_grid puts all mass at the cell nearest the mean.
+    MultivariateGaussian(dims=("x", "y"), mean=np.zeros(2), cov=np.ones((2, 2))),
+    # The quadratic form overflows in every cell: rasterize_2d's fallback.
+    MultivariateGaussian(dims=("x", "y"), mean=np.array([1e4, 0.0]), cov=np.diag([1e-306, 1.0])),
+    MultivariateGaussian(
+        dims=("x", "y"), mean=np.array([-3e4, 2e4]), cov=np.diag([1e-300, 1e-300])
+    ),
+    # Far outside the frame with a small but ordinary variance.
+    MultivariateGaussian(dims=("x", "y"), mean=np.array([-5e3, 4e3]), cov=np.diag([1e-2, 1e-2])),
+]
+
+
+def two_step_oracle(
+    dist: MultivariateGaussian, frame, cell: float, salience: SalienceMap | None
+) -> np.ndarray:
+    """The map as first built: a normalized density (or the nearest-cell point
+    mass where it is not a valid density), then the salience product plus its
+    floor, renormalized, each step in a new array."""
+    xs, ys = cell_centers(frame, cell)
+    with np.errstate(over="ignore", invalid="ignore"):  # the oracle is not under test
+        pdf = textbook_pdf_grid(dist, xs, ys)
+        total = pdf.sum()
+    if pdf.min() >= 0 and math.isfinite(total) and total > 0:
+        grid = pdf / total
+    else:
+        grid = np.zeros_like(pdf)
+        grid[np.argmin(np.abs(ys - dist.mean[1])), np.argmin(np.abs(xs - dist.mean[0]))] = 1.0
+    if salience is not None:
+        product = grid * salience.grid + default_epsilon(grid.size)
+        grid = product / product.sum()
+    return grid
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dist=st.one_of(location_gaussians(), st.sampled_from(POINT_MASS_GAUSSIANS)),
+    cell=st.sampled_from([1.0, 2.0, 4.0]),
+    salient=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_rasterize_with_weights_is_bit_identical_to_the_two_step_oracle(
+    dist, cell, salient, seed
+):
+    frame = normalize_frame(640, 480)
+    salience = None
+    if salient:
+        raw = np.random.default_rng(seed).random(grid_shape(frame, cell)) + 1e-3
+        salience = SalienceMap(frame=frame, cell_size=cell, grid=raw)
+    want = two_step_oracle(dist, frame, cell, salience)
+    got = rasterize_2d(dist, frame, cell, weights=salience)
+    two_step = rasterize_2d(dist, frame, cell)
+    if salience is not None:
+        two_step = combine(two_step, salience)
+    for lmap in (got, two_step):
+        assert np.array_equal(lmap.grid, want)
+        assert np.array_equal(lmap._cdf, np.cumsum(want.ravel()))
+        assert not lmap.grid.flags.writeable
+
+
+def test_rasterize_rejects_weights_on_another_grid():
+    frame = normalize_frame(640, 480)
+    dist = MultivariateGaussian(dims=("x", "y"), mean=np.zeros(2), cov=np.eye(2))
+    with pytest.raises(InvalidInputError, match="grid shapes differ"):
+        rasterize_2d(dist, frame, 4.0, weights=uniform_map(frame, 8.0))
+
+
 def test_location_map_leaves_its_input_alone():
     grid = np.array([[1.0, 3.0], [2.0, 2.0]])
     lmap = LocationMap(frame=normalize_frame(1000, 1000), cell_size=250, grid=grid)
     np.testing.assert_array_equal(grid, [[1.0, 3.0], [2.0, 2.0]])
     assert lmap.grid is not grid and not lmap.grid.flags.writeable
+
+
+# ---------------------------------------------------------------------------
+# the conditioning memo
+
+
+def reference_condition(dist: MultivariateGaussian, observed: dict) -> MultivariateGaussian:
+    """condition() as first written, with no memo: the bit-for-bit oracle."""
+    obs_idx = dist.indices(observed.keys())
+    keep_idx = [i for i in range(dist.dim) if i not in set(obs_idx)]
+    values = np.array([float(observed[dist.dims[i]]) for i in obs_idx])
+    s_aa = dist.cov[np.ix_(keep_idx, keep_idx)]
+    s_ab = dist.cov[np.ix_(keep_idx, obs_idx)]
+    s_bb = dist.cov[np.ix_(obs_idx, obs_idx)]
+    jitter = max(float(np.trace(s_bb)) / len(obs_idx), 1.0) * 1e-14
+    l_bb = np.linalg.cholesky(s_bb + jitter * np.eye(len(obs_idx)))
+    tmp = np.linalg.solve(l_bb, s_ab.T)
+    gain = np.linalg.solve(l_bb.T, tmp).T
+    new_mean = dist.mean[keep_idx] + gain @ (values - dist.mean[obs_idx])
+    new_cov = s_aa - gain @ s_ab.T
+    new_cov = (new_cov + new_cov.T) / 2
+    eigmin = float(np.linalg.eigvalsh(new_cov).min())
+    if eigmin < 0:
+        new_cov += (-eigmin + 1e-18) * np.eye(len(keep_idx))
+    dims = tuple(dist.dims[i] for i in keep_idx)
+    return MultivariateGaussian(dims=dims, mean=new_mean, cov=new_cov, epsilon=dist.epsilon)
+
+
+def assert_same_bits(got: MultivariateGaussian, want: MultivariateGaussian) -> None:
+    assert got.dims == want.dims and got.epsilon == want.epsilon
+    assert np.array_equal(got.mean, want.mean)
+    assert np.array_equal(got.cov, want.cov)
+    assert np.array_equal(got._chol, want._chol)
+    for array in (got.mean, got.cov, got._chol):
+        assert not array.flags.writeable
+
+
+def fresh_copy(dist: MultivariateGaussian) -> MultivariateGaussian:
+    return MultivariateGaussian(dist.dims, dist.mean, dist.cov, dist.epsilon)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.sampled_from([2, 4, 6]),
+    data=st.data(),
+)
+def test_cached_conditioning_is_bit_identical_to_fresh(seed, d, data):
+    rng = np.random.default_rng(seed)
+    dist = random_gaussian(rng, d)
+    if data.draw(st.booleans()):  # near-singular: a rank-one joint plus a tiny ridge
+        v = rng.standard_normal(d)
+        dist = MultivariateGaussian(dist.dims, dist.mean, np.outer(v, v) + 1e-12 * np.eye(d))
+    labels = data.draw(st.permutations(dist.dims))[: data.draw(st.integers(1, d - 1))]
+    results = []
+    for _ in range(3):  # the first call fills the memo, the others read it
+        observed = {label: float(rng.uniform(-5, 5)) for label in labels}
+        got = condition(dist, observed)
+        assert_same_bits(got, reference_condition(dist, observed))
+        assert_same_bits(got, condition(fresh_copy(dist), observed))
+        results.append(got)
+    assert list(dist._conditionals) == [tuple(labels)]
+    assert results[1].cov is results[0].cov and results[1]._chol is results[0]._chol
+
+
+def test_each_order_of_observed_labels_has_its_own_entry():
+    dist = random_gaussian(np.random.default_rng(5), 6)
+    forward = {"v1": 0.5, "v4": -1.25}
+    backward = {"v4": -1.25, "v1": 0.5}
+    for observed in (forward, backward, forward):
+        assert_same_bits(condition(dist, observed), reference_condition(dist, observed))
+    assert list(dist._conditionals) == [("v1", "v4"), ("v4", "v1")]
+
+
+def test_conditioning_errors_survive_the_memo():
+    dist = random_gaussian(np.random.default_rng(6), 3)
+    condition(dist, {"v0": 1.0})
+    with pytest.raises(InvalidInputError, match="finite"):
+        condition(dist, {"v0": math.nan})
+    with pytest.raises(InvalidInputError, match="unknown dimension"):
+        condition(dist, {"v9": 1.0})
+    with pytest.raises(InvalidInputError, match="every dimension"):
+        condition(dist, {"v0": 1.0, "v1": 1.0, "v2": 1.0})
+    assert list(dist._conditionals) == [("v0",)]
+    steep = MultivariateGaussian(("a", "b"), np.zeros(2), np.array([[1.0, 10.0], [10.0, 101.0]]))
+    with pytest.raises(InvalidInputError, match="finite"):  # the mean overflows, silently
+        condition(steep, {"a": 1e308})
+
+
+def test_a_conditioned_joint_pickles_without_its_memo():
+    dist = random_gaussian(np.random.default_rng(7), 4)
+    observed = {"v2": 0.75, "v0": -2.0}
+    before = condition(dist, observed)
+    restored = pickle.loads(pickle.dumps(dist))
+    assert "_conditionals" not in restored.__dict__
+    assert gaussian_to_dict(restored) == gaussian_to_dict(dist)
+    assert_same_bits(condition(restored, observed), before)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,13 @@ from situsearch.gaussian import (
     grid_shape,
     uniform_map,
 )
-from situsearch.geometry import BoundingBox, crop_to_frame, normalize_frame, to_normalized
+from situsearch.geometry import (
+    TARGET_AREA,
+    BoundingBox,
+    crop_to_frame,
+    normalize_frame,
+    to_normalized,
+)
 from situsearch.search import (
     FINAL,
     PROVISIONAL,
@@ -780,6 +786,76 @@ def test_run_image_never_raises_on_huge_box_variance(held_out, token, std, seed,
         scorer = lambda proposal: next(scores)
     rng = np.random.default_rng(seed)
     result = run_image(wide_box_model(model, std), salience, config, ann, rng, scorer)
+    frame = normalize_frame(ann.width, ann.height)
+    assert result.proposals
+    for record in result.proposals:
+        assert inside(record.box, frame)
+
+
+def near_singular_location_model(model, scale: float, rank_one: bool):
+    """The model with every location joint shrunk by ``scale`` in std, and
+    optionally squeezed onto its principal axis plus a ridge 1e-12 its size."""
+
+    def squeeze(joint):
+        cov = joint.cov * scale**2
+        if rank_one:
+            w, v = np.linalg.eigh(cov)
+            cov = w[-1] * (np.outer(v[:, -1], v[:, -1]) + 1e-12 * np.eye(joint.dim))
+        return MultivariateGaussian(joint.dims, joint.mean, cov, joint.epsilon)
+
+    return replace(
+        model,
+        loc_pair={pair: squeeze(j) for pair, j in model.loc_pair.items()},
+        loc_triple=squeeze(model.loc_triple),
+    )
+
+
+@st.composite
+def extreme_annotations(draw, cell_size: float) -> SituationAnnotation:
+    """1×N and N×1 images, and images whose short side is just above one cell."""
+    short = draw(st.integers(1, 3))
+    # the normalized short side over the cell size
+    ratio = draw(st.one_of(st.sampled_from([1.0, 1.0 + 1e-6, 1.01]), st.floats(1.0, 4.0)))
+    long = int(TARGET_AREA * short / (ratio * cell_size) ** 2)
+    assume(long >= short)
+    width, height = (long, short) if draw(st.booleans()) else (short, long)
+    frame = normalize_frame(width, height)
+    assume(min(frame.norm_width, frame.norm_height) >= cell_size)
+    boxes = {}
+    for cat in CATS:
+        fx, fy = draw(st.floats(0.0, 0.9)), draw(st.floats(0.0, 0.9))
+        fw, fh = draw(st.floats(0.05, 1.0)), draw(st.floats(0.05, 1.0))
+        x, y = fx * width, fy * height
+        boxes[cat] = (x, y, (width - x) * fw, (height - y) * fh)
+    return SituationAnnotation(image_id=f"{width}x{height}", width=width, height=height, boxes=boxes)
+
+
+@pytest.mark.parametrize("token", list(METHOD_TOKENS))
+@settings(
+    max_examples=15, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(
+    data=st.data(),
+    cell_size=st.sampled_from([4.0, 8.0]),
+    scale=st.one_of(st.sampled_from([1e-150, 1e-8, 1.0]), st.floats(1e-6, 10.0)),
+    rank_one=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    scripted=st.booleans(),
+)
+def test_run_image_never_raises_on_extreme_frames_and_near_singular_joints(
+    held_out, token, data, cell_size, scale, rank_one, seed, scripted
+):
+    ann = data.draw(extreme_annotations(cell_size))
+    model = near_singular_location_model(held_out[0], scale, rank_one)
+    config = replace(
+        config_for_token(token), cell_size=cell_size, max_iterations=120, record_proposals=True
+    )
+    salience = salience_for_annotation(ann, cell_size) if config.needs_salience else None
+    scorer = None
+    if scripted:  # a detection every few proposals, so the location joints get conditioned
+        scores = itertools.cycle([0.0] * 4 + [0.3] + [0.0] * 4 + [0.6])
+        scorer = lambda proposal: next(scores)
+    result = run_image(model, salience, config, ann, np.random.default_rng(seed), scorer)
     frame = normalize_frame(ann.width, ann.height)
     assert result.proposals
     for record in result.proposals:

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import math
+import pickle
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -432,3 +434,50 @@ def test_model_joint_dims_must_match_categories(synthetic_model):
     dims[0], dims[1] = dims[1], dims[0]
     with pytest.raises(InvalidInputError, match="box_triple has dims"):
         model_from_dict(doc)
+
+
+# ---------------------------------------------------------------------------
+# memory and memo of the conditioning step
+
+
+@pytest.mark.parametrize("salient", [False, True], ids=["uniform-prior", "salience-prior"])
+def test_a_conditioned_map_costs_one_grid_buffer(synthetic_model, salient):
+    # The density, its normalization and the salience fold share one buffer;
+    # the sampling CDF is the only other grid-sized array.
+    frame = normalize_frame(640, 480)
+    shape = grid_shape(frame, 1.0)
+    grid_bytes = shape[0] * shape[1] * 8
+    salience = None
+    if salient:
+        raw = np.random.default_rng(0).random(shape) + 0.1
+        salience = SalienceMap(frame=frame, cell_size=1.0, grid=raw)
+    detections = {"dog_walker": BoundingBox(cx=-40.0, cy=10.0, w=90.0, h=200.0)}
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        dist = conditioned_distribution(synthetic_model, "dog", detections, frame, 1.0, salience)
+        built = tracemalloc.get_traced_memory()[1] - base
+        tracemalloc.reset_peak()
+        dist.location._cdf
+        with_cdf = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert built <= 1.1 * grid_bytes
+    assert with_cdf <= 2.1 * grid_bytes
+
+
+def test_a_model_pickled_after_conditioning_round_trips(synthetic_model):
+    frame = normalize_frame(640, 480)
+    detections = {
+        "dog_walker": BoundingBox(cx=-40.0, cy=10.0, w=90.0, h=200.0),
+        "leash": BoundingBox(cx=30.0, cy=60.0, w=60.0, h=70.0),
+    }
+    before = conditioned_distribution(synthetic_model, "dog", detections, frame, 4)
+    restored = pickle.loads(pickle.dumps(synthetic_model))
+    assert model_to_dict(restored) == model_to_dict(synthetic_model)
+    after = conditioned_distribution(restored, "dog", detections, frame, 4)
+    assert np.array_equal(after.location.grid, before.location.grid)
+    for name in ("mean", "cov", "_chol"):
+        array = getattr(after.alpha_gamma, name)
+        assert np.array_equal(array, getattr(before.alpha_gamma, name))
+        assert not array.flags.writeable
