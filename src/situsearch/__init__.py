@@ -48,7 +48,6 @@ from .gaussian import (
     condition,
     fit,
     fit_univariate,
-    marginal,
     rasterize_2d,
     uniform_map,
 )
@@ -61,7 +60,7 @@ from .geometry import (
     to_normalized,
     to_original,
 )
-from .salience import SalienceMap, combine, compute_salience, load_salience, save_salience
+from .salience import SalienceMap, combine, compute_salience, save_salience
 from .search import (
     MethodConfig,
     ObjectProposal,

@@ -8,6 +8,7 @@ labeled "Failure".
 from __future__ import annotations
 
 import math
+import weakref
 from xml.sax.saxutils import escape
 
 import numpy as np
@@ -260,15 +261,28 @@ def grouped_bar_svg(
     return "\n".join(svg)
 
 
-def _heat_cells(grid: np.ndarray, max_cols: int = 48) -> tuple[np.ndarray, int]:
+def _heat_cells(grid: np.ndarray, max_cols: int = 48) -> np.ndarray:
     """Block-sum a probability grid down to at most max_cols columns."""
     factor = max(1, int(math.ceil(grid.shape[1] / max_cols)))
     rows = int(math.ceil(grid.shape[0] / factor))
     cols = int(math.ceil(grid.shape[1] / factor))
     padded = np.zeros((rows * factor, cols * factor))
     padded[: grid.shape[0], : grid.shape[1]] = grid
-    coarse = padded.reshape(rows, factor, cols, factor).sum(axis=(1, 3))
-    return coarse, factor
+    return padded.reshape(rows, factor, cols, factor).sum(axis=(1, 3))
+
+
+# Each location map's block sums, held only as long as the map itself: a
+# run's snapshots show an unchanged map again at every later change.
+_coarse_of: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _coarse(location) -> np.ndarray:
+    """_heat_cells of a location map's grid, once per map."""
+    coarse = _coarse_of.get(location)
+    if coarse is None:
+        coarse = _coarse_of[location] = _heat_cells(location.grid)
+        coarse.flags.writeable = False
+    return coarse
 
 
 def _heat_rects(
@@ -365,7 +379,7 @@ def workspace_snapshot_svg(
                 f'fill="#999" text-anchor="middle">final</text>'
             )
         else:
-            coarse, _ = _heat_cells(dist.location.grid)
+            coarse = _coarse(dist.location)
             peak = float(coarse.max()) or 1.0
             cw = panel_w / coarse.shape[1]
             ch = map_h / coarse.shape[0]

@@ -37,10 +37,17 @@ _PSD_TOL = 1e-10
 _SYM_TOL = 1e-12
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=float, copy=True)
-    out.flags.writeable = False
-    return out
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _set_frozen_state(obj, state: dict, arrays: tuple[str, ...]) -> None:
+    """Restore a pickled instance; numpy unpickles arrays writeable, so refreeze them."""
+    obj.__dict__.update(state)
+    for name in arrays:
+        if name in state:
+            _frozen(state[name])
 
 
 @dataclass(eq=False)
@@ -78,8 +85,8 @@ class MultivariateGaussian:
         tr = float(np.trace(cov))
         if eigmin < -_PSD_TOL * max(tr, 1.0):
             raise InvalidInputError(f"covariance is not PSD (min eigenvalue {eigmin:g})")
-        self.mean = _readonly(mean)
-        self.cov = _readonly(cov)
+        self.mean = _frozen(mean.copy())
+        self.cov = _frozen(cov)
 
     @property
     def dim(self) -> int:
@@ -91,7 +98,7 @@ class MultivariateGaussian:
 
     @cached_property
     def _chol(self) -> np.ndarray:
-        return _safe_cholesky(self.cov)
+        return _frozen(_safe_cholesky(self.cov))
 
     @cached_property
     def _conditionals(self) -> dict[tuple[str, ...], _Conditional]:
@@ -103,6 +110,9 @@ class MultivariateGaussian:
         state = dict(self.__dict__)
         state.pop("_conditionals", None)
         return state
+
+    def __setstate__(self, state: dict) -> None:
+        _set_frozen_state(self, state, ("mean", "cov", "_chol"))
 
     def indices(self, labels: Iterable[str]) -> list[int]:
         idx = self._index
@@ -226,9 +236,7 @@ def _conditional(dist: MultivariateGaussian, labels: tuple[str, ...]) -> _Condit
     mu_b = dist.mean[obs_idx]
     # Shared by every conditional built from this entry. The gain keeps its
     # memory layout, on which the bits of the matrix product may depend.
-    for shared in (template._chol, mu_b, gain):
-        shared.flags.writeable = False
-    return _Conditional(template, mu_b, gain)
+    return _Conditional(template, _frozen(mu_b), _frozen(gain))
 
 
 def condition(dist: MultivariateGaussian, observed: Mapping[str, float]) -> MultivariateGaussian:
@@ -254,33 +262,17 @@ def condition(dist: MultivariateGaussian, observed: Mapping[str, float]) -> Mult
         new_mean = template.mean + fixed.gain @ (values - fixed.mu_b)
     if not np.all(np.isfinite(new_mean)):
         raise InvalidInputError("mean and covariance must be finite")
-    new_mean.flags.writeable = False
     # The template's validated fields and cached factor, with the new mean.
     out = object.__new__(MultivariateGaussian)
     out.__dict__.update(
         dims=template.dims,
-        mean=new_mean,
+        mean=_frozen(new_mean),
         cov=template.cov,
         epsilon=template.epsilon,
         _index=template._index,
         _chol=template._chol,
     )
     return out
-
-
-def marginal(dist: MultivariateGaussian, keep: Sequence[str]) -> MultivariateGaussian:
-    """Marginal over the kept labels, preserving the distribution's own order."""
-    keep = list(keep)
-    if not keep:
-        raise InvalidInputError("must keep at least one dimension")
-    wanted = set(dist.indices(keep))
-    idx = [i for i in range(dist.dim) if i in wanted]
-    return MultivariateGaussian(
-        dims=tuple(dist.dims[i] for i in idx),
-        mean=dist.mean[idx],
-        cov=dist.cov[np.ix_(idx, idx)],
-        epsilon=dist.epsilon,
-    )
 
 
 @dataclass(frozen=True)
@@ -340,15 +332,13 @@ class LocationMap:
     grid: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        self.grid = _normalize(np.array(self.grid, dtype=float))
-        self.grid.flags.writeable = False
+        self.grid = _frozen(_normalize(np.array(self.grid, dtype=float)))
 
     @classmethod
     def _adopt(cls, frame: ImageFrame, cell_size: float, grid: np.ndarray):
         """A map over a grid the library has just normalized, frozen without a copy."""
-        grid.flags.writeable = False
         lmap = cls.__new__(cls)
-        lmap.frame, lmap.cell_size, lmap.grid = frame, cell_size, grid
+        lmap.frame, lmap.cell_size, lmap.grid = frame, cell_size, _frozen(grid)
         return lmap
 
     @property
@@ -357,7 +347,10 @@ class LocationMap:
 
     @cached_property
     def _cdf(self) -> np.ndarray:
-        return np.cumsum(self.grid.ravel())
+        return _frozen(np.cumsum(self.grid.ravel()))
+
+    def __setstate__(self, state: dict) -> None:
+        _set_frozen_state(self, state, ("grid", "_cdf"))
 
     def sample_point(self, rng: np.random.Generator) -> tuple[float, float]:
         """Draw a cell by mass, then a uniform point inside it (clamped to frame)."""

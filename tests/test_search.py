@@ -478,6 +478,60 @@ def test_every_lazily_built_map_is_drawn_from_before_the_next_change(
     assert len(lazy_built) < eager_built
 
 
+SITUATION_TOKENS = [t for t, c in METHOD_TOKENS.items() if c.situation_model != search.MODEL_NONE]
+
+
+@pytest.mark.parametrize("token", SITUATION_TOKENS)
+def test_every_draw_uses_the_maps_of_the_current_workspace(held_out, token, monkeypatch):
+    # The schedule oracle: each draw's maps have the bits of the ones built
+    # fresh on the Workspace as it stands, and no category is built twice in
+    # a row from the same other-category boxes.
+    model, annotations = held_out
+    config = replace(config_for_token(token), cell_size=8.0)
+    conditioned, sample = search.conditioned_distribution, search.sample_proposal
+    workspaces: list[Workspace] = []
+    builds: dict[tuple[int, str], list[dict]] = defaultdict(list)
+    drawn_conditioned = 0
+
+    class WatchedWorkspace(Workspace):
+        def __init__(self, categories):
+            super().__init__(categories)
+            workspaces.append(self)
+
+    def recording_conditioned(model, category, detected, *args):
+        others = {c: box for c, box in detected.items() if c != category}
+        builds[len(workspaces), category].append(others)
+        return conditioned(model, category, detected, *args)
+
+    def checked_sample(dist, frame, rng):
+        nonlocal drawn_conditioned
+        detected = dict(workspaces[-1].detected_boxes())
+        if detected.keys() - {dist.category}:
+            fresh = conditioned(model, dist.category, detected, frame, 8.0, salience)
+            drawn_conditioned += 1
+        else:  # only its own detection, if any: the method's priors
+            fresh = CategorySearchDist(
+                dist.category,
+                salience if config.needs_salience else uniform_map(frame, 8.0),
+                prior_alpha_gamma(model, dist.category),
+            )
+        for name in ("grid", "_cdf"):
+            assert np.array_equal(getattr(dist.location, name), getattr(fresh.location, name))
+        for name in ("mean", "cov"):
+            assert np.array_equal(getattr(dist.alpha_gamma, name), getattr(fresh.alpha_gamma, name))
+        return sample(dist, frame, rng)
+
+    monkeypatch.setattr(search, "Workspace", WatchedWorkspace)
+    monkeypatch.setattr(search, "conditioned_distribution", recording_conditioned)
+    monkeypatch.setattr(search, "sample_proposal", checked_sample)
+    for ann in annotations:
+        salience = salience_for_annotation(ann, 8.0) if config.needs_salience else None
+        run_image(model, salience, config, ann, np.random.default_rng(3))
+    assert drawn_conditioned > len(annotations)
+    for sequence in builds.values():
+        assert all(a != b for a, b in itertools.pairwise(sequence))
+
+
 # ---------------------------------------------------------------------------
 # evaluate_proposal_set
 

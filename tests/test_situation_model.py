@@ -5,6 +5,7 @@ import pickle
 import re
 import tracemalloc
 from dataclasses import replace
+from multiprocessing.reduction import ForkingPickler
 
 import numpy as np
 import pytest
@@ -481,3 +482,38 @@ def test_a_model_pickled_after_conditioning_round_trips(synthetic_model):
         array = getattr(after.alpha_gamma, name)
         assert np.array_equal(array, getattr(before.alpha_gamma, name))
         assert not array.flags.writeable
+
+
+def model_joints(model):
+    return [*model.loc_pair.values(), model.loc_triple, *model.box_pair.values(), model.box_triple]
+
+
+def test_arrays_stay_read_only_in_a_worker_process(synthetic_model):
+    # A jobs=2 worker gets its model through the process pool's pickler,
+    # and numpy unpickles every array writeable.
+    frame = normalize_frame(640, 480)
+    detections = {
+        "dog_walker": BoundingBox(cx=-40.0, cy=10.0, w=90.0, h=200.0),
+        "leash": BoundingBox(cx=30.0, cy=60.0, w=60.0, h=70.0),
+    }
+    for joint in model_joints(synthetic_model):
+        assert not joint._chol.flags.writeable  # frozen where it is first built
+    before = conditioned_distribution(synthetic_model, "dog", detections, frame, 4)
+    assert not before.location._cdf.flags.writeable
+    assert not uniform_map(frame, 4)._cdf.flags.writeable
+
+    model, lmap = pickle.loads(ForkingPickler.dumps((synthetic_model, before.location)))
+    arrays = [lmap.grid, lmap.__dict__["_cdf"]]
+    for joint in model_joints(model):
+        arrays += [joint.mean, joint.cov, joint.__dict__["_chol"]]
+    assert len(arrays) == 2 + 3 * 8
+    assert not any(a.flags.writeable for a in arrays)
+    assert np.array_equal(lmap.grid, before.location.grid)
+    assert np.array_equal(lmap._cdf, before.location._cdf)
+
+    after = conditioned_distribution(model, "dog", detections, frame, 4)
+    for part, names in (("location", ("grid", "_cdf")), ("alpha_gamma", ("mean", "cov", "_chol"))):
+        for name in names:
+            array = getattr(getattr(after, part), name)
+            assert np.array_equal(array, getattr(getattr(before, part), name))
+            assert not array.flags.writeable
