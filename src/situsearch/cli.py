@@ -12,6 +12,8 @@ Exit codes: 0 success, 1 validation error, 2 IO/parse error.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import itertools
 import json
 import os
 import sys
@@ -20,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import evaluation
+from . import evaluation, search
 from .datagen import (
     GENERATOR_CONFIG_NAME,
     default_generator_config,
@@ -69,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="uniform-learned-learned",
         help="method token (see `bench --methods`)",
     )
-    p.add_argument("--trace", default=None, help="write every scored proposal as JSONL")
+    p.add_argument("--trace", default=None, help="write each proposal as JSONL as it is scored")
     p.add_argument("--snapshots", default=None, help="directory for per-change Workspace SVGs")
     _add_common_run_flags(p)
     p.set_defaults(func=cmd_run)
@@ -138,25 +140,22 @@ def cmd_learn(args: argparse.Namespace) -> int:
 def cmd_run(args: argparse.Namespace) -> int:
     model = load_model(args.model)
     annotation = load_annotation(args.image_annotation)
-    config = evaluation.config_for_token(args.method)
-    config = replace(config, seed=args.seed, cell_size=args.cell_size)
+    config = replace(evaluation.config_for_token(args.method), cell_size=args.cell_size)
     if args.max_iter is not None:
         config = replace(config, max_iterations=args.max_iter)
-    if args.trace:
-        config = replace(config, record_proposals=True)
 
     salience = None
     if config.needs_salience:
         salience = evaluation.salience_for_annotation(annotation, config.cell_size)
 
+    frame = normalize_frame(annotation.width, annotation.height)
+    ground_truth = {
+        c: to_normalized(*annotation.boxes[c], frame) for c in sorted(annotation.boxes)
+    }
     observer = None
     if args.snapshots:
         snap_dir = Path(args.snapshots)
         snap_dir.mkdir(parents=True, exist_ok=True)
-        frame = normalize_frame(annotation.width, annotation.height)
-        ground_truth = {
-            c: to_normalized(*annotation.boxes[c], frame) for c in sorted(annotation.boxes)
-        }
         from .charts import workspace_snapshot_svg
 
         count = [0]
@@ -169,22 +168,22 @@ def cmd_run(args: argparse.Namespace) -> int:
             )
 
     rng = np.random.default_rng(stable_seed(args.seed, "run", annotation.image_id))
-    result = run_image(model, salience, config, annotation, rng, observer=observer)
+    with open(args.trace, "w") if args.trace else contextlib.nullcontext() as trace:
+        scorer = None
+        if trace is not None:
+            iterations = itertools.count(1)
 
-    if args.trace:
-        with open(args.trace, "w") as fh:
-            for p in result.proposals or []:
-                fh.write(
-                    json.dumps(
-                        {
-                            "iteration": p.iteration,
-                            "category": p.category,
-                            "box": {"cx": p.box.cx, "cy": p.box.cy, "w": p.box.w, "h": p.box.h},
-                            "score": p.score,
-                        }
-                    )
-                    + "\n"
-                )
+            def scorer(p):
+                # Through the module attribute, which the benchmark tracer patches.
+                score = search.score_proposal(ground_truth, p)
+                box = {"cx": p.box.cx, "cy": p.box.cy, "w": p.box.w, "h": p.box.h}
+                line = {"iteration": next(iterations), "category": p.category, "box": box}
+                trace.write(json.dumps({**line, "score": score}) + "\n")
+                return score
+
+        result = run_image(
+            model, salience, config, annotation, rng, scorer=scorer, observer=observer
+        )
     print(json.dumps(result.to_dict(), sort_keys=True))
     return 0
 

@@ -23,24 +23,24 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+# workspace_snapshot_svg is unused here; the benchmark tracer patches this module attribute.
 from .charts import bar_chart_svg, grouped_bar_svg, line_chart_svg, workspace_snapshot_svg
 from .datagen import SituationAnnotation, render_annotation_image, split_folds
 from .errors import InvalidInputError
-from .geometry import BoundingBox, normalize_frame
+from .geometry import normalize_frame
 from .images import read_pnm
 from .salience import SalienceMap, compute_salience
 from .search import (
     BOX_LEARNED,
     BOX_UNIFORM,
+    FINAL_THRESHOLD,
     LOCATION_SALIENCE,
     LOCATION_UNIFORM,
     MODEL_LEARNED,
-    MODEL_LEARNED_SALIENCE,
     MODEL_NONE,
+    PROVISIONAL_THRESHOLD,
     MethodConfig,
-    ObjectProposal,
     RunResult,
-    Workspace,
     run_image,
 )
 from .seeding import stable_seed
@@ -48,9 +48,7 @@ from .situation_model import learn
 
 REPORT_FORMAT_VERSION = 1
 
-# Canonical method tokens, ordered as reported. A situation model combines
-# with salience exactly when the location prior is salience, so the
-# salience variants keep the plain "learned" suffix.
+# Canonical method tokens, ordered as reported.
 METHOD_TOKENS: dict[str, MethodConfig] = {
     "uniform-uniform-none": MethodConfig(
         location_prior=LOCATION_UNIFORM, box_prior=BOX_UNIFORM, situation_model=MODEL_NONE
@@ -65,14 +63,12 @@ METHOD_TOKENS: dict[str, MethodConfig] = {
         location_prior=LOCATION_UNIFORM, box_prior=BOX_LEARNED, situation_model=MODEL_LEARNED
     ),
     "salience-learned-learned": MethodConfig(
-        location_prior=LOCATION_SALIENCE,
-        box_prior=BOX_LEARNED,
-        situation_model=MODEL_LEARNED_SALIENCE,
+        location_prior=LOCATION_SALIENCE, box_prior=BOX_LEARNED, situation_model=MODEL_LEARNED
     ),
     "salience-learned-learned-noprov": MethodConfig(
         location_prior=LOCATION_SALIENCE,
         box_prior=BOX_LEARNED,
-        situation_model=MODEL_LEARNED_SALIENCE,
+        situation_model=MODEL_LEARNED,
         provisional_enabled=False,
     ),
 }
@@ -80,8 +76,7 @@ METHOD_TOKENS: dict[str, MethodConfig] = {
 
 def method_label(config: MethodConfig) -> str:
     """Render a config as its Fig-style token."""
-    model = "none" if config.situation_model == MODEL_NONE else "learned"
-    label = f"{config.location_prior}-{config.box_prior}-{model}"
+    label = f"{config.location_prior}-{config.box_prior}-{config.situation_model}"
     if not config.provisional_enabled:
         label += "-noprov"
     return label
@@ -181,7 +176,6 @@ class RunRecord:
     total_iterations: int
     detections: dict[str, int | None]
     detection_order: list[tuple[str, int]]
-    proposals: list[list] | None = None  # [iteration, category, cx, cy, w, h, score]
 
 
 @dataclass
@@ -205,12 +199,6 @@ class ExperimentReport:
 
 
 def _record_from_result(ann: SituationAnnotation, fold: int, result: RunResult) -> RunRecord:
-    proposals = None
-    if result.proposals is not None:
-        proposals = [
-            [p.iteration, p.category, p.box.cx, p.box.cy, p.box.w, p.box.h, p.score]
-            for p in result.proposals
-        ]
     return RunRecord(
         image_id=ann.image_id,
         fold=fold,
@@ -220,7 +208,6 @@ def _record_from_result(ann: SituationAnnotation, fold: int, result: RunResult) 
         total_iterations=result.total_iterations,
         detections=dict(result.detections),
         detection_order=list(result.detection_order),
-        proposals=proposals,
     )
 
 
@@ -246,9 +233,8 @@ def _run_work_item(args) -> tuple[tuple[int, str], list[tuple[str, RunRecord]]]:
             if config.cell_size not in salience_cache:
                 salience_cache[config.cell_size] = salience_for_annotation(ann, config.cell_size)
             salience = salience_cache[config.cell_size]
-        rng = np.random.default_rng(
-            stable_seed(master_seed, config.seed, label, fold_idx, ann.image_id)
-        )
+        # The 0 is part of every run's seed key; the pinned reports depend on it.
+        rng = np.random.default_rng(stable_seed(master_seed, 0, label, fold_idx, ann.image_id))
         result = run_image(model, salience, config, ann, rng)
         out.append((label, _record_from_result(ann, fold_idx, result)))
     return (fold_idx, ann.image_id), out
@@ -341,17 +327,22 @@ def run_experiment(
 
 
 def _config_to_dict(config: MethodConfig) -> dict:
+    # The block keeps its first format: fixed values for the thresholds, the seed
+    # and proposal logging, and "learned_salience" for a conditioned salience method.
+    model = config.situation_model
+    if model == MODEL_LEARNED and config.needs_salience:
+        model = "learned_salience"
     return {
         "location_prior": config.location_prior,
         "box_prior": config.box_prior,
-        "situation_model": config.situation_model,
+        "situation_model": model,
         "provisional_enabled": config.provisional_enabled,
-        "provisional_threshold": config.provisional_threshold,
-        "final_threshold": config.final_threshold,
+        "provisional_threshold": PROVISIONAL_THRESHOLD,
+        "final_threshold": FINAL_THRESHOLD,
         "max_iterations": config.max_iterations,
-        "seed": config.seed,
+        "seed": 0,
         "cell_size": config.cell_size,
-        "record_proposals": config.record_proposals,
+        "record_proposals": False,
     }
 
 
@@ -380,7 +371,6 @@ def report_to_dict(report: ExperimentReport) -> dict:
                         "total_iterations": r.total_iterations,
                         "detections": r.detections,
                         "detection_order": [[c, t] for c, t in r.detection_order],
-                        **({"proposals": r.proposals} if r.proposals is not None else {}),
                     }
                     for r in m.runs
                 ],
@@ -402,25 +392,6 @@ def summary_csv_text(report: ExperimentReport) -> str:
         t01, t12, t23 = m.interval_medians
         writer.writerow([m.label, _fmt(m.median), m.failure_count, _fmt(t01), _fmt(t12), _fmt(t23)])
     return buf.getvalue()
-
-
-def _snapshot_from_record(record: RunRecord, config: MethodConfig) -> str:
-    """Rebuild the final Workspace from a proposal log and render it."""
-    frame = normalize_frame(record.width, record.height)
-    workspace = Workspace(sorted({p[1] for p in record.proposals}))
-    last_iteration = 0
-    for iteration, category, cx, cy, w, h, score in record.proposals:
-        proposal = ObjectProposal(category, BoundingBox(cx, cy, w, h), score)
-        workspace.observe(
-            proposal,
-            score,
-            iteration,
-            provisional_enabled=config.provisional_enabled,
-            provisional_threshold=config.provisional_threshold,
-            final_threshold=config.final_threshold,
-        )
-        last_iteration = iteration
-    return workspace_snapshot_svg(frame, {}, workspace, None, last_iteration)
 
 
 def emit_report(report: ExperimentReport, directory: str | Path) -> list[Path]:
@@ -471,15 +442,4 @@ def emit_report(report: ExperimentReport, directory: str | Path) -> list[Path]:
         )
     )
     written.append(path)
-
-    for m in report.methods:
-        logged = [r for r in m.runs if r.proposals]
-        if not logged:
-            continue
-        snap_dir = directory / "snapshots" / m.label
-        snap_dir.mkdir(parents=True, exist_ok=True)
-        for record in logged:
-            snap_path = snap_dir / f"{record.image_id}.svg"
-            snap_path.write_text(_snapshot_from_record(record, m.config))
-            written.append(snap_path)
     return written

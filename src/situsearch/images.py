@@ -85,23 +85,3 @@ def write_pgm(path: str | Path, image: np.ndarray) -> None:
     pixels = np.clip(np.round(img * 255), 0, 255).astype(np.uint8)
     header = f"P5\n{img.shape[1]} {img.shape[0]}\n255\n".encode("ascii")
     Path(path).write_bytes(header + pixels.tobytes())
-
-
-def write_ppm(path: str | Path, image: np.ndarray) -> None:
-    """Write an (H, W, 3) float array in [0, 1] as a binary 8-bit PPM."""
-    img = np.asarray(image, dtype=float)
-    if img.ndim != 3 or img.shape[2] != 3 or img.size == 0:
-        raise ParseError(f"write_ppm needs an (H, W, 3) array, got shape {img.shape}")
-    pixels = np.clip(np.round(img * 255), 0, 255).astype(np.uint8)
-    header = f"P6\n{img.shape[1]} {img.shape[0]}\n255\n".encode("ascii")
-    Path(path).write_bytes(header + pixels.tobytes())
-
-
-def luminance(image: np.ndarray) -> np.ndarray:
-    """2-D luminance from either a grayscale or an RGB array."""
-    img = np.asarray(image, dtype=float)
-    if img.ndim == 2:
-        return img
-    if img.ndim == 3 and img.shape[2] == 3:
-        return img.mean(axis=2)
-    raise ParseError(f"expected 2-d or (H, W, 3) image, got shape {img.shape}")

@@ -50,13 +50,12 @@ BOX_UNIFORM = "uniform"
 BOX_LEARNED = "learned"
 MODEL_NONE = "none"
 MODEL_LEARNED = "learned"
-MODEL_LEARNED_SALIENCE = "learned_salience"  # the learned model with the salience prior
 
 PROVISIONAL = "provisional"
 FINAL = "final"
 
-DEFAULT_PROVISIONAL_THRESHOLD = 0.25
-DEFAULT_FINAL_THRESHOLD = 0.5
+PROVISIONAL_THRESHOLD = 0.25
+FINAL_THRESHOLD = 0.5
 DEFAULT_MAX_ITERATIONS = 1000
 
 
@@ -67,14 +66,6 @@ class ObjectProposal:
     category: str
     box: BoundingBox
     score: float | None = None
-
-
-@dataclass(frozen=True)
-class ProposalRecord:
-    iteration: int
-    category: str
-    box: BoundingBox
-    score: float
 
 
 @dataclass(frozen=True)
@@ -100,8 +91,6 @@ class Workspace:
         score: float,
         iteration: int,
         provisional_enabled: bool = True,
-        provisional_threshold: float = DEFAULT_PROVISIONAL_THRESHOLD,
-        final_threshold: float = DEFAULT_FINAL_THRESHOLD,
     ) -> bool:
         """File a scored proposal; True when the Workspace changed."""
         category = proposal.category
@@ -111,12 +100,12 @@ class Workspace:
         slot = self.slots[category]
         if slot is not None and slot.kind == FINAL:
             return False
-        if score >= final_threshold:
+        if score >= FINAL_THRESHOLD:
             self.slots[category] = Detection(proposal, FINAL, iteration)
             return True
         if (
             provisional_enabled
-            and score >= provisional_threshold
+            and score >= PROVISIONAL_THRESHOLD
             and (slot is None or score > slot.proposal.score)
         ):
             self.slots[category] = Detection(proposal, PROVISIONAL, iteration)
@@ -138,44 +127,29 @@ class Workspace:
 
 @dataclass(frozen=True)
 class MethodConfig:
-    """One row of the method matrix: priors, model use, and loop settings."""
+    """One search method, by the knowledge it uses, plus its budget and grid.
+
+    Every combination of the four method fields is a valid method. With the
+    salience location prior, the situation model's conditioned maps are
+    multiplied by the salience map too.
+    """
 
     location_prior: str = LOCATION_UNIFORM
     box_prior: str = BOX_LEARNED
     situation_model: str = MODEL_LEARNED
     provisional_enabled: bool = True
-    provisional_threshold: float = DEFAULT_PROVISIONAL_THRESHOLD
-    final_threshold: float = DEFAULT_FINAL_THRESHOLD
     max_iterations: int = DEFAULT_MAX_ITERATIONS
-    seed: int = 0
     cell_size: float = 1.0
-    record_proposals: bool = False
 
     def __post_init__(self) -> None:
         if self.location_prior not in (LOCATION_UNIFORM, LOCATION_SALIENCE):
             raise InvalidInputError(f"unknown location prior {self.location_prior!r}")
         if self.box_prior not in (BOX_UNIFORM, BOX_LEARNED):
             raise InvalidInputError(f"unknown box prior {self.box_prior!r}")
-        if self.situation_model not in (MODEL_NONE, MODEL_LEARNED, MODEL_LEARNED_SALIENCE):
+        if self.situation_model not in (MODEL_NONE, MODEL_LEARNED):
             raise InvalidInputError(f"unknown situation model mode {self.situation_model!r}")
-        if not (0 < self.provisional_threshold <= self.final_threshold <= 1):
-            raise InvalidInputError(
-                "thresholds must satisfy 0 < provisional <= final <= 1, got "
-                f"{self.provisional_threshold} and {self.final_threshold}"
-            )
         if self.max_iterations < 1:
             raise InvalidInputError(f"max_iterations must be >= 1, got {self.max_iterations}")
-        # A situation model folds salience into its conditioned maps exactly
-        # when the location prior is salience.
-        if self.situation_model != MODEL_NONE and (
-            (self.situation_model == MODEL_LEARNED_SALIENCE)
-            != (self.location_prior == LOCATION_SALIENCE)
-        ):
-            raise InvalidInputError(
-                f"situation model {self.situation_model!r} does not match location prior "
-                f"{self.location_prior!r}: use {MODEL_LEARNED_SALIENCE!r} with the "
-                f"{LOCATION_SALIENCE!r} prior and {MODEL_LEARNED!r} otherwise"
-            )
 
     @property
     def needs_salience(self) -> bool:
@@ -190,7 +164,6 @@ class RunResult:
     total_iterations: int
     completed: bool
     detection_order: list[tuple[str, int]]
-    proposals: list[ProposalRecord] | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -236,14 +209,16 @@ def run_image(
     annotation,
     rng: np.random.Generator,
     scorer: Callable[[ObjectProposal], float] | None = None,
-    observer: Callable[[int, Workspace, dict[str, CategorySearchDist]], None] | None = None,
+    observer: Callable[[int, Workspace, dict[str, CategorySearchDist | None]], None] | None = None,
 ) -> RunResult:
     """Run the full search loop on one annotated image.
 
     ``scorer`` defaults to the IOU oracle against the annotation's ground
-    truth; tests inject scripted scorers to pin down the loop protocol.
-    ``observer`` fires after every Workspace change with the iteration, the
-    Workspace, and the current per-category distributions.
+    truth and is called once per iteration, in order: ``run --trace`` logs
+    each proposal from it, and tests inject scripted scorers to pin down the
+    loop protocol. ``observer`` fires after every Workspace change with the
+    iteration, the Workspace, and the current per-category distributions,
+    where a category with a final detection maps to None.
     """
     frame = normalize_frame(annotation.width, annotation.height)
     gt = _ground_truth(annotation, model, frame)
@@ -272,7 +247,6 @@ def run_image(
     # at its last change that they are to be conditioned on.
     stale: set[str] = set()
     detected: dict[str, BoundingBox] = {}
-    records: list[ProposalRecord] | None = [] if config.record_proposals else None
     detections: dict[str, int | None] = {c: None for c in model.categories}
     order: list[tuple[str, int]] = []
 
@@ -292,23 +266,16 @@ def run_image(
             score = score_proposal(gt, proposal)
         else:
             score = float(scorer(proposal))
-        if records is not None:
-            records.append(ProposalRecord(t, category, proposal.box, score))
         changed = workspace.observe(
-            proposal,
-            score,
-            t,
-            provisional_enabled=config.provisional_enabled,
-            provisional_threshold=config.provisional_threshold,
-            final_threshold=config.final_threshold,
+            proposal, score, t, provisional_enabled=config.provisional_enabled
         )
         if not changed:
             continue
         remaining = workspace.remaining()
-        slot = workspace.slots[category]
-        if slot is not None and slot.kind == FINAL:
+        if workspace.slots[category].kind == FINAL:
             detections[category] = t
             order.append((category, t))
+            dists[category] = None  # never drawn from again
         if config.situation_model != MODEL_NONE:
             detected = dict(workspace.detected_boxes())
             # The change is in this category's own slot, which never
@@ -331,7 +298,6 @@ def run_image(
         total_iterations=iterations,
         completed=not remaining,
         detection_order=order,
-        proposals=records,
     )
 
 
@@ -340,14 +306,13 @@ def evaluate_proposal_set(
     annotation,
     budget: int = 1000,
     rng: np.random.Generator | None = None,
-    iou_threshold: float = DEFAULT_FINAL_THRESHOLD,
 ) -> RunResult:
     """Score an externally supplied, category-free proposal set.
 
     Proposals are (x, y, w, h) corner boxes in original pixels. They are
     drawn one at a time without replacement (seeded shuffle) up to the
     budget; a drawn box finalizes every not-yet-found object whose ground
-    truth it overlaps at or above the IOU threshold.
+    truth it overlaps at or above the final threshold.
     """
     if not proposals:
         raise InvalidInputError("proposal set is empty")
@@ -367,7 +332,7 @@ def evaluate_proposal_set(
         drawn += 1
         box = to_normalized(*proposals[int(index)], frame)
         for cat in categories:
-            if detections[cat] is None and iou(box, gt[cat]) >= iou_threshold:
+            if detections[cat] is None and iou(box, gt[cat]) >= FINAL_THRESHOLD:
                 detections[cat] = drawn
                 order.append((cat, drawn))
         if all(v is not None for v in detections.values()):
@@ -378,5 +343,4 @@ def evaluate_proposal_set(
         total_iterations=drawn,
         completed=all(v is not None for v in detections.values()),
         detection_order=order,
-        proposals=None,
     )

@@ -2,8 +2,8 @@
 
 ``perfbench/tracer.py`` times each layer by replacing a module or class
 attribute where its caller looks it up. A refactor that moves or renames one
-of those functions would silently leave its per-layer metric empty; this
-test makes it fail instead.
+of those functions would silently leave its per-layer metric empty; these
+tests make it fail instead.
 """
 
 from __future__ import annotations
@@ -11,6 +11,9 @@ from __future__ import annotations
 import importlib
 import importlib.util
 from pathlib import Path
+
+from situsearch import evaluation, search
+from situsearch.datagen import default_generator_config, generate_synthetic
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -34,3 +37,23 @@ def test_every_traced_call_site_resolves_to_a_callable():
             missing.append(f"{owner}.{attribute}")
     assert call_sites
     assert missing == []
+
+
+def test_tracer_installs_counts_and_restores_every_attribute():
+    # Besides CALL_SITES, the tracer wraps Workspace.observe and reads
+    # evaluation.method_label for every traced run.
+    tracer_module = _load_tracer()
+    owners = [(tracer_module._owner(spec), attr) for spec, attr, _ in tracer_module.CALL_SITES]
+    owners.append((search.Workspace, "observe"))
+    before = [(owner, attr, getattr(owner, attr)) for owner, attr in owners]
+    scenes = generate_synthetic(default_generator_config(seed=2), 12)
+    tracer = tracer_module.Tracer("call-sites")
+    with tracer:
+        assert all(getattr(owner, attr) is not fn for owner, attr, fn in before)
+        evaluation.run_experiment(
+            scenes, ["uniform-learned-learned"], k=3, max_iterations=100, cell_size=8.0
+        )
+    assert [(owner, attr, getattr(owner, attr)) for owner, attr in owners] == before
+    assert {run[1] for run in tracer.runs[1:]} == {"uniform-learned-learned"}
+    assert tracer.workspace_changes > 0
+    assert tracer.calls[tracer._nid["search.score_proposal"]] > 0

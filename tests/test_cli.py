@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import weakref
 
@@ -8,9 +9,11 @@ import pytest
 
 from situsearch import charts
 from situsearch.cli import main
+from situsearch.datagen import save_annotation
 from situsearch.images import write_pgm
 from situsearch.search import Workspace, ObjectProposal
 from situsearch.geometry import BoundingBox
+from situsearch.situation_model import learn, save_model
 
 SUBCOMMANDS = ["learn", "run", "bench", "gen", "salience", "eval-proposals"]
 
@@ -195,6 +198,43 @@ def test_run_snapshots_block_sum_each_map_once(dataset_dir, model_path, tmp_path
             args += ["--method", method, "--cell-size", "8", "--snapshots", str(snaps)]
             assert main(args) == 0
     assert block_sums == distinct < panels
+
+
+def test_last_snapshot_of_a_completed_run_shows_every_panel_final(
+    dataset_dir, model_path, tmp_path, capsys
+):
+    # A category with a final detection is never drawn from again, so its
+    # panel is the "final" placeholder, not its last heatmap.
+    ann = annotation_files(dataset_dir)[3]
+    snaps = tmp_path / "snaps"
+    args = ["run", "--model", str(model_path), "--image-annotation", str(ann)]
+    assert main([*args, "--cell-size", "8", "--snapshots", str(snaps)]) == 0
+    assert json.loads(capsys.readouterr().out)["completed"]
+    last = sorted(snaps.glob("*.svg"))[-1].read_text()
+    assert last.count('text-anchor="middle">final</text>') == 3
+    assert 'fill="rgb(' not in last
+
+
+# SHA-256 of ``run --trace`` for a model learned on the shared dataset's first
+# 50 images and its 51st image, at cell size 8, computed while the trace was
+# still written from a proposal log kept by run_image.
+TRACE_DIGESTS = {
+    "uniform-learned-learned": "46435f03532d728e1d187fef42083f90edd3530b8939078d8b3f9b4dd989e572",
+    "salience-learned-learned": "e32b09829c57bc020c23af179edfc400a0aed4f74c20429683f6e8154ea66a94",
+}
+
+
+@pytest.mark.parametrize("method", list(TRACE_DIGESTS))
+def test_run_trace_matches_pinned_digest(small_synthetic_dataset, tmp_path, method, capsys):
+    save_model(learn(small_synthetic_dataset[:50]), tmp_path / "model.json")
+    save_annotation(small_synthetic_dataset[50], tmp_path / "ann.json")
+    trace = tmp_path / "trace.jsonl"
+    args = ["run", "--model", str(tmp_path / "model.json")]
+    args += ["--image-annotation", str(tmp_path / "ann.json"), "--method", method]
+    assert main([*args, "--cell-size", "8", "--trace", str(trace)]) == 0
+    assert hashlib.sha256(trace.read_bytes()).hexdigest() == TRACE_DIGESTS[method]
+    doc = json.loads(capsys.readouterr().out)
+    assert len(trace.read_text().splitlines()) == doc["total_iterations"]
 
 
 def test_run_with_salience_method(dataset_dir, model_path, capsys):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import json
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from situsearch.errors import InvalidInputError
 from situsearch.evaluation import (
     METHOD_TOKENS,
     ExperimentReport,
+    _config_to_dict,
     config_for_token,
     cumulative_curve,
     detection_interval_stats,
@@ -55,25 +57,57 @@ def test_labels_round_trip_through_tokens():
 def test_method_label_is_one_to_one_on_valid_configs():
     labels = {}
     for location, box, model, prov in itertools.product(
-        ("uniform", "salience"),
-        ("uniform", "learned"),
-        ("none", "learned", "learned_salience"),
-        (True, False),
+        ("uniform", "salience"), ("uniform", "learned"), ("none", "learned"), (True, False)
     ):
-        try:
-            config = MethodConfig(
-                location_prior=location,
-                box_prior=box,
-                situation_model=model,
-                provisional_enabled=prov,
-            )
-        except InvalidInputError:
-            continue
+        config = MethodConfig(
+            location_prior=location, box_prior=box, situation_model=model, provisional_enabled=prov
+        )
         label = method_label(config)
         assert label not in labels, f"{label} names both {labels.get(label)} and {config}"
         labels[label] = config
     assert len(labels) == 16
     assert set(METHOD_TOKENS) <= set(labels)
+
+
+def config_block(location, box, model, prov=True, max_iterations=1000, cell_size=1.0):
+    return {
+        "location_prior": location,
+        "box_prior": box,
+        "situation_model": model,
+        "provisional_enabled": prov,
+        "provisional_threshold": 0.25,
+        "final_threshold": 0.5,
+        "max_iterations": max_iterations,
+        "seed": 0,
+        "cell_size": cell_size,
+        "record_proposals": False,
+    }
+
+
+# The report's config block per token, as written before the thresholds,
+# seed and proposal logging left MethodConfig.
+CONFIG_BLOCKS = {
+    "uniform-uniform-none": config_block("uniform", "uniform", "none"),
+    "uniform-learned-none": config_block("uniform", "learned", "none"),
+    "salience-uniform-none": config_block("salience", "uniform", "none"),
+    "uniform-learned-learned": config_block("uniform", "learned", "learned"),
+    "salience-learned-learned": config_block("salience", "learned", "learned_salience"),
+    "salience-learned-learned-noprov": config_block(
+        "salience", "learned", "learned_salience", prov=False
+    ),
+}
+
+
+@pytest.mark.parametrize("token", list(METHOD_TOKENS))
+def test_report_config_block_is_unchanged(token):
+    config = config_for_token(token)
+    assert _config_to_dict(config) == CONFIG_BLOCKS[token]
+    overridden = replace(config, max_iterations=150, cell_size=8.0)
+    assert _config_to_dict(overridden) == {
+        **CONFIG_BLOCKS[token],
+        "max_iterations": 150,
+        "cell_size": 8.0,
+    }
 
 
 def test_invalid_token_lists_valid_ones():
@@ -335,22 +369,3 @@ def test_empty_method_list_report_is_valid(tmp_path):
     doc = json.loads((tmp_path / "report.json").read_text())
     assert doc["methods"] == []
     ET.fromstring((tmp_path / "medians_bar.svg").read_text())
-
-
-def test_proposal_logging_emits_snapshots(small_synthetic_dataset, tmp_path):
-    config = MethodConfig(
-        location_prior="uniform",
-        box_prior="learned",
-        situation_model="learned",
-        max_iterations=30,
-        cell_size=8.0,
-        record_proposals=True,
-    )
-    report = run_experiment(
-        small_synthetic_dataset[:20], [config], k=2, master_seed=3
-    )
-    paths = emit_report(report, tmp_path)
-    snapshots = [p for p in paths if "snapshots" in str(p)]
-    assert len(snapshots) == 20
-    for path in snapshots:
-        ET.fromstring(path.read_text())

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from situsearch.errors import ParseError
-from situsearch.images import luminance, read_pnm, write_pgm, write_ppm
+from situsearch.images import read_pnm, write_pgm
+
+
+def write_ppm(path, image: np.ndarray) -> None:
+    """Write an (H, W, 3) float array in [0, 1] as a binary 8-bit PPM."""
+    pixels = np.clip(np.round(np.asarray(image, dtype=float) * 255), 0, 255).astype(np.uint8)
+    header = f"P6\n{image.shape[1]} {image.shape[0]}\n255\n".encode("ascii")
+    path.write_bytes(header + pixels.tobytes())
 
 
 def test_pgm_round_trip_within_quantization(tmp_path):
@@ -48,14 +55,3 @@ def test_truncated_pixels_is_parse_error(tmp_path):
     path.write_bytes(b"P5\n4 4\n255\n\x01\x02")
     with pytest.raises(ParseError):
         read_pnm(path)
-
-
-def test_luminance_shapes():
-    gray = np.zeros((4, 5))
-    assert luminance(gray) is gray
-    rgb = np.stack([np.full((4, 5), 0.9), np.zeros((4, 5)), np.zeros((4, 5))], axis=2)
-    lum = luminance(rgb)
-    assert lum.shape == (4, 5)
-    assert lum[0, 0] == pytest.approx(0.3)
-    with pytest.raises(ParseError):
-        luminance(np.zeros((4, 5, 2)))

@@ -4,7 +4,7 @@ import hashlib
 import itertools
 import json
 import math
-from collections import defaultdict
+from collections import defaultdict, namedtuple
 from dataclasses import replace
 
 import numpy as np
@@ -174,22 +174,15 @@ def test_method_config_validates_fields():
     with pytest.raises(InvalidInputError):
         MethodConfig(situation_model="psychic")
     with pytest.raises(InvalidInputError):
-        MethodConfig(provisional_threshold=0.7, final_threshold=0.5)
-    with pytest.raises(InvalidInputError):
-        MethodConfig(provisional_threshold=0.0)
-    with pytest.raises(InvalidInputError):
         MethodConfig(max_iterations=0)
 
 
-def test_method_config_rejects_salience_mismatch():
-    # A situation model combines with salience exactly when the location
-    # prior is salience; either mismatch would run a different method than
-    # its label names.
-    with pytest.raises(InvalidInputError, match="location prior"):
-        MethodConfig(location_prior="salience", situation_model="learned")
-    with pytest.raises(InvalidInputError, match="location prior"):
-        MethodConfig(location_prior="uniform", situation_model="learned_salience")
-    assert MethodConfig(location_prior="salience", situation_model="learned_salience").needs_salience
+def test_method_config_salience_follows_the_location_prior():
+    # Whether a situation model folds salience into its maps is the location
+    # prior's to say, so the model field names no salience variant.
+    with pytest.raises(InvalidInputError, match="situation model"):
+        MethodConfig(location_prior="salience", situation_model="learned_salience")
+    assert MethodConfig(location_prior="salience", situation_model="learned").needs_salience
     assert MethodConfig(location_prior="salience", situation_model="none").needs_salience
     assert not MethodConfig(location_prior="uniform", situation_model="learned").needs_salience
 
@@ -227,46 +220,52 @@ def run_config(**kw) -> MethodConfig:
         situation_model="learned",
         max_iterations=200,
         cell_size=20,
-        record_proposals=True,
     )
     base.update(kw)
     return MethodConfig(**base)
 
 
+Scored = namedtuple("Scored", "iteration category box score")
+
+
+def logging_scorer(annotation, scorer=None):
+    """A scorer for run_image that scores with ``scorer``, or with the IOU
+    oracle as run_image does, and logs every proposal it scores."""
+    frame = normalize_frame(annotation.width, annotation.height)
+    gt = {c: to_normalized(*box, frame) for c, box in annotation.boxes.items()}
+    log: list[Scored] = []
+
+    def score(proposal):
+        value = score_proposal(gt, proposal) if scorer is None else float(scorer(proposal))
+        log.append(Scored(len(log) + 1, proposal.category, proposal.box, value))
+        return value
+
+    return score, log
+
+
 def test_impossible_oracle_fails_after_exactly_max_iterations(degenerate_model):
     ann = easy_annotation()
     config = run_config(max_iterations=37)
-    result = run_image(
-        degenerate_model,
-        None,
-        config,
-        ann,
-        np.random.default_rng(0),
-        scorer=lambda p: 0.0,
-    )
+    scorer, log = logging_scorer(ann, lambda p: 0.0)
+    result = run_image(degenerate_model, None, config, ann, np.random.default_rng(0), scorer)
     assert not result.completed
     assert result.total_iterations == 37
     assert all(v is None for v in result.detections.values())
     assert result.detection_order == []
-    assert len(result.proposals) == 37
+    assert len(log) == 37
 
 
 def test_always_perfect_scorer_completes_in_exactly_three(degenerate_model):
     # Hand simulation: every proposal finalizes its category immediately, so
     # the loop picks each category exactly once: three iterations total.
-    result = run_image(
-        degenerate_model,
-        None,
-        run_config(),
-        easy_annotation(),
-        np.random.default_rng(5),
-        scorer=lambda p: 1.0,
-    )
+    ann = easy_annotation()
+    scorer, log = logging_scorer(ann, lambda p: 1.0)
+    result = run_image(degenerate_model, None, run_config(), ann, np.random.default_rng(5), scorer)
     assert result.completed
     assert result.total_iterations == 3
     assert sorted(result.detections.values()) == [1, 2, 3]
     assert [c for c, _ in result.detection_order] != []
-    picked = [p.category for p in result.proposals]
+    picked = [p.category for p in log]
     assert len(set(picked)) == 3
 
 
@@ -295,10 +294,12 @@ def test_scripted_scores_honor_thresholds(degenerate_model):
         return dog_scores[idx]
 
     states = []
+    dog_dists = []
 
     def observer(iteration, workspace, dists):
         slot = workspace.slots["dog"]
         states.append((iteration, slot.kind, slot.proposal.score))
+        dog_dists.append(dists["dog"])
 
     result = run_image(
         degenerate_model,
@@ -313,22 +314,20 @@ def test_scripted_scores_honor_thresholds(degenerate_model):
     scores = [s for _, _, s in states]
     assert kinds == [PROVISIONAL, PROVISIONAL, FINAL]
     assert scores == [0.3, 0.4, 0.55]
+    assert [d is None for d in dog_dists] == [False, False, True]  # a final is never drawn again
     assert result.detections["dog"] == states[-1][0]
     assert result.detections["dog_walker"] is None
 
 
 def test_never_samples_finalized_categories(degenerate_model):
-    result = run_image(
-        degenerate_model,
-        None,
-        run_config(max_iterations=120),
-        easy_annotation(),
-        np.random.default_rng(17),
-    )
+    ann = easy_annotation()
+    scorer, log = logging_scorer(ann)
+    config = run_config(max_iterations=120)
+    result = run_image(degenerate_model, None, config, ann, np.random.default_rng(17), scorer)
     for category, final_at in result.detections.items():
         if final_at is None:
             continue
-        later = [p for p in result.proposals if p.category == category and p.iteration > final_at]
+        later = [p for p in log if p.category == category and p.iteration > final_at]
         assert later == []
 
 
@@ -354,27 +353,28 @@ def test_noprov_config_never_stores_provisionals(degenerate_model):
 def test_run_is_deterministic_per_seed(degenerate_model):
     ann = easy_annotation()
     config = run_config(max_iterations=80)
-    a = run_image(degenerate_model, None, config, ann, np.random.default_rng(9))
-    b = run_image(degenerate_model, None, config, ann, np.random.default_rng(9))
+    (score_a, log_a), (score_b, log_b) = logging_scorer(ann), logging_scorer(ann)
+    a = run_image(degenerate_model, None, config, ann, np.random.default_rng(9), score_a)
+    b = run_image(degenerate_model, None, config, ann, np.random.default_rng(9), score_b)
     assert a.to_dict() == b.to_dict()
-    assert [(p.iteration, p.category, p.score, p.box) for p in a.proposals] == [
-        (p.iteration, p.category, p.score, p.box) for p in b.proposals
-    ]
+    assert log_a == log_b
 
 
 def test_proposals_always_inside_frame(degenerate_model):
     ann = easy_annotation()
     frame = normalize_frame(ann.width, ann.height)
     hx, hy = frame.norm_width / 2, frame.norm_height / 2
-    result = run_image(
+    scorer, log = logging_scorer(ann, lambda p: 0.0)
+    run_image(
         degenerate_model,
         None,
         run_config(box_prior="uniform", situation_model="none", max_iterations=300),
         ann,
         np.random.default_rng(31),
-        scorer=lambda p: 0.0,
+        scorer,
     )
-    for p in result.proposals:
+    assert len(log) == 300
+    for p in log:
         assert p.box.x0 >= -hx - 1e-9 and p.box.x1 <= hx + 1e-9
         assert p.box.y0 >= -hy - 1e-9 and p.box.y1 <= hy + 1e-9
 
@@ -384,7 +384,7 @@ def test_salience_method_requires_map(degenerate_model):
         run_image(
             degenerate_model,
             None,
-            run_config(location_prior="salience", situation_model="learned_salience"),
+            run_config(location_prior="salience"),
             easy_annotation(),
             np.random.default_rng(0),
         )
@@ -412,12 +412,14 @@ def held_out(small_synthetic_dataset):
 
 
 def held_out_runs(held_out, token, observer=None):
+    """Each held-out image's run result and the log of its scored proposals."""
     model, annotations = held_out
-    config = replace(config_for_token(token), cell_size=8.0, record_proposals=True)
+    config = replace(config_for_token(token), cell_size=8.0)
     for ann in annotations:
         salience = salience_for_annotation(ann, config.cell_size) if config.needs_salience else None
+        scorer, log = logging_scorer(ann)
         rng = np.random.default_rng(3)
-        yield run_image(model, salience, config, ann, rng, observer=observer)
+        yield run_image(model, salience, config, ann, rng, scorer, observer), log
 
 
 @pytest.mark.parametrize("token", list(METHOD_TOKENS))
@@ -427,9 +429,9 @@ def test_lazy_conditioning_matches_eager(held_out, token):
     # change: the eager schedule.
     lazy = list(held_out_runs(held_out, token))
     eager = list(held_out_runs(held_out, token, observer=lambda *_: None))
-    for a, b in zip(lazy, eager):
+    for (a, log_a), (b, log_b) in zip(lazy, eager):
         assert a.to_dict() == b.to_dict()
-        assert a.proposals == b.proposals
+        assert log_a == log_b
 
 
 @pytest.mark.parametrize(
@@ -758,7 +760,7 @@ def test_sample_proposal_is_bit_identical_to_reference(step_dists, seed):
             assert rng.bit_generator.state == reference.bit_generator.state
 
 
-# SHA-256 of every run's to_dict() and proposal records, per token, over the
+# SHA-256 of every run's to_dict() and proposal log, per token, over the
 # six held-out images (cell_size 8, rng seed 3), computed before the
 # per-proposal step was trimmed: the random stream and every float must stay.
 PROPOSAL_STREAM_DIGESTS = {
@@ -776,11 +778,8 @@ PROPOSAL_STREAM_DIGESTS = {
 @pytest.mark.parametrize("token", list(METHOD_TOKENS))
 def test_proposal_stream_matches_pinned_digest(held_out, token):
     digest = hashlib.sha256()
-    for run in held_out_runs(held_out, token):
-        records = [
-            [r.iteration, r.category, r.box.cx, r.box.cy, r.box.w, r.box.h, r.score]
-            for r in run.proposals
-        ]
+    for run, log in held_out_runs(held_out, token):
+        records = [[i, c, b.cx, b.cy, b.w, b.h, score] for i, c, b, score in log]
         digest.update(json.dumps([run.to_dict(), records]).encode())
     assert digest.hexdigest() == PROPOSAL_STREAM_DIGESTS[token]
 
@@ -830,19 +829,18 @@ def test_tiny_box_from_a_wide_prior_does_not_crash_the_run(held_out):
 def test_run_image_never_raises_on_huge_box_variance(held_out, token, std, seed, image, scripted):
     model, annotations = held_out
     ann = annotations[image]
-    config = replace(
-        config_for_token(token), cell_size=8.0, max_iterations=150, record_proposals=True
-    )
+    config = replace(config_for_token(token), cell_size=8.0, max_iterations=150)
     salience = salience_for_annotation(ann, config.cell_size) if config.needs_salience else None
-    scorer = None
+    scripted_scorer = None
     if scripted:  # a detection every few proposals, so the wide joints get conditioned
         scores = itertools.cycle([0.0] * 6 + [0.3] + [0.0] * 6 + [0.6])
-        scorer = lambda proposal: next(scores)
+        scripted_scorer = lambda proposal: next(scores)
+    scorer, log = logging_scorer(ann, scripted_scorer)
     rng = np.random.default_rng(seed)
-    result = run_image(wide_box_model(model, std), salience, config, ann, rng, scorer)
+    run_image(wide_box_model(model, std), salience, config, ann, rng, scorer)
     frame = normalize_frame(ann.width, ann.height)
-    assert result.proposals
-    for record in result.proposals:
+    assert log
+    for record in log:
         assert inside(record.box, frame)
 
 
@@ -901,16 +899,15 @@ def test_run_image_never_raises_on_extreme_frames_and_near_singular_joints(
 ):
     ann = data.draw(extreme_annotations(cell_size))
     model = near_singular_location_model(held_out[0], scale, rank_one)
-    config = replace(
-        config_for_token(token), cell_size=cell_size, max_iterations=120, record_proposals=True
-    )
+    config = replace(config_for_token(token), cell_size=cell_size, max_iterations=120)
     salience = salience_for_annotation(ann, cell_size) if config.needs_salience else None
-    scorer = None
+    scripted_scorer = None
     if scripted:  # a detection every few proposals, so the location joints get conditioned
         scores = itertools.cycle([0.0] * 4 + [0.3] + [0.0] * 4 + [0.6])
-        scorer = lambda proposal: next(scores)
-    result = run_image(model, salience, config, ann, np.random.default_rng(seed), scorer)
+        scripted_scorer = lambda proposal: next(scores)
+    scorer, log = logging_scorer(ann, scripted_scorer)
+    run_image(model, salience, config, ann, np.random.default_rng(seed), scorer)
     frame = normalize_frame(ann.width, ann.height)
-    assert result.proposals
-    for record in result.proposals:
+    assert log
+    for record in log:
         assert inside(record.box, frame)

@@ -220,7 +220,7 @@ def test_empty_workspace_matches_initial(synthetic_model):
     grid = np.random.default_rng(0).random(grid_shape(frame, 4)) + 0.1
     salience = SalienceMap(frame=frame, cell_size=4, grid=grid)
     config = MethodConfig(
-        location_prior="salience", situation_model="learned_salience", cell_size=4
+        location_prior="salience", situation_model="learned", cell_size=4
     )
     walker, dists = dists_after_first_detection(
         synthetic_model, config, scaled_annotation(), salience=salience
