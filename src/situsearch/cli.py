@@ -35,7 +35,7 @@ from .datagen import (
     save_generator_config,
 )
 from .errors import ParseError, SituSearchError
-from .geometry import normalize_frame, to_normalized
+from .geometry import normalize_frame
 from .images import read_pnm, write_pgm
 from .salience import compute_salience, save_salience
 from .search import evaluate_proposal_set, run_image
@@ -149,9 +149,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         salience = evaluation.salience_for_annotation(annotation, config.cell_size)
 
     frame = normalize_frame(annotation.width, annotation.height)
-    ground_truth = {
-        c: to_normalized(*annotation.boxes[c], frame) for c in sorted(annotation.boxes)
-    }
+    ground_truth = search.ground_truth(annotation, model.categories, frame)
     observer = None
     if args.snapshots:
         snap_dir = Path(args.snapshots)

@@ -51,6 +51,11 @@ class SituationAnnotation:
                 f"annotation {self.image_id!r}: image size {self.width}x{self.height} invalid"
             )
         for category, (x, y, w, h) in self.boxes.items():
+            if not all(map(math.isfinite, (x, y, w, h))):
+                raise DatasetError(
+                    f"annotation {self.image_id!r}: category {category!r} box "
+                    f"({x}, {y}, {w}, {h}) is not finite"
+                )
             if w <= 0 or h <= 0:
                 raise DatasetError(
                     f"annotation {self.image_id!r}: category {category!r} has empty box"
@@ -146,8 +151,7 @@ class GeneratorConfig:
 
     ``location`` is 6-d over normalized-frame centers (x, y per category in
     category order); ``box`` is 6-d over (ln area-ratio, ln aspect-ratio) per
-    category. ``clamping`` names the policy for boxes that cross the frame
-    edge; only "translate" is implemented.
+    category. Boxes that cross the frame edge are translated inward.
     """
 
     width: int
@@ -155,7 +159,6 @@ class GeneratorConfig:
     location: MultivariateGaussian
     box: MultivariateGaussian
     categories: CategorySet = field(default_factory=CategorySet)
-    clamping: str = "translate"
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -166,8 +169,6 @@ class GeneratorConfig:
             )
         if self.box.dims != box_dims(cats):
             raise InvalidInputError(f"box dims {self.box.dims} do not match categories {cats}")
-        if self.clamping != "translate":
-            raise InvalidInputError(f"unknown clamping policy {self.clamping!r}")
 
 
 def _structural_gaussian(
@@ -185,24 +186,27 @@ def generator_config_to_dict(config: GeneratorConfig) -> dict:
         "categories": list(config.categories.categories),
         "location": gaussian_to_dict(config.location),
         "box": gaussian_to_dict(config.box),
-        "clamping": config.clamping,
+        "clamping": "translate",
         "seed": config.seed,
     }
 
 
 def generator_config_from_dict(doc: dict, source: str = "<memory>") -> GeneratorConfig:
     try:
-        return GeneratorConfig(
+        config = GeneratorConfig(
             width=int(doc["width"]),
             height=int(doc["height"]),
             location=gaussian_from_dict(doc["location"]),
             box=gaussian_from_dict(doc["box"]),
             categories=CategorySet(tuple(doc.get("categories", DEFAULT_CATEGORIES))),
-            clamping=doc.get("clamping", "translate"),
             seed=int(doc.get("seed", 0)),
         )
+        clamping = doc.get("clamping", "translate")
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{source}: malformed generator config ({exc})") from exc
+    if clamping != "translate":
+        raise InvalidInputError(f"unknown clamping policy {clamping!r}")
+    return config
 
 
 def save_generator_config(config: GeneratorConfig, path: str | Path) -> None:

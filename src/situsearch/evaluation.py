@@ -165,17 +165,13 @@ def cumulative_curve(results: Sequence, max_iterations: int) -> list[int]:
 
 
 @dataclass
-class RunRecord:
+class RunRecord(RunResult):
     """One method's outcome on one test image."""
 
     image_id: str
     fold: int
     width: int
     height: int
-    completed: bool
-    total_iterations: int
-    detections: dict[str, int | None]
-    detection_order: list[tuple[str, int]]
 
 
 @dataclass
@@ -198,19 +194,6 @@ class ExperimentReport:
     methods: list[MethodResult]
 
 
-def _record_from_result(ann: SituationAnnotation, fold: int, result: RunResult) -> RunRecord:
-    return RunRecord(
-        image_id=ann.image_id,
-        fold=fold,
-        width=ann.width,
-        height=ann.height,
-        completed=result.completed,
-        total_iterations=result.total_iterations,
-        detections=dict(result.detections),
-        detection_order=list(result.detection_order),
-    )
-
-
 def salience_for_annotation(
     ann: SituationAnnotation, cell_size: float = 1.0
 ) -> SalienceMap:
@@ -225,24 +208,25 @@ def salience_for_annotation(
 
 def _run_work_item(args) -> tuple[tuple[int, str], list[tuple[str, RunRecord]]]:
     fold_idx, ann, model, labeled_configs, master_seed = args
-    salience_cache: dict[float, SalienceMap] = {}
+    # Every method of one experiment shares one cell size, so one map serves them all.
+    salience = None
     out = []
     for label, config in labeled_configs:
-        salience = None
-        if config.needs_salience:
-            if config.cell_size not in salience_cache:
-                salience_cache[config.cell_size] = salience_for_annotation(ann, config.cell_size)
-            salience = salience_cache[config.cell_size]
+        if config.needs_salience and salience is None:
+            salience = salience_for_annotation(ann, config.cell_size)
         # The 0 is part of every run's seed key; the pinned reports depend on it.
         rng = np.random.default_rng(stable_seed(master_seed, 0, label, fold_idx, ann.image_id))
         result = run_image(model, salience, config, ann, rng)
-        out.append((label, _record_from_result(ann, fold_idx, result)))
+        record = RunRecord(
+            **vars(result), image_id=ann.image_id, fold=fold_idx, width=ann.width, height=ann.height
+        )
+        out.append((label, record))
     return (fold_idx, ann.image_id), out
 
 
 def run_experiment(
     dataset: Sequence[SituationAnnotation],
-    methods: Sequence[MethodConfig | str],
+    methods: Sequence[str],
     k: int = 10,
     master_seed: int = 0,
     jobs: int = 1,
@@ -252,12 +236,12 @@ def run_experiment(
 ) -> ExperimentReport:
     """Learn per fold, run every method on every test image, pool across folds.
 
-    ``methods`` may mix MethodConfig instances and token strings.
-    ``max_iterations`` and ``cell_size``, when given, override every method.
+    ``methods`` are method tokens. ``max_iterations`` and ``cell_size``,
+    when given, override every method.
     """
     labeled: list[tuple[str, MethodConfig]] = []
-    for m in methods:
-        config = config_for_token(m) if isinstance(m, str) else m
+    for token in methods:
+        config = config_for_token(token)
         if max_iterations is not None:
             config = replace(config, max_iterations=max_iterations)
         if cell_size is not None:
@@ -363,14 +347,11 @@ def report_to_dict(report: ExperimentReport) -> dict:
                 "cumulative_curve": m.cumulative,
                 "runs": [
                     {
+                        **r.to_dict(),
                         "image_id": r.image_id,
                         "fold": r.fold,
                         "width": r.width,
                         "height": r.height,
-                        "completed": r.completed,
-                        "total_iterations": r.total_iterations,
-                        "detections": r.detections,
-                        "detection_order": [[c, t] for c, t in r.detection_order],
                     }
                     for r in m.runs
                 ],

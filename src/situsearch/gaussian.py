@@ -277,18 +277,17 @@ def condition(dist: MultivariateGaussian, observed: Mapping[str, float]) -> Mult
 
 @dataclass(frozen=True)
 class UnivariateNormal:
-    """Normal over one labeled quantity (used for the log-space box priors)."""
+    """Normal over one quantity (used for the log-space box priors)."""
 
     mean: float
     std: float
-    label: str = ""
 
     def __post_init__(self) -> None:
         if not (self.std > 0) or not math.isfinite(self.std) or not math.isfinite(self.mean):
             raise InvalidInputError(f"std must be positive and finite, got {self.std}")
 
 
-def fit_univariate(values: Sequence[float] | np.ndarray, label: str = "") -> UnivariateNormal:
+def fit_univariate(values: Sequence[float] | np.ndarray) -> UnivariateNormal:
     x = np.asarray(values, dtype=float)
     if x.ndim != 1 or x.shape[0] < 2:
         raise InsufficientDataError("insufficient data: need at least 2 values for a univariate fit")
@@ -297,7 +296,7 @@ def fit_univariate(values: Sequence[float] | np.ndarray, label: str = "") -> Uni
     mean = float(x.mean())
     var = float(((x - mean) ** 2).mean())
     std = math.sqrt(max(var, FIT_RIDGE_FLOOR))
-    return UnivariateNormal(mean=mean, std=std, label=label)
+    return UnivariateNormal(mean=mean, std=std)
 
 
 def _normalize(grid: np.ndarray) -> np.ndarray:

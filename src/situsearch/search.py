@@ -158,12 +158,24 @@ class MethodConfig:
 
 @dataclass
 class RunResult:
-    """Outcome of one search run; failure is a value, not an error."""
+    """Outcome of one search run; failure is a value, not an error.
+
+    A run is completed when every category has a final detection, and its
+    detection order lists the finals by iteration, ties in ``detections``
+    order.
+    """
 
     detections: dict[str, int | None]  # category -> iteration of its final detection
     total_iterations: int
-    completed: bool
-    detection_order: list[tuple[str, int]]
+
+    @property
+    def completed(self) -> bool:
+        return all(t is not None for t in self.detections.values())
+
+    @property
+    def detection_order(self) -> list[tuple[str, int]]:
+        found = [(c, t) for c, t in self.detections.items() if t is not None]
+        return sorted(found, key=lambda item: item[1])
 
     def to_dict(self) -> dict:
         return {
@@ -191,9 +203,12 @@ def sample_proposal(
     return ObjectProposal(dist.category, box)
 
 
-def _ground_truth(annotation, model: SituationModel, frame: ImageFrame) -> dict[str, BoundingBox]:
+def ground_truth(
+    annotation, categories: Iterable[str], frame: ImageFrame
+) -> dict[str, BoundingBox]:
+    """Each category's annotated box, normalized to the frame."""
     gt = {}
-    for cat in model.categories:
+    for cat in categories:
         if cat not in annotation.boxes:
             raise InvalidInputError(
                 f"annotation {annotation.image_id!r} lacks ground truth for {cat!r}"
@@ -221,7 +236,7 @@ def run_image(
     where a category with a final detection maps to None.
     """
     frame = normalize_frame(annotation.width, annotation.height)
-    gt = _ground_truth(annotation, model, frame)
+    gt = ground_truth(annotation, model.categories, frame)
 
     if config.needs_salience:
         if salience is None:
@@ -247,8 +262,6 @@ def run_image(
     # at its last change that they are to be conditioned on.
     stale: set[str] = set()
     detected: dict[str, BoundingBox] = {}
-    detections: dict[str, int | None] = {c: None for c in model.categories}
-    order: list[tuple[str, int]] = []
 
     iterations = 0
     remaining = workspace.remaining()  # refreshed at each Workspace change
@@ -273,8 +286,6 @@ def run_image(
             continue
         remaining = workspace.remaining()
         if workspace.slots[category].kind == FINAL:
-            detections[category] = t
-            order.append((category, t))
             dists[category] = None  # never drawn from again
         if config.situation_model != MODEL_NONE:
             detected = dict(workspace.detected_boxes())
@@ -293,19 +304,19 @@ def run_image(
         if not remaining:
             break
 
-    return RunResult(
-        detections=detections,
-        total_iterations=iterations,
-        completed=not remaining,
-        detection_order=order,
-    )
+    finals = {
+        c: slot.iteration if slot is not None and slot.kind == FINAL else None
+        for c, slot in workspace.slots.items()
+    }
+    return RunResult(finals, iterations)
 
 
 def evaluate_proposal_set(
     proposals: Sequence[tuple[float, float, float, float]],
     annotation,
     budget: int = 1000,
-    rng: np.random.Generator | None = None,
+    *,
+    rng: np.random.Generator,
 ) -> RunResult:
     """Score an externally supplied, category-free proposal set.
 
@@ -318,29 +329,17 @@ def evaluate_proposal_set(
         raise InvalidInputError("proposal set is empty")
     if budget < 1:
         raise InvalidInputError(f"budget must be >= 1, got {budget}")
-    if rng is None:
-        rng = np.random.default_rng(0)
     frame = normalize_frame(annotation.width, annotation.height)
-    categories = sorted(annotation.boxes)
-    gt = {c: to_normalized(*annotation.boxes[c], frame) for c in categories}
+    gt = ground_truth(annotation, sorted(annotation.boxes), frame)
 
     shuffle = rng.permutation(len(proposals))
-    detections: dict[str, int | None] = {c: None for c in categories}
-    order: list[tuple[str, int]] = []
-    drawn = 0
+    result = RunResult(dict.fromkeys(gt), 0)
     for index in shuffle[:budget]:
-        drawn += 1
+        result.total_iterations += 1
         box = to_normalized(*proposals[int(index)], frame)
-        for cat in categories:
-            if detections[cat] is None and iou(box, gt[cat]) >= FINAL_THRESHOLD:
-                detections[cat] = drawn
-                order.append((cat, drawn))
-        if all(v is not None for v in detections.values()):
+        for cat, truth in gt.items():
+            if result.detections[cat] is None and iou(box, truth) >= FINAL_THRESHOLD:
+                result.detections[cat] = result.total_iterations
+        if result.completed:
             break
-
-    return RunResult(
-        detections=detections,
-        total_iterations=drawn,
-        completed=all(v is not None for v in detections.values()),
-        detection_order=order,
-    )
+    return result

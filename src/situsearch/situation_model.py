@@ -207,8 +207,8 @@ def learn(training: Sequence, categories: Sequence[str] | None = None) -> Situat
     priors = {}
     for k, cat in enumerate(cats):
         priors[cat] = BoxPrior(
-            alpha=fit_univariate(boxes[:, 2 * k], label=f"alpha_{cat}"),
-            gamma=fit_univariate(boxes[:, 2 * k + 1], label=f"gamma_{cat}"),
+            alpha=fit_univariate(boxes[:, 2 * k]),
+            gamma=fit_univariate(boxes[:, 2 * k + 1]),
         )
 
     loc_pair = {}
@@ -333,8 +333,8 @@ def model_from_dict(data: Mapping) -> SituationModel:
         _check_keys("box_priors", data["box_priors"], cats)
         priors = {
             c: BoxPrior(
-                alpha=UnivariateNormal(p["alpha"]["mean"], p["alpha"]["std"], f"alpha_{c}"),
-                gamma=UnivariateNormal(p["gamma"]["mean"], p["gamma"]["std"], f"gamma_{c}"),
+                alpha=UnivariateNormal(p["alpha"]["mean"], p["alpha"]["std"]),
+                gamma=UnivariateNormal(p["gamma"]["mean"], p["gamma"]["std"]),
             )
             for c, p in data["box_priors"].items()
         }

@@ -402,10 +402,10 @@ def test_criterion_8_statistics_properties():
         runs = []
         for _ in range(n):
             if rng.random() < 0.35:
-                runs.append(RunResult({}, max_iter, False, []))
+                runs.append(RunResult({"a": None}, max_iter))
             else:
                 t = int(rng.integers(1, max_iter + 1))
-                runs.append(RunResult({"a": t}, t, True, [("a", t)]))
+                runs.append(RunResult({"a": t}, t))
         curve = cumulative_curve(runs, max_iter)
         failures = sum(1 for r in runs if not r.completed)
         assert len(curve) == max_iter

@@ -10,6 +10,7 @@ from situsearch.datagen import (
     GeneratorConfig,
     SituationAnnotation,
     annotation_from_dict,
+    annotation_to_dict,
     default_generator_config,
     generate_synthetic,
     load_annotation,
@@ -79,6 +80,16 @@ def test_out_of_bounds_box_names_category():
             height=100,
             boxes={"dog": (50.0, 50.0, 80.0, 20.0)},
         )
+
+
+@pytest.mark.parametrize("field", ["x", "y", "w", "h"])
+def test_non_finite_box_is_rejected_at_load(tmp_path, field):
+    doc = annotation_to_dict(make_annotation("nan_img"))
+    doc["objects"][1][field] = float("nan")  # json writes a bare NaN, which it parses back
+    path = tmp_path / "nan_img.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DatasetError, match="'nan_img'.*'dog_walker'.*not finite"):
+        load_dataset(tmp_path)
 
 
 def test_duplicate_category_rejected():
@@ -204,6 +215,19 @@ def test_generator_config_file_errors(tmp_path):
     short.write_text(json.dumps({"width": 10}))
     with pytest.raises(ParseError):
         load_generator_config(short)
+
+
+def test_unknown_clamping_policy_rejected(tmp_path):
+    from situsearch.datagen import load_generator_config, save_generator_config
+
+    path = tmp_path / "config.json"
+    save_generator_config(default_generator_config(), path)
+    doc = json.loads(path.read_text())
+    assert doc["clamping"] == "translate"
+    doc["clamping"] = "shrink"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(InvalidInputError, match="'shrink'"):
+        load_generator_config(path)
 
 
 def test_config_validates_dim_labels():

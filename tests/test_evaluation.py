@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import xml.etree.ElementTree as ET
@@ -30,12 +31,12 @@ from situsearch.search import MethodConfig, RunResult
 
 
 def result(order: list[tuple[str, int]], total: int, completed: bool) -> RunResult:
-    return RunResult(
-        detections={c: t for c, t in order},
-        total_iterations=total,
-        completed=completed,
-        detection_order=order,
-    )
+    detections: dict[str, int | None] = dict(order)
+    if not completed:
+        detections["missing"] = None
+    run = RunResult(detections, total_iterations=total)
+    assert run.completed == completed and run.detection_order == order
+    return run
 
 
 # ---------------------------------------------------------------------------
@@ -342,6 +343,20 @@ def test_emitted_files_are_byte_identical_across_runs(
     emit_report(again, dir_b)
     for name in ("report.json", "summary.csv"):
         assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes()
+
+
+# Captured before a run's completed flag and detection order were derived
+# from its detections; guards every byte of the report at unit-test speed.
+TINY_REPORT_SHA256 = {
+    "report.json": "90dd980cb606738a2632f99b1172e18bfc39a3010338a87df232ab0e6511db55",
+    "summary.csv": "c501d6c2d324993016d9b570b1b777acf9bcd37a9ee0e4c77806e732902fa9eb",
+}
+
+
+def test_tiny_report_matches_pinned_digests(tiny_report, tmp_path):
+    emit_report(tiny_report, tmp_path)
+    for name, expected in TINY_REPORT_SHA256.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == expected, name
 
 
 def test_summary_csv_shape(tiny_report):

@@ -627,13 +627,13 @@ def test_a_conditioned_joint_pickles_without_its_memo():
 
 
 def test_univariate_fit_and_validation():
-    n = fit_univariate([1.0, 3.0], label="x")
+    n = fit_univariate([1.0, 3.0])
     assert n.mean == pytest.approx(2.0)
     assert n.std == pytest.approx(1.0)
     with pytest.raises(InsufficientDataError):
         fit_univariate([1.0])
     with pytest.raises(InvalidInputError):
-        UnivariateNormal(mean=0.0, std=0.0, label="x")
+        UnivariateNormal(mean=0.0, std=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -597,9 +597,31 @@ def test_budget_cuts_off_search():
     assert not result.completed
 
 
+def test_one_draw_finalizing_two_objects_orders_them_by_category():
+    ann = SituationAnnotation(
+        image_id="shared",
+        width=1000,
+        height=1000,
+        boxes={
+            "leash": (0.0, 300.0, 120.0, 120.0),
+            "dog_walker": (0.0, 0.0, 200.0, 200.0),
+            "dog": (10.0, 10.0, 190.0, 190.0),
+        },
+    )
+    proposals = [(700.0, 700.0, 3.0, 3.0)] * 8 + [ann.boxes["dog_walker"], ann.boxes["leash"]]
+    result = evaluate_proposal_set(proposals, ann, rng=np.random.default_rng(4))
+    # Printed when the order was still appended draw by draw, category by category.
+    assert result.to_dict() == {
+        "completed": True,
+        "total_iterations": 6,
+        "detections": {"dog": 6, "dog_walker": 6, "leash": 5},
+        "detection_order": [["leash", 5], ["dog", 6], ["dog_walker", 6]],
+    }
+
+
 def test_empty_proposals_rejected():
     with pytest.raises(InvalidInputError):
-        evaluate_proposal_set([], far_corner_annotation())
+        evaluate_proposal_set([], far_corner_annotation(), rng=np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------
