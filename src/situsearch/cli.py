@@ -140,9 +140,7 @@ def cmd_learn(args: argparse.Namespace) -> int:
 def cmd_run(args: argparse.Namespace) -> int:
     model = load_model(args.model)
     annotation = load_annotation(args.image_annotation)
-    config = replace(evaluation.config_for_token(args.method), cell_size=args.cell_size)
-    if args.max_iter is not None:
-        config = replace(config, max_iterations=args.max_iter)
+    config = evaluation.config_for_token(args.method, args.max_iter, args.cell_size)
 
     salience = None
     if config.needs_salience:

@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DatasetError, GenerationError, InvalidInputError, ParseError
+from .errors import DatasetError, GenerationError, InvalidInputError, ParseError, read_json
 from .gaussian import MultivariateGaussian, gaussian_from_dict, gaussian_to_dict
 from .geometry import normalize_frame, to_original
 from .seeding import rng_for, stable_seed
@@ -88,7 +88,7 @@ def annotation_from_dict(doc: dict, source: str = "<memory>") -> SituationAnnota
         for i, obj in enumerate(doc["objects"]):
             category = obj["category"]
             if category in boxes:
-                raise DatasetError(f"{source}: duplicate category {category!r}")
+                raise DatasetError(f"duplicate category {category!r}")
             boxes[category] = (
                 float(obj["x"]),
                 float(obj["y"]),
@@ -104,6 +104,8 @@ def annotation_from_dict(doc: dict, source: str = "<memory>") -> SituationAnnota
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{source}: malformed annotation ({exc})") from exc
+    except DatasetError as exc:
+        raise DatasetError(f"{source}: {exc}") from exc
 
 
 def save_annotation(ann: SituationAnnotation, path: str | Path) -> None:
@@ -112,11 +114,7 @@ def save_annotation(ann: SituationAnnotation, path: str | Path) -> None:
 
 def load_annotation(path: str | Path) -> SituationAnnotation:
     path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}:{exc.lineno}: invalid JSON ({exc.msg})") from exc
-    ann = annotation_from_dict(doc, source=str(path))
+    ann = annotation_from_dict(read_json(path), source=str(path))
     if ann.image_path is not None and not Path(ann.image_path).is_absolute():
         ann = replace(ann, image_path=str(path.parent / ann.image_path))
     return ann
@@ -216,12 +214,7 @@ def save_generator_config(config: GeneratorConfig, path: str | Path) -> None:
 
 
 def load_generator_config(path: str | Path) -> GeneratorConfig:
-    path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}:{exc.lineno}: invalid JSON ({exc.msg})") from exc
-    return generator_config_from_dict(doc, source=str(path))
+    return generator_config_from_dict(read_json(path), source=str(path))
 
 
 def default_generator_config(width: int = 640, height: int = 480, seed: int = 0) -> GeneratorConfig:
@@ -277,9 +270,7 @@ def default_generator_config(width: int = 640, height: int = 480, seed: int = 0)
     return GeneratorConfig(width=width, height=height, location=location, box=box, seed=seed)
 
 
-def generate_synthetic(
-    config: GeneratorConfig, n: int, rng: np.random.Generator | None = None
-) -> list[SituationAnnotation]:
+def generate_synthetic(config: GeneratorConfig, n: int) -> list[SituationAnnotation]:
     """Draw n annotations from the generating Gaussians, clamped into frame.
 
     A draw is rejected when some box cannot fit in the frame at all (wider or
@@ -288,8 +279,7 @@ def generate_synthetic(
     """
     if n < 1:
         raise InvalidInputError(f"n must be >= 1, got {n}")
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(config.seed)
     frame = normalize_frame(config.width, config.height)
     cats = config.categories.categories
     half_w = frame.norm_width / 2

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the JSON file reader that raises them."""
+
+import json
+from pathlib import Path
 
 
 class SituSearchError(Exception):
@@ -27,3 +30,11 @@ class ParseError(SituSearchError):
 
 class GenerationError(SituSearchError):
     """The synthetic generator could not produce a valid sample."""
+
+
+def read_json(path: str | Path):
+    """A JSON file's document; invalid JSON is a ParseError naming the path and line."""
+    try:
+        return json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}:{exc.lineno}: invalid JSON ({exc.msg})") from exc

@@ -6,13 +6,14 @@ above every finite count, so a method that fails on most images reports
 "Failure" rather than a misleading finite number; even-sized samples take
 the lower-middle order statistic so the result is always an observed value.
 
-Per-run seeds derive from (master seed, method label, fold, image id)
+Per-run seeds derive from (master seed, method token, fold, image id)
 through a stable hash, so runs are independent work items: adding a method
 or reordering execution never perturbs any other run's random stream.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
@@ -82,13 +83,21 @@ def method_label(config: MethodConfig) -> str:
     return label
 
 
-def config_for_token(token: str) -> MethodConfig:
+def config_for_token(
+    token: str, max_iterations: int | None = None, cell_size: float | None = None
+) -> MethodConfig:
+    """The token's method, with the budget and grid overridden where given."""
     if token not in METHOD_TOKENS:
         raise InvalidInputError(
             f"unknown method token {token!r}; valid tokens: "
             + ", ".join(["all", *METHOD_TOKENS])
         )
-    return METHOD_TOKENS[token]
+    config = METHOD_TOKENS[token]
+    if max_iterations is not None:
+        config = replace(config, max_iterations=max_iterations)
+    if cell_size is not None:
+        config = replace(config, cell_size=cell_size)
+    return config
 
 
 def expand_method_spec(spec: str) -> list[str]:
@@ -176,13 +185,30 @@ class RunRecord(RunResult):
 
 @dataclass
 class MethodResult:
-    label: str
+    """One method's runs, pooled across folds; its statistics derive from them."""
+
     config: MethodConfig
     runs: list[RunRecord]
-    median: int | None
-    failure_count: int
-    interval_medians: tuple[int | None, int | None, int | None]
-    cumulative: list[int]
+
+    @property
+    def label(self) -> str:
+        return method_label(self.config)
+
+    @property
+    def median(self) -> int | None:
+        return median_iterations(r.total_iterations if r.completed else None for r in self.runs)
+
+    @property
+    def failure_count(self) -> int:
+        return sum(not r.completed for r in self.runs)
+
+    @property
+    def interval_medians(self) -> tuple[int | None, int | None, int | None]:
+        return detection_interval_stats(self.runs)
+
+    @property
+    def cumulative(self) -> list[int]:
+        return cumulative_curve(self.runs, self.config.max_iterations)
 
 
 @dataclass
@@ -197,31 +223,26 @@ class ExperimentReport:
 def salience_for_annotation(
     ann: SituationAnnotation, cell_size: float = 1.0
 ) -> SalienceMap:
-    """Salience from the annotation's image file, or its rendering when absent."""
+    """Salience from the annotation's image file, or its rendering when it names none."""
     frame = normalize_frame(ann.width, ann.height)
-    if ann.image_path and Path(ann.image_path).exists():
-        image = read_pnm(ann.image_path)
-    else:
-        image = render_annotation_image(ann)
+    image = read_pnm(ann.image_path) if ann.image_path else render_annotation_image(ann)
     return compute_salience(image, frame, cell_size)
 
 
-def _run_work_item(args) -> tuple[tuple[int, str], list[tuple[str, RunRecord]]]:
-    fold_idx, ann, model, labeled_configs, master_seed = args
+def _run_work_item(args) -> list[RunRecord]:
+    fold_idx, ann, model, configs, master_seed = args
+    where = {"image_id": ann.image_id, "fold": fold_idx, "width": ann.width, "height": ann.height}
     # Every method of one experiment shares one cell size, so one map serves them all.
     salience = None
-    out = []
-    for label, config in labeled_configs:
+    records = []
+    for token, config in configs.items():
         if config.needs_salience and salience is None:
             salience = salience_for_annotation(ann, config.cell_size)
         # The 0 is part of every run's seed key; the pinned reports depend on it.
-        rng = np.random.default_rng(stable_seed(master_seed, 0, label, fold_idx, ann.image_id))
+        rng = np.random.default_rng(stable_seed(master_seed, 0, token, fold_idx, ann.image_id))
         result = run_image(model, salience, config, ann, rng)
-        record = RunRecord(
-            **vars(result), image_id=ann.image_id, fold=fold_idx, width=ann.width, height=ann.height
-        )
-        out.append((label, record))
-    return (fold_idx, ann.image_id), out
+        records.append(RunRecord(**vars(result), **where))
+    return records
 
 
 def run_experiment(
@@ -239,70 +260,32 @@ def run_experiment(
     ``methods`` are method tokens. ``max_iterations`` and ``cell_size``,
     when given, override every method.
     """
-    labeled: list[tuple[str, MethodConfig]] = []
-    for token in methods:
-        config = config_for_token(token)
-        if max_iterations is not None:
-            config = replace(config, max_iterations=max_iterations)
-        if cell_size is not None:
-            config = replace(config, cell_size=cell_size)
-        label = method_label(config)
-        if any(label == seen for seen, _ in labeled):
-            raise InvalidInputError(f"duplicate method label {label!r}")
-        labeled.append((label, config))
-    if not labeled:
+    configs = {token: config_for_token(token, max_iterations, cell_size) for token in methods}
+    if len(configs) < len(methods):
+        raise InvalidInputError(f"duplicate method token in {list(methods)}")
+    if not configs:
         raise InvalidInputError("no methods given")
 
-    folds = split_folds(dataset, k=k, seed=master_seed)
     work = []
-    categories: list[str] | None = None
-    for fold_idx, (train_idx, test_idx) in enumerate(folds):
+    for fold_idx, (train_idx, test_idx) in enumerate(split_folds(dataset, k=k, seed=master_seed)):
         model = learn([dataset[i] for i in train_idx])
-        categories = list(model.categories)
-        for i in test_idx:
-            work.append((fold_idx, dataset[i], model, labeled, master_seed))
+        work += [(fold_idx, dataset[i], model, configs, master_seed) for i in test_idx]
 
-    collected: dict[tuple[int, str], list[tuple[str, RunRecord]]] = {}
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for key, records in pool.map(_run_work_item, work, chunksize=4):
-                collected[key] = records
-                if progress is not None:
-                    progress(len(collected), len(work))
-    else:
-        for item in work:
-            key, records = _run_work_item(item)
-            collected[key] = records
+    # Results come back in work order, folds then test images, as they are pooled.
+    runs: dict[str, list[RunRecord]] = {token: [] for token in configs}
+    with ProcessPoolExecutor(jobs) if jobs > 1 else contextlib.nullcontext() as pool:
+        results = pool.map(_run_work_item, work, chunksize=4) if pool else map(_run_work_item, work)
+        for done, records in enumerate(results, start=1):
+            for token, record in zip(configs, records):
+                runs[token].append(record)
             if progress is not None:
-                progress(len(collected), len(work))
-
-    per_method: dict[str, list[RunRecord]] = {label: [] for label, _ in labeled}
-    for fold_idx, (_, test_idx) in enumerate(folds):
-        for i in test_idx:
-            for label, record in collected[(fold_idx, dataset[i].image_id)]:
-                per_method[label].append(record)
-
-    method_results = []
-    for label, config in labeled:
-        runs = per_method[label]
-        values = [r.total_iterations if r.completed else None for r in runs]
-        method_results.append(
-            MethodResult(
-                label=label,
-                config=config,
-                runs=runs,
-                median=median_iterations(values),
-                failure_count=sum(1 for r in runs if not r.completed),
-                interval_medians=detection_interval_stats(runs),
-                cumulative=cumulative_curve(runs, config.max_iterations),
-            )
-        )
+                progress(done, len(work))
     return ExperimentReport(
         master_seed=master_seed,
         folds=k,
         num_images=len(dataset),
-        categories=categories or [],
-        methods=method_results,
+        categories=list(model.categories),
+        methods=[MethodResult(config, runs[token]) for token, config in configs.items()],
     )
 
 
@@ -379,48 +362,29 @@ def emit_report(report: ExperimentReport, directory: str | Path) -> list[Path]:
     """Write report.json, summary.csv, and the SVG plots; returns the paths."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    written = []
-
-    path = directory / "report.json"
-    path.write_text(json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n")
-    written.append(path)
-
-    path = directory / "summary.csv"
-    path.write_text(summary_csv_text(report))
-    written.append(path)
-
-    path = directory / "medians_bar.svg"
-    path.write_text(
-        bar_chart_svg(
+    texts = {
+        "report.json": json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n",
+        "summary.csv": summary_csv_text(report),
+        "medians_bar.svg": bar_chart_svg(
             [(m.label, m.median) for m in report.methods],
             title="Median proposals to a completed situation detection",
             value_label="median iterations per image",
-        )
-    )
-    written.append(path)
-
-    max_iter = max((m.config.max_iterations for m in report.methods), default=1)
-    path = directory / "cumulative_curves.svg"
-    path.write_text(
-        line_chart_svg(
+        ),
+        "cumulative_curves.svg": line_chart_svg(
             [(m.label, m.cumulative) for m in report.methods],
             title="Completed situation detections within n iterations",
             x_label="iterations (n)",
             y_label="completed test images",
             y_max=max((len(m.runs) for m in report.methods), default=1),
-        )
-    )
-    written.append(path)
-
-    path = directory / "interval_bars.svg"
-    path.write_text(
-        grouped_bar_svg(
+        ),
+        "interval_bars.svg": grouped_bar_svg(
             [(m.label, list(m.interval_medians)) for m in report.methods],
             bar_names=["t01", "t12", "t23"],
             title="Median iterations between successive detections",
             value_label="median iterations",
-            failure_height=max_iter,
-        )
-    )
-    written.append(path)
-    return written
+            failure_height=max((m.config.max_iterations for m in report.methods), default=1),
+        ),
+    }
+    for name, text in texts.items():
+        (directory / name).write_text(text)
+    return [directory / name for name in texts]

@@ -17,8 +17,8 @@ Conditioning draws no random numbers, so a category's conditioned map is
 built only when that category is next drawn from, or shown to an observer,
 on the Workspace as it stood at its last change; a map replaced by a later
 change before any draw is never built. Between changes the loop is a tight
-sample/score/file cycle. A category's superseded map is released before its
-successor is built, so the two never hold memory at once.
+sample/score/file cycle. A category's out-of-date map is released at the
+change that supersedes it, so it never holds memory beside its successor.
 """
 
 from __future__ import annotations
@@ -238,43 +238,41 @@ def run_image(
     frame = normalize_frame(annotation.width, annotation.height)
     gt = ground_truth(annotation, model.categories, frame)
 
-    if config.needs_salience:
-        if salience is None:
-            raise InvalidInputError(f"method {config} needs a salience map")
-        if salience.grid.shape != grid_shape(frame, config.cell_size):
-            raise InvalidInputError("salience grid does not match the rasterization grid")
-
-    if config.location_prior == LOCATION_SALIENCE:
-        prior_location: LocationMap = salience
+    if not config.needs_salience:
+        salience = None  # conditioned maps are folded with salience only under its prior
+        prior_location: LocationMap = uniform_map(frame, config.cell_size)
+    elif salience is None:
+        raise InvalidInputError(f"method {config} needs a salience map")
+    elif salience.grid.shape != grid_shape(frame, config.cell_size):
+        raise InvalidInputError("salience grid does not match the rasterization grid")
     else:
-        prior_location = uniform_map(frame, config.cell_size)
+        prior_location = salience
     if config.box_prior == BOX_LEARNED:
         prior_boxes = {c: prior_alpha_gamma(model, c) for c in model.categories}
     else:
         prior_boxes = {c: LogUniformBox() for c in model.categories}
-    dists = {
+    # A category's entry is None from the change that puts it out of date
+    # until it is next drawn from or shown.
+    dists: dict[str, CategorySearchDist | None] = {
         c: CategorySearchDist(category=c, location=prior_location, alpha_gamma=prior_boxes[c])
         for c in model.categories
     }
-    fold_salience = salience if config.location_prior == LOCATION_SALIENCE else None
     workspace = Workspace(model.categories)
-    # Categories whose distributions lag the Workspace, and the detections
-    # at its last change that they are to be conditioned on.
-    stale: set[str] = set()
-    detected: dict[str, BoundingBox] = {}
+    detected: dict[str, BoundingBox] = {}  # the detections at the Workspace's last change
+
+    def current(cat: str) -> CategorySearchDist:
+        if dists[cat] is None:
+            dists[cat] = conditioned_distribution(
+                model, cat, detected, frame, config.cell_size, salience
+            )
+        return dists[cat]
 
     iterations = 0
     remaining = workspace.remaining()  # refreshed at each Workspace change
     for t in range(1, config.max_iterations + 1):
         iterations = t
         category = remaining[int(rng.integers(len(remaining)))]
-        if category in stale:
-            stale.discard(category)
-            dists[category] = None  # release the superseded map before building its successor
-            dists[category] = conditioned_distribution(
-                model, category, detected, frame, config.cell_size, fold_salience
-            )
-        proposal = sample_proposal(dists[category], frame, rng)
+        proposal = sample_proposal(current(category), frame, rng)
         if scorer is None:
             score = score_proposal(gt, proposal)
         else:
@@ -290,17 +288,12 @@ def run_image(
         if config.situation_model != MODEL_NONE:
             detected = dict(workspace.detected_boxes())
             # The change is in this category's own slot, which never
-            # conditions its own maps: only the others go stale.
-            stale.update(cat for cat in remaining if cat != category)
-        if observer is not None:
+            # conditions its own maps: only the others go out of date.
             for cat in remaining:
-                if cat in stale:
+                if cat != category:
                     dists[cat] = None
-                    dists[cat] = conditioned_distribution(
-                        model, cat, detected, frame, config.cell_size, fold_salience
-                    )
-            stale.clear()
-            observer(t, workspace, dists)
+        if observer is not None:
+            observer(t, workspace, {c: current(c) if c in remaining else None for c in dists})
         if not remaining:
             break
 

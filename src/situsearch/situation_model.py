@@ -26,7 +26,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import DatasetError, InsufficientDataError, InvalidInputError
+from .errors import DatasetError, InsufficientDataError, InvalidInputError, read_json
 from .gaussian import (
     LocationMap,
     MultivariateGaussian,
@@ -371,4 +371,4 @@ def save_model(model: SituationModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> SituationModel:
-    return model_from_dict(json.loads(Path(path).read_text()))
+    return model_from_dict(read_json(path))

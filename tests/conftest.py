@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from situsearch.datagen import default_generator_config, generate_synthetic
@@ -10,4 +9,4 @@ from situsearch.datagen import default_generator_config, generate_synthetic
 def small_synthetic_dataset():
     """60 synthetic annotations shared across harness-level tests."""
     config = default_generator_config(seed=7)
-    return generate_synthetic(config, 60, rng=np.random.default_rng(7))
+    return generate_synthetic(config, 60)

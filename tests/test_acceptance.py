@@ -67,7 +67,7 @@ def report_line(criterion: int, message: str) -> None:
 @pytest.fixture(scope="module")
 def synthetic_500():
     config = default_generator_config(seed=0)
-    return generate_synthetic(config, 500, rng=np.random.default_rng(0))
+    return generate_synthetic(config, 500)
 
 
 @pytest.fixture(scope="module")
@@ -185,7 +185,7 @@ def test_criterion_2_iou_exact_on_integer_boxes():
 def test_criterion_3_model_recovery_from_generator():
     start = time.perf_counter()
     config = default_generator_config(seed=1)
-    annotations = generate_synthetic(config, 10_000, rng=np.random.default_rng(1))
+    annotations = generate_synthetic(config, 10_000)
     model = learn(annotations)
 
     cats = config.categories.categories

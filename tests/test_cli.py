@@ -263,6 +263,24 @@ def test_run_missing_model_exits_two(dataset_dir, tmp_path):
     assert main(["run", "--model", str(tmp_path / "no.json"), "--image-annotation", str(ann)]) == 2
 
 
+def test_run_malformed_model_exits_two(dataset_dir, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"format_version": 1,')
+    ann = annotation_files(dataset_dir)[0]
+    assert main(["run", "--model", str(bad), "--image-annotation", str(ann)]) == 2
+    assert f"error: {bad}:1: invalid JSON" in capsys.readouterr().err
+
+
+def test_run_missing_image_file_exits_two(dataset_dir, model_path, tmp_path, capsys):
+    # Only an annotation that names no image is rendered; a named one must exist.
+    doc = json.loads(annotation_files(dataset_dir)[0].read_text())
+    ann = tmp_path / "ann.json"
+    ann.write_text(json.dumps({**doc, "image": "nope.pgm"}))
+    args = ["run", "--model", str(model_path), "--image-annotation", str(ann)]
+    assert main([*args, "--method", "salience-learned-learned", "--cell-size", "8"]) == 2
+    assert str(tmp_path / "nope.pgm") in capsys.readouterr().err
+
+
 def test_run_model_missing_box_prior_exits_one(dataset_dir, model_path, tmp_path, capsys):
     # Rejected when the model loads, for every method, not mid-search.
     doc = json.loads(model_path.read_text())

@@ -92,6 +92,15 @@ def test_non_finite_box_is_rejected_at_load(tmp_path, field):
         load_dataset(tmp_path)
 
 
+def test_dataset_error_names_the_file(tmp_path):
+    doc = annotation_to_dict(make_annotation("scene_7"))
+    doc["objects"][0]["w"] = 0.0
+    path = tmp_path / "renamed.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DatasetError, match=r"renamed\.json: annotation 'scene_7'.*empty box"):
+        load_dataset(tmp_path)
+
+
 def test_duplicate_category_rejected():
     doc = {
         "image_id": "x",
@@ -136,7 +145,7 @@ def test_zero_variance_config_generates_identical_annotations():
             cov=np.zeros((6, 6)),
         ),
     )
-    annotations = generate_synthetic(config, 5, rng=np.random.default_rng(0))
+    annotations = generate_synthetic(config, 5)
     first = annotations[0]
     for ann in annotations[1:]:
         for cat in first.boxes:
@@ -144,8 +153,8 @@ def test_zero_variance_config_generates_identical_annotations():
 
 
 def test_generated_boxes_always_in_bounds():
-    config = default_generator_config()
-    annotations = generate_synthetic(config, 300, rng=np.random.default_rng(5))
+    config = default_generator_config(seed=5)
+    annotations = generate_synthetic(config, 300)
     for ann in annotations:
         for x, y, w, h in ann.boxes.values():
             assert x >= 0 and y >= 0
@@ -155,8 +164,8 @@ def test_generated_boxes_always_in_bounds():
 
 
 def test_fit_on_generated_data_recovers_generator():
-    config = default_generator_config()
-    annotations = generate_synthetic(config, 4000, rng=np.random.default_rng(9))
+    config = default_generator_config(seed=9)
+    annotations = generate_synthetic(config, 4000)
     model = learn(annotations)
     true_mean = config.location.mean
     got_mean = model.loc_triple.mean
@@ -179,7 +188,7 @@ def test_degenerate_clamping_raises_generation_error():
         box=MultivariateGaussian(dims=base.box.dims, mean=huge, cov=np.zeros((6, 6))),
     )
     with pytest.raises(GenerationError):
-        generate_synthetic(config, 1, rng=np.random.default_rng(0))
+        generate_synthetic(config, 1)
 
 
 def test_generate_rejects_bad_n():

@@ -279,6 +279,21 @@ def test_experiment_parallel_matches_serial(small_synthetic_dataset, tiny_report
     assert report_to_dict(parallel) == report_to_dict(tiny_report)
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_progress_counts_every_test_image_in_order(small_synthetic_dataset, jobs):
+    calls = []
+    run_experiment(
+        small_synthetic_dataset[:12],
+        ["uniform-uniform-none"],
+        k=3,
+        jobs=jobs,
+        max_iterations=5,
+        cell_size=8.0,
+        progress=lambda done, total: calls.append((done, total)),
+    )
+    assert calls == [(done, 12) for done in range(1, 13)]
+
+
 def test_single_iteration_budget_all_fail(small_synthetic_dataset):
     report = run_experiment(
         small_synthetic_dataset[:20],
@@ -346,10 +361,14 @@ def test_emitted_files_are_byte_identical_across_runs(
 
 
 # Captured before a run's completed flag and detection order were derived
-# from its detections; guards every byte of the report at unit-test speed.
+# from its detections (the SVGs', before a method's statistics were derived
+# from its runs); guards every byte of the report at unit-test speed.
 TINY_REPORT_SHA256 = {
     "report.json": "90dd980cb606738a2632f99b1172e18bfc39a3010338a87df232ab0e6511db55",
     "summary.csv": "c501d6c2d324993016d9b570b1b777acf9bcd37a9ee0e4c77806e732902fa9eb",
+    "medians_bar.svg": "721ba6888bb5a1c5451920fbb66ba4f724b34ba1b60289f2c2d0dd62c3261595",
+    "cumulative_curves.svg": "78a9ad592c77793f32f4a01381945d8939bca6d905d7e1cd2aa4a73b0cabb0ed",
+    "interval_bars.svg": "a5fcdeeb91c994ab5c6756f5dc30e5130f359c7adeed364ee32646244c595520",
 }
 
 

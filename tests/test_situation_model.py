@@ -44,7 +44,7 @@ CATS = ("dog_walker", "dog", "leash")
 @pytest.fixture(scope="module")
 def synthetic_model():
     config = default_generator_config(seed=3)
-    annotations = generate_synthetic(config, 400, rng=np.random.default_rng(3))
+    annotations = generate_synthetic(config, 400)
     return learn(annotations)
 
 
