@@ -60,7 +60,7 @@ from .geometry import (
     to_normalized,
     to_original,
 )
-from .salience import SalienceMap, combine, compute_salience, save_salience
+from .salience import combine, compute_salience, save_salience
 from .search import (
     MethodConfig,
     ObjectProposal,

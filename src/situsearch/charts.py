@@ -24,6 +24,8 @@ PALETTE = [
 ]
 
 _FAIL_FILL = "#b8b8b8"
+TICK_COUNT = 5  # roughly this many tick steps span a value axis
+HEAT_COLUMNS = 48  # a snapshot's location panel is at most this many cells wide
 
 
 def _svg_open(width: int, height: int) -> list[str]:
@@ -34,10 +36,10 @@ def _svg_open(width: int, height: int) -> list[str]:
     ]
 
 
-def _axis_ticks(max_value: float, count: int = 5) -> list[float]:
+def _axis_ticks(max_value: float) -> list[float]:
     if max_value <= 0:
         return [0.0]
-    step = max_value / count
+    step = max_value / TICK_COUNT
     magnitude = 10 ** math.floor(math.log10(step))
     for mult in (1, 2, 5, 10):
         if magnitude * mult >= step:
@@ -189,18 +191,19 @@ def grouped_bar_svg(
     bar_names: list[str],
     title: str,
     value_label: str,
-    failure_height: int | None = None,
+    failure_height: int,
 ) -> str:
-    """Vertical grouped bars; None entries render as hatched Failure columns."""
+    """Vertical grouped bars; None entries render as hatched Failure columns.
+
+    The value axis reaches at least ``failure_height``, the iteration budget.
+    """
     left, right, top, bottom = 70, 30, 50, 110
     chart_w = max(90 * len(groups), 300)
     chart_h = 320
     width = left + chart_w + right
     height = top + chart_h + bottom
     finite = [v for _, values in groups for v in values if v is not None]
-    vmax = max(finite) * 1.15 if finite else 1.0
-    if failure_height is not None:
-        vmax = max(vmax, failure_height * 1.05)
+    vmax = max(max(finite) * 1.15 if finite else 1.0, failure_height * 1.05)
 
     svg = _svg_open(width, height)
     svg.append(
@@ -261,9 +264,9 @@ def grouped_bar_svg(
     return "\n".join(svg)
 
 
-def _heat_cells(grid: np.ndarray, max_cols: int = 48) -> np.ndarray:
-    """Block-sum a probability grid down to at most max_cols columns."""
-    factor = max(1, int(math.ceil(grid.shape[1] / max_cols)))
+def _heat_cells(grid: np.ndarray) -> np.ndarray:
+    """Block-sum a probability grid down to at most HEAT_COLUMNS columns."""
+    factor = max(1, int(math.ceil(grid.shape[1] / HEAT_COLUMNS)))
     rows = int(math.ceil(grid.shape[0] / factor))
     cols = int(math.ceil(grid.shape[1] / factor))
     padded = np.zeros((rows * factor, cols * factor))

@@ -98,7 +98,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="generate a synthetic annotated dataset")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--n", type=int, required=True, help="number of images")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument(
+        "--seed", type=int, default=None, help="generator seed (default: the config's, else 0)"
+    )
     p.add_argument("--width", type=int, default=640)
     p.add_argument("--height", type=int, default=480)
     p.add_argument(
@@ -232,9 +234,12 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 def cmd_gen(args: argparse.Namespace) -> int:
     if args.config:
-        config = replace(load_generator_config(args.config), seed=args.seed)
+        config = load_generator_config(args.config)
+        if args.seed is not None:
+            config = replace(config, seed=args.seed)
     else:
-        config = default_generator_config(width=args.width, height=args.height, seed=args.seed)
+        seed = 0 if args.seed is None else args.seed
+        config = default_generator_config(width=args.width, height=args.height, seed=seed)
     annotations = generate_synthetic(config, args.n)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

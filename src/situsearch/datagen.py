@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -26,13 +26,7 @@ from .errors import DatasetError, GenerationError, InvalidInputError, ParseError
 from .gaussian import MultivariateGaussian, gaussian_from_dict, gaussian_to_dict
 from .geometry import normalize_frame, to_original
 from .seeding import rng_for, stable_seed
-from .situation_model import (
-    DEFAULT_CATEGORIES,
-    CategorySet,
-    box_dims,
-    box_from_descriptor,
-    loc_dims,
-)
+from .situation_model import DEFAULT_CATEGORIES, box_dims, box_from_descriptor, loc_dims
 
 
 @dataclass(frozen=True)
@@ -148,19 +142,19 @@ class GeneratorConfig:
     """Frame size plus the generating location and box-descriptor Gaussians.
 
     ``location`` is 6-d over normalized-frame centers (x, y per category in
-    category order); ``box`` is 6-d over (ln area-ratio, ln aspect-ratio) per
-    category. Boxes that cross the frame edge are translated inward.
+    the shipped situation's category order); ``box`` is 6-d over (ln
+    area-ratio, ln aspect-ratio) per category. Boxes that cross the frame
+    edge are translated inward.
     """
 
     width: int
     height: int
     location: MultivariateGaussian
     box: MultivariateGaussian
-    categories: CategorySet = field(default_factory=CategorySet)
     seed: int = 0
 
     def __post_init__(self) -> None:
-        cats = self.categories.categories
+        cats = DEFAULT_CATEGORIES
         if self.location.dims != loc_dims(cats):
             raise InvalidInputError(
                 f"location dims {self.location.dims} do not match categories {cats}"
@@ -181,7 +175,7 @@ def generator_config_to_dict(config: GeneratorConfig) -> dict:
     return {
         "width": config.width,
         "height": config.height,
-        "categories": list(config.categories.categories),
+        "categories": list(DEFAULT_CATEGORIES),
         "location": gaussian_to_dict(config.location),
         "box": gaussian_to_dict(config.box),
         "clamping": "translate",
@@ -190,17 +184,23 @@ def generator_config_to_dict(config: GeneratorConfig) -> dict:
 
 
 def generator_config_from_dict(doc: dict, source: str = "<memory>") -> GeneratorConfig:
+    """A config from its JSON document, whose categories, if given, are the shipped ones."""
     try:
+        categories = list(doc.get("categories", DEFAULT_CATEGORIES))
+        if categories != list(DEFAULT_CATEGORIES):
+            raise InvalidInputError(
+                f"{source}: generator categories {categories} are not the situation's "
+                f"{list(DEFAULT_CATEGORIES)}"
+            )
         config = GeneratorConfig(
             width=int(doc["width"]),
             height=int(doc["height"]),
             location=gaussian_from_dict(doc["location"]),
             box=gaussian_from_dict(doc["box"]),
-            categories=CategorySet(tuple(doc.get("categories", DEFAULT_CATEGORIES))),
             seed=int(doc.get("seed", 0)),
         )
         clamping = doc.get("clamping", "translate")
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{source}: malformed generator config ({exc})") from exc
     if clamping != "translate":
         raise InvalidInputError(f"unknown clamping policy {clamping!r}")
@@ -225,7 +225,6 @@ def default_generator_config(width: int = 640, height: int = 480, seed: int = 0)
     with small positional noise but high shape variance. Sizes are correlated
     so that conditioning on one detection genuinely pins down the others.
     """
-    cats = CategorySet(DEFAULT_CATEGORIES)
     # Structural equations on iid standard normals u1..u6 (normalized pixels):
     #   walker = (-40, 22) + (82 u1, 42 u2)
     #   dog    = (0.9 wx + 78 + 30 u3, 0.8 wy + 62 + 24 u4)
@@ -233,7 +232,7 @@ def default_generator_config(width: int = 640, height: int = 480, seed: int = 0)
     # Spreads stay shy of the frame edge so center clamping is rare and the
     # generating parameters remain unbiased oracles for recovery tests.
     location = _structural_gaussian(
-        loc_dims(cats.categories),
+        loc_dims(DEFAULT_CATEGORIES),
         means=[-40.0, 22.0, 0.9 * -40.0 + 78.0, 0.8 * 22.0 + 62.0, 1.0, 50.8],
         rows=[
             [82.0, 0.0, 0.0, 0.0, 0.0, 0.0],
@@ -249,7 +248,7 @@ def default_generator_config(width: int = 640, height: int = 480, seed: int = 0)
     # Dogs and leashes are small and variable enough that prior-only search
     # stalls on them, while conditioning on one detection pins them down.
     box = _structural_gaussian(
-        box_dims(cats.categories),
+        box_dims(DEFAULT_CATEGORIES),
         means=[
             math.log(0.06),
             math.log(0.42),
@@ -281,7 +280,6 @@ def generate_synthetic(config: GeneratorConfig, n: int) -> list[SituationAnnotat
         raise InvalidInputError(f"n must be >= 1, got {n}")
     rng = np.random.default_rng(config.seed)
     frame = normalize_frame(config.width, config.height)
-    cats = config.categories.categories
     half_w = frame.norm_width / 2
     half_h = frame.norm_height / 2
 
@@ -296,7 +294,7 @@ def generate_synthetic(config: GeneratorConfig, n: int) -> list[SituationAnnotat
         descs = config.box.sample(rng)
         boxes: dict[str, tuple[float, float, float, float]] = {}
         ok = True
-        for k, cat in enumerate(cats):
+        for k, cat in enumerate(DEFAULT_CATEGORIES):
             box = box_from_descriptor(
                 locs[2 * k], locs[2 * k + 1], descs[2 * k], descs[2 * k + 1], frame
             )
@@ -325,7 +323,10 @@ def generate_synthetic(config: GeneratorConfig, n: int) -> list[SituationAnnotat
     return annotations
 
 
-def render_annotation_image(ann: SituationAnnotation, clutter: int = 14) -> np.ndarray:
+CLUTTER_RECTANGLES = 14
+
+
+def render_annotation_image(ann: SituationAnnotation) -> np.ndarray:
     """Deterministic luminance rendering of an annotation's scene.
 
     Objects appear as bright rectangles over a dark noisy background with a
@@ -335,7 +336,7 @@ def render_annotation_image(ann: SituationAnnotation, clutter: int = 14) -> np.n
     """
     rng = rng_for("render", ann.image_id)
     img = 0.25 + 0.03 * rng.standard_normal((ann.height, ann.width))
-    for _ in range(clutter):
+    for _ in range(CLUTTER_RECTANGLES):
         w = int(ann.width * rng.uniform(0.08, 0.30))
         h = int(ann.height * rng.uniform(0.08, 0.30))
         x = rng.integers(0, max(1, ann.width - w))

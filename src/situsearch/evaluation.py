@@ -28,9 +28,10 @@ import numpy as np
 from .charts import bar_chart_svg, grouped_bar_svg, line_chart_svg, workspace_snapshot_svg
 from .datagen import SituationAnnotation, render_annotation_image, split_folds
 from .errors import InvalidInputError
+from .gaussian import LocationMap
 from .geometry import normalize_frame
 from .images import read_pnm
-from .salience import SalienceMap, compute_salience
+from .salience import compute_salience
 from .search import (
     BOX_LEARNED,
     BOX_UNIFORM,
@@ -49,38 +50,26 @@ from .situation_model import learn
 
 REPORT_FORMAT_VERSION = 1
 
-# Canonical method tokens, ordered as reported.
-METHOD_TOKENS: dict[str, MethodConfig] = {
-    "uniform-uniform-none": MethodConfig(
-        location_prior=LOCATION_UNIFORM, box_prior=BOX_UNIFORM, situation_model=MODEL_NONE
-    ),
-    "uniform-learned-none": MethodConfig(
-        location_prior=LOCATION_UNIFORM, box_prior=BOX_LEARNED, situation_model=MODEL_NONE
-    ),
-    "salience-uniform-none": MethodConfig(
-        location_prior=LOCATION_SALIENCE, box_prior=BOX_UNIFORM, situation_model=MODEL_NONE
-    ),
-    "uniform-learned-learned": MethodConfig(
-        location_prior=LOCATION_UNIFORM, box_prior=BOX_LEARNED, situation_model=MODEL_LEARNED
-    ),
-    "salience-learned-learned": MethodConfig(
-        location_prior=LOCATION_SALIENCE, box_prior=BOX_LEARNED, situation_model=MODEL_LEARNED
-    ),
-    "salience-learned-learned-noprov": MethodConfig(
-        location_prior=LOCATION_SALIENCE,
-        box_prior=BOX_LEARNED,
-        situation_model=MODEL_LEARNED,
-        provisional_enabled=False,
-    ),
-}
-
-
 def method_label(config: MethodConfig) -> str:
     """Render a config as its Fig-style token."""
     label = f"{config.location_prior}-{config.box_prior}-{config.situation_model}"
     if not config.provisional_enabled:
         label += "-noprov"
     return label
+
+
+# Canonical method tokens, ordered as reported; each token is its config's label.
+METHOD_TOKENS: dict[str, MethodConfig] = {
+    method_label(config): config
+    for config in (
+        MethodConfig(LOCATION_UNIFORM, BOX_UNIFORM, MODEL_NONE),
+        MethodConfig(LOCATION_UNIFORM, BOX_LEARNED, MODEL_NONE),
+        MethodConfig(LOCATION_SALIENCE, BOX_UNIFORM, MODEL_NONE),
+        MethodConfig(LOCATION_UNIFORM, BOX_LEARNED, MODEL_LEARNED),
+        MethodConfig(LOCATION_SALIENCE, BOX_LEARNED, MODEL_LEARNED),
+        MethodConfig(LOCATION_SALIENCE, BOX_LEARNED, MODEL_LEARNED, provisional_enabled=False),
+    )
+}
 
 
 def config_for_token(
@@ -220,13 +209,20 @@ class ExperimentReport:
     methods: list[MethodResult]
 
 
-def salience_for_annotation(
-    ann: SituationAnnotation, cell_size: float = 1.0
-) -> SalienceMap:
-    """Salience from the annotation's image file, or its rendering when it names none."""
+def salience_for_annotation(ann: SituationAnnotation, cell_size: float = 1.0) -> LocationMap:
+    """Salience from the annotation's image file, or its rendering when it names none.
+
+    An image file that salience rejects (such as one whose size differs from
+    the annotation's) is named in the error, along with the annotation.
+    """
     frame = normalize_frame(ann.width, ann.height)
-    image = read_pnm(ann.image_path) if ann.image_path else render_annotation_image(ann)
-    return compute_salience(image, frame, cell_size)
+    if not ann.image_path:
+        return compute_salience(render_annotation_image(ann), frame, cell_size)
+    image = read_pnm(ann.image_path)
+    try:
+        return compute_salience(image, frame, cell_size)
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"{ann.image_path}: annotation {ann.image_id!r}: {exc}") from exc
 
 
 def _run_work_item(args) -> list[RunRecord]:

@@ -15,7 +15,6 @@ be qualitatively right: it nudges search toward foreground-object regions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -34,15 +33,8 @@ WORKING_CELL = 4.0  # scaled pixels per cell while computing channels
 SALIENCE_MAGIC = "SALIENCE v1"
 
 
-@dataclass(eq=False)
-class SalienceMap(LocationMap):
-    """A LocationMap whose mass came from image salience rather than a model."""
-
-
 def smooth_grid(grid: np.ndarray, sigma: float) -> np.ndarray:
     """Gaussian smoothing with reflected boundaries (mass-preserving)."""
-    if sigma <= 0:
-        return np.array(grid, dtype=float)
     return ndimage.gaussian_filter(np.asarray(grid, dtype=float), sigma=sigma, mode="reflect")
 
 
@@ -69,7 +61,7 @@ def _normalized(channel: np.ndarray) -> np.ndarray:
 
 def compute_salience(
     image: np.ndarray, frame: ImageFrame, cell_size: float = 1.0
-) -> SalienceMap:
+) -> LocationMap:
     """Salience distribution over the rasterization grid of a frame.
 
     ``image`` is a 2-D luminance array or an (H, W, 3) RGB array in [0, 1]
@@ -126,31 +118,27 @@ def compute_salience(
     total = _resize(total, final_shape)
     total = np.maximum(total, 0.0)
     total += default_epsilon(total.size) * max(float(total.sum()), 1.0)
-    return SalienceMap._adopt(frame, cell_size, _normalize(total))
+    return LocationMap._adopt(frame, cell_size, _normalize(total))
 
 
-def save_salience(salience: SalienceMap, path: str | Path) -> None:
+def save_salience(salience: LocationMap, path: str | Path) -> None:
     rows, cols = salience.grid.shape
     lines = [SALIENCE_MAGIC, f"{rows} {cols}"]
     lines += [" ".join(f"{v:.17g}" for v in row) for row in salience.grid]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def combine(location: LocationMap, salience: SalienceMap, epsilon: float | None = None) -> LocationMap:
+def combine(location: LocationMap, salience: LocationMap) -> LocationMap:
     """Pointwise product of two maps plus a floor, renormalized.
 
-    The floor keeps every cell reachable even where the supports are
-    disjoint; by default it is 1e-6 spread across the grid. The search folds
-    salience into each conditioned map as it rasterizes it (``rasterize_2d``
-    with ``weights``), with this same arithmetic.
+    The floor, 1e-6 spread across the grid, keeps every cell reachable even
+    where the supports are disjoint. The search folds salience into each
+    conditioned map as it rasterizes it (``rasterize_2d`` with ``weights``),
+    with this same arithmetic.
     """
     if location.grid.shape != salience.grid.shape:
         raise InvalidInputError(
             f"grid shapes differ: {location.grid.shape} vs {salience.grid.shape}"
         )
-    if epsilon is None:
-        epsilon = default_epsilon(location.grid.size)
-    if epsilon <= 0:
-        raise InvalidInputError(f"epsilon must be positive, got {epsilon}")
-    product = fold(np.array(location.grid), salience.grid, epsilon)
+    product = fold(np.array(location.grid), salience.grid, default_epsilon(location.grid.size))
     return LocationMap._adopt(location.frame, location.cell_size, _normalize(product))

@@ -31,10 +31,7 @@ import numpy as np
 from .errors import InvalidInputError
 from .gaussian import LocationMap, grid_shape, uniform_map
 from .geometry import BoundingBox, ImageFrame, crop_to_frame, iou, normalize_frame, to_normalized
-from .salience import (
-    SalienceMap,
-    combine,  # unused here; the benchmark tracer patches this module attribute
-)
+from .salience import combine  # unused here; the benchmark tracer patches this module attribute
 from .situation_model import (
     CategorySearchDist,
     LogUniformBox,
@@ -219,7 +216,7 @@ def ground_truth(
 
 def run_image(
     model: SituationModel,
-    salience: SalienceMap | None,
+    salience: LocationMap | None,
     config: MethodConfig,
     annotation,
     rng: np.random.Generator,

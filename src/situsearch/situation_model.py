@@ -95,15 +95,11 @@ class BoxPrior:
 
 @dataclass(frozen=True)
 class LogUniformBox:
-    """Uniform draws of (ln area-ratio, ln aspect-ratio) over fixed ranges."""
-
-    log_area: tuple[float, float] = LOG_AREA_RANGE
-    log_aspect: tuple[float, float] = LOG_ASPECT_RANGE
+    """Uniform draws of (ln area-ratio, ln aspect-ratio) over the fixed ranges."""
 
     def sample(self, rng: np.random.Generator) -> tuple[float, float]:
-        a = self.log_area[0] + (self.log_area[1] - self.log_area[0]) * rng.random()
-        g = self.log_aspect[0] + (self.log_aspect[1] - self.log_aspect[0]) * rng.random()
-        return a, g
+        (a0, a1), (g0, g1) = LOG_AREA_RANGE, LOG_ASPECT_RANGE
+        return a0 + (a1 - a0) * rng.random(), g0 + (g1 - g0) * rng.random()
 
 
 @dataclass(eq=False)
@@ -174,14 +170,14 @@ def box_from_descriptor(
     return BoundingBox(cx, cy, w, h)
 
 
-def learn(training: Sequence, categories: Sequence[str] | None = None) -> SituationModel:
+def learn(training: Sequence) -> SituationModel:
     """Fit box priors and all location and size/shape joints from annotations.
 
     Each training item must expose image_id, width, height and a ``boxes``
     mapping of category -> (x, y, w, h) corner box in original pixels, with
-    exactly one box per category.
+    exactly one box per shipped category.
     """
-    category_set = CategorySet(tuple(categories) if categories else DEFAULT_CATEGORIES)
+    category_set = CategorySet(DEFAULT_CATEGORIES)
     cats = category_set.categories
     if len(training) < 8:
         raise InsufficientDataError(

@@ -39,7 +39,7 @@ from situsearch.search import (
     Workspace,
     run_image,
 )
-from situsearch.situation_model import learn
+from situsearch.situation_model import DEFAULT_CATEGORIES, learn
 from test_gaussian import marginal
 
 BENCH_METHODS = [
@@ -188,7 +188,7 @@ def test_criterion_3_model_recovery_from_generator():
     annotations = generate_synthetic(config, 10_000)
     model = learn(annotations)
 
-    cats = config.categories.categories
+    cats = DEFAULT_CATEGORIES
     pair_cols = {
         (cats[0], cats[1]): [0, 1, 2, 3],
         (cats[0], cats[2]): [0, 1, 4, 5],

@@ -9,7 +9,8 @@ import pytest
 
 from situsearch import charts
 from situsearch.cli import main
-from situsearch.datagen import save_annotation
+from situsearch.datagen import load_generator_config, save_annotation
+from situsearch.errors import InvalidInputError
 from situsearch.images import write_pgm
 from situsearch.search import Workspace, ObjectProposal
 from situsearch.geometry import BoundingBox
@@ -62,25 +63,31 @@ def test_gen_with_images_writes_pgms(tmp_path):
     assert doc["image"].endswith(".pgm")
 
 
-def test_gen_accepts_config_file(dataset_dir, tmp_path):
+@pytest.mark.parametrize("seed_args", [["--seed", "4"], []], ids=["seed", "config-seed"])
+def test_gen_accepts_config_file(dataset_dir, tmp_path, seed_args):
+    # Without --seed, the config's own seed (4, from the fixture) is replayed.
     out = tmp_path / "replay"
-    code = main(
-        [
-            "gen",
-            "--out",
-            str(out),
-            "--n",
-            "4",
-            "--seed",
-            "4",
-            "--config",
-            str(dataset_dir / "generator_config.json"),
-        ]
-    )
+    config = dataset_dir / "generator_config.json"
+    code = main(["gen", "--out", str(out), "--n", "4", *seed_args, "--config", str(config)])
     assert code == 0
+    assert (out / "generator_config.json").read_bytes() == config.read_bytes()
     originals = {p.name: p.read_bytes() for p in sorted(dataset_dir.glob("synthetic_0000*.json"))}
     for name in ("synthetic_00000.json", "synthetic_00003.json"):
         assert (out / name).read_bytes() == originals[name]
+
+
+def test_generator_config_rejects_other_categories(dataset_dir, tmp_path, capsys):
+    # The generator draws the shipped situation, the only one `learn` fits.
+    doc = json.loads((dataset_dir / "generator_config.json").read_text())
+    doc["categories"] = ["walker", "dog", "leash"]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    with pytest.raises(InvalidInputError, match=r"\['walker', 'dog', 'leash'\]"):
+        load_generator_config(config)
+    out = tmp_path / "gen"
+    assert main(["gen", "--out", str(out), "--n", "2", "--config", str(config)]) == 1
+    assert "['walker', 'dog', 'leash']" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_learn_then_reload_bit_identical(dataset_dir, model_path, tmp_path):
@@ -279,6 +286,36 @@ def test_run_missing_image_file_exits_two(dataset_dir, model_path, tmp_path, cap
     args = ["run", "--model", str(model_path), "--image-annotation", str(ann)]
     assert main([*args, "--method", "salience-learned-learned", "--cell-size", "8"]) == 2
     assert str(tmp_path / "nope.pgm") in capsys.readouterr().err
+
+
+def _small_image_annotation(doc, directory):
+    """An annotation naming a 100x100 image while its own size is 640x480."""
+    write_pgm(directory / "small.pgm", np.full((100, 100), 0.5))
+    path = directory / f"{doc['image_id']}.json"
+    path.write_text(json.dumps({**doc, "image": "small.pgm"}))
+    return path
+
+
+def test_run_image_size_mismatch_names_the_file(dataset_dir, model_path, tmp_path, capsys):
+    doc = json.loads(annotation_files(dataset_dir)[0].read_text())
+    ann = _small_image_annotation(doc, tmp_path)
+    args = ["run", "--model", str(model_path), "--image-annotation", str(ann)]
+    assert main([*args, "--method", "salience-learned-learned", "--cell-size", "8"]) == 1
+    err = capsys.readouterr().err
+    assert f"{tmp_path / 'small.pgm'}: annotation {doc['image_id']!r}: image shape" in err
+
+
+def test_bench_image_size_mismatch_names_the_file(dataset_dir, tmp_path, capsys):
+    data = tmp_path / "data"
+    data.mkdir()
+    for path in annotation_files(dataset_dir):
+        (data / path.name).write_bytes(path.read_bytes())
+    doc = json.loads(annotation_files(dataset_dir)[5].read_text())
+    _small_image_annotation(doc, data)
+    args = ["bench", "--data", str(data), "--methods", "salience-uniform-none", "--folds", "2"]
+    assert main([*args, "--max-iter", "5", "--cell-size", "8", "--out", str(tmp_path / "r")]) == 1
+    err = capsys.readouterr().err
+    assert f"{data / 'small.pgm'}: annotation {doc['image_id']!r}: image shape" in err
 
 
 def test_run_model_missing_box_prior_exits_one(dataset_dir, model_path, tmp_path, capsys):

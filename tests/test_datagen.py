@@ -21,7 +21,7 @@ from situsearch.datagen import (
 )
 from situsearch.errors import DatasetError, GenerationError, InvalidInputError, ParseError
 from situsearch.gaussian import MultivariateGaussian
-from situsearch.situation_model import box_dims, learn, loc_dims
+from situsearch.situation_model import DEFAULT_CATEGORIES, box_dims, learn, loc_dims
 
 
 def make_annotation(image_id="img0", width=640, height=480):
@@ -135,12 +135,12 @@ def test_zero_variance_config_generates_identical_annotations():
         width=base.width,
         height=base.height,
         location=MultivariateGaussian(
-            dims=loc_dims(base.categories.categories),
+            dims=loc_dims(DEFAULT_CATEGORIES),
             mean=base.location.mean,
             cov=np.zeros((6, 6)),
         ),
         box=MultivariateGaussian(
-            dims=box_dims(base.categories.categories),
+            dims=box_dims(DEFAULT_CATEGORIES),
             mean=base.box.mean,
             cov=np.zeros((6, 6)),
         ),
@@ -266,12 +266,14 @@ def test_render_is_deterministic_and_bounded():
 
 
 def test_render_objects_brighter_than_background():
+    # Objects are drawn last, in category order, over the noise and the
+    # clutter: the walker's box, short of the leash drawn after it at
+    # x >= 180, holds the walker's exact brightness.
     ann = make_annotation()
-    img = render_annotation_image(ann, clutter=0)
-    x, y, w, h = ann.boxes["dog_walker"]
-    inside = img[int(y) : int(y + h), int(x) : int(x + w)].mean()
-    corner = img[:40, :40].mean()
-    assert inside > corner + 0.2
+    img = render_annotation_image(ann)
+    walker = 0.9 - 0.12 * sorted(ann.boxes).index("dog_walker")
+    assert np.all(img[80:280, 100:180] == walker)
+    assert np.percentile(img, 10) < walker - 0.4  # the noise background
 
 
 # ---------------------------------------------------------------------------

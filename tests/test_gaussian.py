@@ -25,7 +25,7 @@ from situsearch.gaussian import (
     uniform_map,
 )
 from situsearch.geometry import normalize_frame
-from situsearch.salience import SalienceMap, combine, default_epsilon
+from situsearch.salience import combine, default_epsilon
 
 
 def random_gaussian(rng: np.random.Generator, d: int) -> MultivariateGaussian:
@@ -465,7 +465,7 @@ POINT_MASS_GAUSSIANS = [
 
 
 def two_step_oracle(
-    dist: MultivariateGaussian, frame, cell: float, salience: SalienceMap | None
+    dist: MultivariateGaussian, frame, cell: float, salience: LocationMap | None
 ) -> np.ndarray:
     """The map as first built: a normalized density (or the nearest-cell point
     mass where it is not a valid density), then the salience product plus its
@@ -499,7 +499,7 @@ def test_rasterize_with_weights_is_bit_identical_to_the_two_step_oracle(
     salience = None
     if salient:
         raw = np.random.default_rng(seed).random(grid_shape(frame, cell)) + 1e-3
-        salience = SalienceMap(frame=frame, cell_size=cell, grid=raw)
+        salience = LocationMap(frame=frame, cell_size=cell, grid=raw)
     want = two_step_oracle(dist, frame, cell, salience)
     got = rasterize_2d(dist, frame, cell, weights=salience)
     two_step = rasterize_2d(dist, frame, cell)

@@ -9,7 +9,6 @@ from situsearch.errors import InvalidInputError
 from situsearch.gaussian import LocationMap, MultivariateGaussian, rasterize_2d, uniform_map
 from situsearch.geometry import normalize_frame
 from situsearch.salience import (
-    SalienceMap,
     combine,
     compute_salience,
     default_epsilon,
@@ -140,9 +139,9 @@ def test_save_load_round_trip(tmp_path):
 # combine
 
 
-def _flat_salience(frame, cell) -> SalienceMap:
+def _flat_salience(frame, cell) -> LocationMap:
     base = uniform_map(frame, cell)
-    return SalienceMap(frame=frame, cell_size=cell, grid=np.array(base.grid))
+    return LocationMap(frame=frame, cell_size=cell, grid=np.array(base.grid))
 
 
 def test_combine_with_uniform_salience_is_identity():
@@ -158,7 +157,7 @@ def test_combine_with_uniform_location_returns_salience():
     frame = normalize_frame(640, 480)
     rng = np.random.default_rng(3)
     raw = rng.uniform(0.1, 1.0, size=uniform_map(frame, 20).grid.shape)
-    salience = SalienceMap(frame=frame, cell_size=20, grid=raw)
+    salience = LocationMap(frame=frame, cell_size=20, grid=raw)
     out = combine(uniform_map(frame, 20), salience)
     np.testing.assert_allclose(out.grid, salience.grid, atol=1e-6)
 
@@ -168,7 +167,7 @@ def test_combine_disjoint_supports_is_uniform():
     left = np.array([[1.0, 0.0], [1.0, 0.0]])
     right = np.array([[0.0, 1.0], [0.0, 1.0]])
     location = LocationMap(frame=frame, cell_size=250, grid=left)
-    salience = SalienceMap(frame=frame, cell_size=250, grid=right)
+    salience = LocationMap(frame=frame, cell_size=250, grid=right)
     out = combine(location, salience)
     np.testing.assert_allclose(out.grid, 0.25)  # all mass from the floor
 
@@ -179,9 +178,9 @@ def test_combine_is_commutative_up_to_normalization():
     a = rng.uniform(0, 1, size=(4, 4))
     b = rng.uniform(0, 1, size=(4, 4))
     la = LocationMap(frame=frame, cell_size=125, grid=a)
-    sb = SalienceMap(frame=frame, cell_size=125, grid=b)
+    sb = LocationMap(frame=frame, cell_size=125, grid=b)
     lb = LocationMap(frame=frame, cell_size=125, grid=b)
-    sa = SalienceMap(frame=frame, cell_size=125, grid=a)
+    sa = LocationMap(frame=frame, cell_size=125, grid=a)
     np.testing.assert_allclose(combine(la, sb).grid, combine(lb, sa).grid, atol=1e-12)
 
 
@@ -190,7 +189,7 @@ def test_combine_never_emits_zero_cells():
     spike = np.zeros((5, 5))
     spike[0, 0] = 1.0
     location = LocationMap(frame=frame, cell_size=100, grid=spike)
-    salience = SalienceMap(frame=frame, cell_size=100, grid=np.array(spike))
+    salience = LocationMap(frame=frame, cell_size=100, grid=np.array(spike))
     out = combine(location, salience)
     assert (out.grid > 0).all()
 
@@ -209,7 +208,7 @@ def test_combine_is_bit_identical_to_textbook(sx, sy, rho, mean, seed):
     dist = MultivariateGaussian(dims=("x", "y"), mean=np.array(mean), cov=cov)
     location = rasterize_2d(dist, frame, cell_size=2.0)
     raw = np.random.default_rng(seed).uniform(0, 1, size=location.grid.shape)
-    salience = SalienceMap(frame=frame, cell_size=2.0, grid=raw)
+    salience = LocationMap(frame=frame, cell_size=2.0, grid=raw)
     product = location.grid * salience.grid + default_epsilon(raw.size)
     assert np.array_equal(combine(location, salience).grid, product / product.sum())
 
@@ -217,6 +216,6 @@ def test_combine_is_bit_identical_to_textbook(sx, sy, rho, mean, seed):
 def test_combine_rejects_shape_mismatch():
     frame = normalize_frame(1000, 1000)
     a = uniform_map(frame, 100)
-    b = SalienceMap(frame=frame, cell_size=250, grid=np.ones((2, 2)))
+    b = LocationMap(frame=frame, cell_size=250, grid=np.ones((2, 2)))
     with pytest.raises(InvalidInputError):
         combine(a, b)

@@ -14,6 +14,7 @@ from scipy import stats
 from situsearch.datagen import SituationAnnotation, default_generator_config, generate_synthetic
 from situsearch.errors import DatasetError, InsufficientDataError, InvalidInputError
 from situsearch.gaussian import (
+    LocationMap,
     MultivariateGaussian,
     condition,
     grid_shape,
@@ -21,7 +22,7 @@ from situsearch.gaussian import (
     uniform_map,
 )
 from situsearch.geometry import BoundingBox, normalize_frame, to_normalized
-from situsearch.salience import SalienceMap, combine
+from situsearch.salience import combine
 from situsearch.search import MethodConfig, run_image, sample_proposal
 from situsearch.situation_model import (
     CategorySearchDist,
@@ -218,7 +219,7 @@ def test_empty_workspace_matches_initial(synthetic_model):
     # Salience methods: the prior is the salience map, and every conditioned
     # location map is multiplied by it.
     grid = np.random.default_rng(0).random(grid_shape(frame, 4)) + 0.1
-    salience = SalienceMap(frame=frame, cell_size=4, grid=grid)
+    salience = LocationMap(frame=frame, cell_size=4, grid=grid)
     config = MethodConfig(
         location_prior="salience", situation_model="learned", cell_size=4
     )
@@ -451,7 +452,7 @@ def test_a_conditioned_map_costs_one_grid_buffer(synthetic_model, salient):
     salience = None
     if salient:
         raw = np.random.default_rng(0).random(shape) + 0.1
-        salience = SalienceMap(frame=frame, cell_size=1.0, grid=raw)
+        salience = LocationMap(frame=frame, cell_size=1.0, grid=raw)
     detections = {"dog_walker": BoundingBox(cx=-40.0, cy=10.0, w=90.0, h=200.0)}
     tracemalloc.start()
     try:
