@@ -44,10 +44,8 @@ from .evaluation import (
 from .gaussian import (
     LocationMap,
     MultivariateGaussian,
-    UnivariateNormal,
     condition,
     fit,
-    fit_univariate,
     rasterize_2d,
     uniform_map,
 )
@@ -73,7 +71,6 @@ from .search import (
 )
 from .situation_model import (
     CategorySearchDist,
-    CategorySet,
     SituationModel,
     learn,
     load_model,

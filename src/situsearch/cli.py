@@ -40,7 +40,7 @@ from .images import read_pnm, write_pgm
 from .salience import compute_salience, save_salience
 from .search import evaluate_proposal_set, run_image
 from .seeding import stable_seed
-from .situation_model import learn, load_model, save_model
+from .situation_model import DEFAULT_CATEGORIES, learn, load_model, save_model
 
 
 def _add_common_run_flags(sub: argparse.ArgumentParser) -> None:
@@ -149,7 +149,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         salience = evaluation.salience_for_annotation(annotation, config.cell_size)
 
     frame = normalize_frame(annotation.width, annotation.height)
-    ground_truth = search.ground_truth(annotation, model.categories, frame)
+    ground_truth = search.ground_truth(annotation, DEFAULT_CATEGORIES, frame)
     observer = None
     if args.snapshots:
         snap_dir = Path(args.snapshots)

@@ -46,7 +46,7 @@ from .search import (
     run_image,
 )
 from .seeding import stable_seed
-from .situation_model import learn
+from .situation_model import DEFAULT_CATEGORIES, learn
 
 REPORT_FORMAT_VERSION = 1
 
@@ -205,7 +205,6 @@ class ExperimentReport:
     master_seed: int
     folds: int
     num_images: int
-    categories: list[str]
     methods: list[MethodResult]
 
 
@@ -280,7 +279,6 @@ def run_experiment(
         master_seed=master_seed,
         folds=k,
         num_images=len(dataset),
-        categories=list(model.categories),
         methods=[MethodResult(config, runs[token]) for token, config in configs.items()],
     )
 
@@ -315,7 +313,7 @@ def report_to_dict(report: ExperimentReport) -> dict:
         "master_seed": report.master_seed,
         "folds": report.folds,
         "num_images": report.num_images,
-        "categories": report.categories,
+        "categories": list(DEFAULT_CATEGORIES),
         "methods": [
             {
                 "label": m.label,

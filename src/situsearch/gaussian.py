@@ -275,30 +275,6 @@ def condition(dist: MultivariateGaussian, observed: Mapping[str, float]) -> Mult
     return out
 
 
-@dataclass(frozen=True)
-class UnivariateNormal:
-    """Normal over one quantity (used for the log-space box priors)."""
-
-    mean: float
-    std: float
-
-    def __post_init__(self) -> None:
-        if not (self.std > 0) or not math.isfinite(self.std) or not math.isfinite(self.mean):
-            raise InvalidInputError(f"std must be positive and finite, got {self.std}")
-
-
-def fit_univariate(values: Sequence[float] | np.ndarray) -> UnivariateNormal:
-    x = np.asarray(values, dtype=float)
-    if x.ndim != 1 or x.shape[0] < 2:
-        raise InsufficientDataError("insufficient data: need at least 2 values for a univariate fit")
-    if not np.all(np.isfinite(x)):
-        raise InvalidInputError("values contain non-finite entries")
-    mean = float(x.mean())
-    var = float(((x - mean) ** 2).mean())
-    std = math.sqrt(max(var, FIT_RIDGE_FLOOR))
-    return UnivariateNormal(mean=mean, std=std)
-
-
 def _normalize(grid: np.ndarray) -> np.ndarray:
     """Check a grid of cell weights and divide it by its total, in place."""
     if grid.ndim != 2 or grid.size == 0:

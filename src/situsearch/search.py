@@ -33,12 +33,12 @@ from .gaussian import LocationMap, grid_shape, uniform_map
 from .geometry import BoundingBox, ImageFrame, crop_to_frame, iou, normalize_frame, to_normalized
 from .salience import combine  # unused here; the benchmark tracer patches this module attribute
 from .situation_model import (
+    DEFAULT_CATEGORIES,
     CategorySearchDist,
     LogUniformBox,
     SituationModel,
     box_from_descriptor,
     conditioned_distribution,
-    prior_alpha_gamma,
 )
 
 LOCATION_UNIFORM = "uniform"
@@ -233,7 +233,7 @@ def run_image(
     where a category with a final detection maps to None.
     """
     frame = normalize_frame(annotation.width, annotation.height)
-    gt = ground_truth(annotation, model.categories, frame)
+    gt = ground_truth(annotation, DEFAULT_CATEGORIES, frame)
 
     if not config.needs_salience:
         salience = None  # conditioned maps are folded with salience only under its prior
@@ -245,16 +245,16 @@ def run_image(
     else:
         prior_location = salience
     if config.box_prior == BOX_LEARNED:
-        prior_boxes = {c: prior_alpha_gamma(model, c) for c in model.categories}
+        prior_boxes = model.box_priors
     else:
-        prior_boxes = {c: LogUniformBox() for c in model.categories}
+        prior_boxes = dict.fromkeys(DEFAULT_CATEGORIES, LogUniformBox())
     # A category's entry is None from the change that puts it out of date
     # until it is next drawn from or shown.
     dists: dict[str, CategorySearchDist | None] = {
         c: CategorySearchDist(category=c, location=prior_location, alpha_gamma=prior_boxes[c])
-        for c in model.categories
+        for c in DEFAULT_CATEGORIES
     }
-    workspace = Workspace(model.categories)
+    workspace = Workspace(DEFAULT_CATEGORIES)
     detected: dict[str, BoundingBox] = {}  # the detections at the Workspace's last change
 
     def current(cat: str) -> CategorySearchDist:

@@ -1,10 +1,10 @@
 """Learned situation knowledge and its conditioning on detections.
 
-A situation model holds, for a fixed three-category scene type:
+A situation model holds, for the three categories of DEFAULT_CATEGORIES:
 
-* per-category priors over log area-ratio and log aspect-ratio (the box is
-  never modeled in raw units: logs keep the quantities positive and weight
-  small boxes more),
+* per-category priors over log area-ratio and log aspect-ratio, each a
+  diagonal 2-d Gaussian (the box is never modeled in raw units: logs keep
+  the quantities positive and weight small boxes more),
 * pairwise 4-d and one three-way 6-d joint Gaussian over box centers,
 * the same pair/triple structure over (log area-ratio, log aspect-ratio).
 
@@ -18,8 +18,10 @@ provisional detections condition exactly like final ones.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -28,12 +30,11 @@ import numpy as np
 
 from .errors import DatasetError, InsufficientDataError, InvalidInputError, read_json
 from .gaussian import (
+    FIT_RIDGE_FLOOR,
     LocationMap,
     MultivariateGaussian,
-    UnivariateNormal,
     condition,
     fit,
-    fit_univariate,
     gaussian_from_dict,
     gaussian_to_dict,
     rasterize_2d,
@@ -42,6 +43,9 @@ from .gaussian import (
 from .geometry import BoundingBox, ImageFrame, normalize_frame, to_normalized
 
 DEFAULT_CATEGORIES = ("dog_walker", "dog", "leash")
+# Every unordered pair of categories, each in category order, in the order
+# the model fits, stores and serializes the pairwise joints.
+CATEGORY_PAIRS = tuple(itertools.combinations(DEFAULT_CATEGORIES, 2))
 
 MODEL_FORMAT_VERSION = 1
 
@@ -59,38 +63,10 @@ MIN_BOX_SIDE = 1e-6
 # beyond the ceiling of twice the frame's side anyway.
 _MAX_LOG_SIDE = 700.0
 
-
-@dataclass(frozen=True)
-class CategorySet:
-    """The ordered object categories of a situation (exactly three)."""
-
-    categories: tuple[str, ...] = DEFAULT_CATEGORIES
-
-    def __post_init__(self) -> None:
-        cats = tuple(self.categories)
-        if len(cats) != 3:
-            raise InvalidInputError(f"a situation has exactly 3 categories, got {cats}")
-        if len(set(cats)) != len(cats):
-            raise InvalidInputError(f"category names must be unique, got {cats}")
-        object.__setattr__(self, "categories", cats)
-
-    def pairs(self) -> list[tuple[str, str]]:
-        c = self.categories
-        return [(c[0], c[1]), (c[0], c[2]), (c[1], c[2])]
-
-    def pair_key(self, a: str, b: str) -> tuple[str, str]:
-        """The unordered pair (a, b) in canonical category order."""
-        if a == b or a not in self.categories or b not in self.categories:
-            raise InvalidInputError(f"bad category pair ({a!r}, {b!r})")
-        return (a, b) if self.categories.index(a) < self.categories.index(b) else (b, a)
-
-
-@dataclass(frozen=True)
-class BoxPrior:
-    """Per-category normals over ln(area ratio) and ln(aspect ratio)."""
-
-    alpha: UnivariateNormal
-    gamma: UnivariateNormal
+# The stds a box prior may have: each square a normal double, at most a
+# quarter of the largest one, so that the 2-d Gaussian's symmetrized
+# covariance and trace cannot overflow.
+_PRIOR_STD_RANGE = (math.sqrt(sys.float_info.min), math.sqrt(sys.float_info.max / 4))
 
 
 @dataclass(frozen=True)
@@ -104,18 +80,17 @@ class LogUniformBox:
 
 @dataclass(eq=False)
 class SituationModel:
-    """All learned distributions for one situation."""
+    """All learned distributions over the situation's categories.
 
-    category_set: CategorySet
-    box_priors: dict[str, BoxPrior]
+    ``box_priors`` holds each category's diagonal 2-d Gaussian over
+    (alpha_c, gamma_c); the pair joints are keyed by ``CATEGORY_PAIRS``.
+    """
+
+    box_priors: dict[str, MultivariateGaussian]
     loc_pair: dict[tuple[str, str], MultivariateGaussian]
     loc_triple: MultivariateGaussian
     box_pair: dict[tuple[str, str], MultivariateGaussian]
     box_triple: MultivariateGaussian
-
-    @property
-    def categories(self) -> tuple[str, ...]:
-        return self.category_set.categories
 
 
 @dataclass(eq=False)
@@ -170,6 +145,18 @@ def box_from_descriptor(
     return BoundingBox(cx, cy, w, h)
 
 
+def _box_prior(category: str, fits: Sequence[tuple[float, float]]) -> MultivariateGaussian:
+    """A category's box prior: independent normals over alpha_c and gamma_c, by (mean, std)."""
+    mean = np.array([m for m, _ in fits])
+    return MultivariateGaussian(box_dims((category,)), mean, np.diag([s**2 for _, s in fits]))
+
+
+def _mean_std(x: np.ndarray) -> tuple[float, float]:
+    """The ML mean and std of one column, its variance floored at FIT_RIDGE_FLOOR."""
+    mean = float(x.mean())
+    return mean, math.sqrt(max(float(((x - mean) ** 2).mean()), FIT_RIDGE_FLOOR))
+
+
 def learn(training: Sequence) -> SituationModel:
     """Fit box priors and all location and size/shape joints from annotations.
 
@@ -177,8 +164,7 @@ def learn(training: Sequence) -> SituationModel:
     mapping of category -> (x, y, w, h) corner box in original pixels, with
     exactly one box per shipped category.
     """
-    category_set = CategorySet(DEFAULT_CATEGORIES)
-    cats = category_set.categories
+    cats = DEFAULT_CATEGORIES
     if len(training) < 8:
         raise InsufficientDataError(
             f"insufficient data: need at least 8 annotations to learn, got {len(training)}"
@@ -200,38 +186,25 @@ def learn(training: Sequence) -> SituationModel:
             boxes[row, 2 * k] = alpha
             boxes[row, 2 * k + 1] = gamma
 
-    priors = {}
-    for k, cat in enumerate(cats):
-        priors[cat] = BoxPrior(
-            alpha=fit_univariate(boxes[:, 2 * k]),
-            gamma=fit_univariate(boxes[:, 2 * k + 1]),
-        )
+    box_priors = {
+        cat: _box_prior(cat, [_mean_std(boxes[:, 2 * k]), _mean_std(boxes[:, 2 * k + 1])])
+        for k, cat in enumerate(cats)
+    }
 
     loc_pair = {}
     box_pair = {}
-    for a, b in category_set.pairs():
+    for a, b in CATEGORY_PAIRS:
         ia, ib = cats.index(a), cats.index(b)
         cols = [2 * ia, 2 * ia + 1, 2 * ib, 2 * ib + 1]
         loc_pair[(a, b)] = fit(locs[:, cols], loc_dims((a, b)))
         box_pair[(a, b)] = fit(boxes[:, cols], box_dims((a, b)))
 
     return SituationModel(
-        category_set=category_set,
-        box_priors=priors,
+        box_priors=box_priors,
         loc_pair=loc_pair,
         loc_triple=fit(locs, loc_dims(cats)),
         box_pair=box_pair,
         box_triple=fit(boxes, box_dims(cats)),
-    )
-
-
-def prior_alpha_gamma(model: SituationModel, category: str) -> MultivariateGaussian:
-    """Independent product of a category's two box priors as a 2-d Gaussian."""
-    prior = model.box_priors[category]
-    return MultivariateGaussian(
-        dims=(f"alpha_{category}", f"gamma_{category}"),
-        mean=np.array([prior.alpha.mean, prior.gamma.mean]),
-        cov=np.diag([prior.alpha.std**2, prior.gamma.std**2]),
     )
 
 
@@ -251,13 +224,13 @@ def conditioned_distribution(
     both. A ``salience`` map is folded into the location map as it is
     rasterized.
     """
-    if category not in model.categories:
+    if category not in DEFAULT_CATEGORIES:
         raise InvalidInputError(f"unknown category {category!r}")
-    others = [cat for cat in model.categories if cat != category and cat in detections]
+    others = [cat for cat in DEFAULT_CATEGORIES if cat != category and cat in detections]
     if not others:
         raise InvalidInputError(f"no detection of another category to condition {category!r} on")
     if len(others) == 1:
-        pair = model.category_set.pair_key(category, others[0])
+        pair = next(p for p in CATEGORY_PAIRS if category in p and others[0] in p)
         loc_joint, box_joint = model.loc_pair[pair], model.box_pair[pair]
     else:
         loc_joint, box_joint = model.loc_triple, model.box_triple
@@ -285,19 +258,19 @@ def conditioned_distribution(
 # Serialization
 
 def model_to_dict(model: SituationModel) -> dict:
-    def prior_dict(p: BoxPrior) -> dict:
+    def prior_dict(prior: MultivariateGaussian) -> dict:
         return {
-            "alpha": {"mean": p.alpha.mean, "std": p.alpha.std},
-            "gamma": {"mean": p.gamma.mean, "std": p.gamma.std},
+            name: {"mean": float(prior.mean[i]), "std": math.sqrt(prior.cov[i, i])}
+            for i, name in enumerate(("alpha", "gamma"))
         }
 
     return {
         "format_version": MODEL_FORMAT_VERSION,
-        "categories": list(model.categories),
-        "box_priors": {c: prior_dict(p) for c, p in model.box_priors.items()},
-        "loc_pair": {f"{a}|{b}": gaussian_to_dict(g) for (a, b), g in model.loc_pair.items()},
+        "categories": list(DEFAULT_CATEGORIES),
+        "box_priors": {c: prior_dict(model.box_priors[c]) for c in DEFAULT_CATEGORIES},
+        "loc_pair": {f"{a}|{b}": gaussian_to_dict(model.loc_pair[a, b]) for a, b in CATEGORY_PAIRS},
         "loc_triple": gaussian_to_dict(model.loc_triple),
-        "box_pair": {f"{a}|{b}": gaussian_to_dict(g) for (a, b), g in model.box_pair.items()},
+        "box_pair": {f"{a}|{b}": gaussian_to_dict(model.box_pair[a, b]) for a, b in CATEGORY_PAIRS},
         "box_triple": gaussian_to_dict(model.box_triple),
     }
 
@@ -308,55 +281,63 @@ def _check_keys(section: str, found: Iterable[str], expected: Sequence[str]) -> 
     culprits = [f"missing {k!r}" for k in expected if k not in found]
     culprits += [f"unexpected {k!r}" for k in found if k not in expected]
     if culprits:
-        raise InvalidInputError(f"model {section}: {', '.join(culprits)}")
+        raise InvalidInputError(f"{section}: {', '.join(culprits)}")
 
 
-def _check_dims(section: str, joint: MultivariateGaussian, expected: tuple[str, ...]) -> None:
-    if joint.dims != expected:
-        raise InvalidInputError(
-            f"model {section} has dims {list(joint.dims)}, expected {list(expected)}"
-        )
+def _box_prior_from_dict(category: str, doc: Mapping) -> MultivariateGaussian:
+    """A category's box prior from its document, each bad field named."""
+    lo, hi = _PRIOR_STD_RANGE
+    fits = [(doc[name]["mean"], doc[name]["std"]) for name in ("alpha", "gamma")]
+    for name, (mean, std) in zip(("alpha", "gamma"), fits):
+        field = f"box_priors[{category!r}].{name}"
+        if not math.isfinite(mean):
+            raise InvalidInputError(f"{field}.mean must be finite, got {mean}")
+        if not lo <= std <= hi:
+            raise InvalidInputError(f"{field}.std must lie in [{lo:g}, {hi:g}], got {std}")
+    return _box_prior(category, fits)
+
+
+def _joint_from_dict(section: str, doc: Mapping, dims: tuple[str, ...]) -> MultivariateGaussian:
+    """One joint of a model document; its errors name its section."""
+    try:
+        joint = gaussian_from_dict(doc)
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"{section}: {exc}") from exc
+    if joint.dims != dims:
+        raise InvalidInputError(f"{section} has dims {list(joint.dims)}, expected {list(dims)}")
+    return joint
 
 
 def model_from_dict(data: Mapping) -> SituationModel:
-    """Parse a model document, checking every section against its category set."""
+    """Parse a model document of the shipped categories; an error names its section."""
+    cats = DEFAULT_CATEGORIES
     try:
         version = data["format_version"]
         if version != MODEL_FORMAT_VERSION:
             raise InvalidInputError(f"unsupported model format version {version}")
-        category_set = CategorySet(tuple(data["categories"]))
-        cats = category_set.categories
-        _check_keys("box_priors", data["box_priors"], cats)
-        priors = {
-            c: BoxPrior(
-                alpha=UnivariateNormal(p["alpha"]["mean"], p["alpha"]["std"]),
-                gamma=UnivariateNormal(p["gamma"]["mean"], p["gamma"]["std"]),
+        categories = list(data["categories"])
+        if categories != list(cats):
+            raise InvalidInputError(
+                f"model categories {categories} are not the situation's {list(cats)}"
             )
-            for c, p in data["box_priors"].items()
-        }
+        _check_keys("box_priors", data["box_priors"], cats)
+        box_priors = {c: _box_prior_from_dict(c, data["box_priors"][c]) for c in cats}
 
         def pair_map(name: str, dims) -> dict[tuple[str, str], MultivariateGaussian]:
             section = data[name]
-            _check_keys(name, section, [f"{a}|{b}" for a, b in category_set.pairs()])
-            out = {}
-            for a, b in category_set.pairs():
-                key = f"{a}|{b}"
-                out[(a, b)] = gaussian_from_dict(section[key])
-                _check_dims(f"{name}[{key!r}]", out[(a, b)], dims((a, b)))
-            return out
-
-        def triple(name: str, dims) -> MultivariateGaussian:
-            joint = gaussian_from_dict(data[name])
-            _check_dims(name, joint, dims(cats))
-            return joint
+            keys = {pair: f"{pair[0]}|{pair[1]}" for pair in CATEGORY_PAIRS}
+            _check_keys(name, section, list(keys.values()))
+            return {
+                pair: _joint_from_dict(f"{name}[{key!r}]", section[key], dims(pair))
+                for pair, key in keys.items()
+            }
 
         return SituationModel(
-            category_set=category_set,
-            box_priors=priors,
+            box_priors=box_priors,
             loc_pair=pair_map("loc_pair", loc_dims),
-            loc_triple=triple("loc_triple", loc_dims),
+            loc_triple=_joint_from_dict("loc_triple", data["loc_triple"], loc_dims(cats)),
             box_pair=pair_map("box_pair", box_dims),
-            box_triple=triple("box_triple", box_dims),
+            box_triple=_joint_from_dict("box_triple", data["box_triple"], box_dims(cats)),
         )
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InvalidInputError(f"malformed model document: {exc}") from exc
@@ -367,4 +348,8 @@ def save_model(model: SituationModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> SituationModel:
-    return model_from_dict(read_json(path))
+    """The model a file holds; a rejected document's error names the file."""
+    try:
+        return model_from_dict(read_json(path))
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"{path}: {exc}") from exc

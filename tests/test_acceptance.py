@@ -40,7 +40,7 @@ from situsearch.search import (
     run_image,
 )
 from situsearch.situation_model import DEFAULT_CATEGORIES, learn
-from test_gaussian import marginal
+from oracles import marginal
 
 BENCH_METHODS = [
     "uniform-uniform-none",

@@ -318,17 +318,75 @@ def test_bench_image_size_mismatch_names_the_file(dataset_dir, tmp_path, capsys)
     assert f"{data / 'small.pgm'}: annotation {doc['image_id']!r}: image shape" in err
 
 
+def _run_with_model_doc(doc, ann, tmp_path, method="uniform-learned-none"):
+    """Exit code of ``run`` with the model document written to a file, and the file."""
+    bad = tmp_path / "bad_model.json"
+    bad.write_text(json.dumps(doc))
+    args = ["run", "--model", str(bad), "--image-annotation", str(ann), "--method", method]
+    return main([*args, "--cell-size", "8"]), bad
+
+
 def test_run_model_missing_box_prior_exits_one(dataset_dir, model_path, tmp_path, capsys):
     # Rejected when the model loads, for every method, not mid-search.
     doc = json.loads(model_path.read_text())
     del doc["box_priors"]["leash"]
-    bad = tmp_path / "bad_model.json"
-    bad.write_text(json.dumps(doc))
     ann = annotation_files(dataset_dir)[0]
     for method in ("uniform-learned-learned", "uniform-uniform-none"):
-        args = ["run", "--model", str(bad), "--image-annotation", str(ann), "--method", method]
-        assert main([*args, "--cell-size", "8"]) == 1
-        assert "box_priors: missing 'leash'" in capsys.readouterr().err
+        code, bad = _run_with_model_doc(doc, ann, tmp_path, method)
+        assert code == 1
+        assert f"{bad}: box_priors: missing 'leash'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("std", 1e200, "alpha.std must lie in"),  # its square overflows
+        ("std", 0.0, "alpha.std must lie in"),
+        ("std", 1e-160, "alpha.std must lie in"),  # its square is subnormal
+        ("mean", float("nan"), "alpha.mean must be finite, got nan"),
+    ],
+    ids=["huge-std", "zero-std", "tiny-std", "nan-mean"],
+)
+def test_run_broken_box_prior_exits_one_naming_the_field(
+    dataset_dir, model_path, tmp_path, capsys, field, value, message
+):
+    doc = json.loads(model_path.read_text())
+    doc["box_priors"]["leash"]["alpha"][field] = value
+    code, bad = _run_with_model_doc(doc, annotation_files(dataset_dir)[0], tmp_path)
+    assert code == 1
+    assert f"error: {bad}: box_priors['leash'].{message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "section, field, index, value, message",
+    [
+        ("loc_triple", "cov", 0, -1e4, "loc_triple: covariance is not PSD"),
+        ("box_pair/dog|leash", "cov", 1, 1234.5, "box_pair['dog|leash']: covariance is not symmetric"),
+        (
+            "loc_pair/dog_walker|dog",
+            "mean",
+            0,
+            float("nan"),
+            "loc_pair['dog_walker|dog']: mean and covariance must be finite",
+        ),
+        ("box_triple", "cov", None, [1.0], "box_triple: malformed gaussian document: cannot reshape"),
+    ],
+    ids=["not-psd", "asymmetric", "nan-mean", "wrong-size"],
+)
+def test_run_broken_joint_exits_one_naming_section_and_file(
+    dataset_dir, model_path, tmp_path, capsys, section, field, index, value, message
+):
+    doc = json.loads(model_path.read_text())
+    joint = doc
+    for key in section.split("/"):
+        joint = joint[key]
+    if index is None:
+        joint[field] = value
+    else:
+        joint[field][index] = value
+    code, bad = _run_with_model_doc(doc, annotation_files(dataset_dir)[0], tmp_path)
+    assert code == 1
+    assert f"error: {bad}: {message}" in capsys.readouterr().err
 
 
 def test_malformed_situate_jobs_fails_only_bench(dataset_dir, tmp_path, monkeypatch, capsys):

@@ -396,9 +396,7 @@ def test_svgs_are_well_formed_xml(tiny_report, tmp_path):
 
 
 def test_empty_method_list_report_is_valid(tmp_path):
-    report = ExperimentReport(
-        master_seed=0, folds=0, num_images=0, categories=[], methods=[]
-    )
+    report = ExperimentReport(master_seed=0, folds=0, num_images=0, methods=[])
     emit_report(report, tmp_path)
     doc = json.loads((tmp_path / "report.json").read_text())
     assert doc["methods"] == []

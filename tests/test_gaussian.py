@@ -13,11 +13,9 @@ from situsearch.errors import InsufficientDataError, InvalidInputError
 from situsearch.gaussian import (
     LocationMap,
     MultivariateGaussian,
-    UnivariateNormal,
     cell_centers,
     condition,
     fit,
-    fit_univariate,
     gaussian_from_dict,
     gaussian_to_dict,
     grid_shape,
@@ -26,6 +24,7 @@ from situsearch.gaussian import (
 )
 from situsearch.geometry import normalize_frame
 from situsearch.salience import combine, default_epsilon
+from oracles import marginal
 
 
 def random_gaussian(rng: np.random.Generator, d: int) -> MultivariateGaussian:
@@ -217,21 +216,7 @@ def test_condition_input_validation():
 
 
 # ---------------------------------------------------------------------------
-# marginal: the oracle of the conditioning tests here and of criteria 1 and 8
-
-
-def marginal(dist: MultivariateGaussian, keep: list[str]) -> MultivariateGaussian:
-    """Marginal over the kept labels, preserving the distribution's own order."""
-    if not keep:
-        raise InvalidInputError("must keep at least one dimension")
-    wanted = set(dist.indices(keep))
-    idx = [i for i in range(dist.dim) if i in wanted]
-    return MultivariateGaussian(
-        dims=tuple(dist.dims[i] for i in idx),
-        mean=dist.mean[idx],
-        cov=dist.cov[np.ix_(idx, idx)],
-        epsilon=dist.epsilon,
-    )
+# marginal, the oracle in oracles.py
 
 
 def test_marginal_keep_all_is_identity():
@@ -620,20 +605,6 @@ def test_a_conditioned_joint_pickles_without_its_memo():
     assert "_conditionals" not in restored.__dict__
     assert gaussian_to_dict(restored) == gaussian_to_dict(dist)
     assert_same_bits(condition(restored, observed), before)
-
-
-# ---------------------------------------------------------------------------
-# univariate
-
-
-def test_univariate_fit_and_validation():
-    n = fit_univariate([1.0, 3.0])
-    assert n.mean == pytest.approx(2.0)
-    assert n.std == pytest.approx(1.0)
-    with pytest.raises(InsufficientDataError):
-        fit_univariate([1.0])
-    with pytest.raises(InvalidInputError):
-        UnivariateNormal(mean=0.0, std=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ from situsearch.evaluation import METHOD_TOKENS, config_for_token, salience_for_
 from situsearch.gaussian import (
     LocationMap,
     MultivariateGaussian,
-    UnivariateNormal,
     grid_shape,
     uniform_map,
 )
@@ -43,13 +42,11 @@ from situsearch.search import (
 )
 from situsearch.situation_model import (
     MIN_BOX_SIDE,
-    BoxPrior,
     CategorySearchDist,
     LogUniformBox,
     box_from_descriptor,
     conditioned_distribution,
     learn,
-    prior_alpha_gamma,
 )
 
 CATS = ("dog_walker", "dog", "leash")
@@ -515,7 +512,7 @@ def test_every_draw_uses_the_maps_of_the_current_workspace(held_out, token, monk
             fresh = CategorySearchDist(
                 dist.category,
                 salience if config.needs_salience else uniform_map(frame, 8.0),
-                prior_alpha_gamma(model, dist.category),
+                model.box_priors[dist.category],
             )
         for name in ("grid", "_cdf"):
             assert np.array_equal(getattr(dist.location, name), getattr(fresh.location, name))
@@ -763,7 +760,7 @@ def step_dists(held_out):
         cell = min(8.0, frame.norm_width, frame.norm_height)
         uniform = uniform_map(frame, cell)
         out.append((frame, CategorySearchDist("dog", uniform, LogUniformBox())))
-        out.append((frame, CategorySearchDist("dog", uniform, prior_alpha_gamma(model, "dog"))))
+        out.append((frame, CategorySearchDist("dog", uniform, model.box_priors["dog"])))
         ann = annotations[0]
         detected = {"dog_walker": to_normalized(*ann.boxes["dog_walker"], frame)}
         out.append((frame, conditioned_distribution(model, "leash", detected, frame, cell)))
@@ -812,17 +809,16 @@ def test_proposal_stream_matches_pinned_digest(held_out, token):
 
 def wide_box_model(model, std: float):
     """The model with box priors of the given std and box joints widened to match."""
-    priors = {
-        c: BoxPrior(UnivariateNormal(p.alpha.mean, std), UnivariateNormal(p.gamma.mean, std))
-        for c, p in model.box_priors.items()
-    }
 
     def widen(joint):
         return MultivariateGaussian(joint.dims, joint.mean, joint.cov * std**2, joint.epsilon)
 
     return replace(
         model,
-        box_priors=priors,
+        box_priors={
+            c: MultivariateGaussian(p.dims, p.mean, np.diag([std**2, std**2]))
+            for c, p in model.box_priors.items()
+        },
         box_pair={pair: widen(j) for pair, j in model.box_pair.items()},
         box_triple=widen(model.box_triple),
     )

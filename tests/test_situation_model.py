@@ -1,19 +1,24 @@
 from __future__ import annotations
 
+import hashlib
 import math
 import pickle
 import re
+import sys
 import tracemalloc
 from dataclasses import replace
 from multiprocessing.reduction import ForkingPickler
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from situsearch.datagen import SituationAnnotation, default_generator_config, generate_synthetic
 from situsearch.errors import DatasetError, InsufficientDataError, InvalidInputError
 from situsearch.gaussian import (
+    FIT_RIDGE_FLOOR,
     LocationMap,
     MultivariateGaussian,
     condition,
@@ -25,8 +30,9 @@ from situsearch.geometry import BoundingBox, normalize_frame, to_normalized
 from situsearch.salience import combine
 from situsearch.search import MethodConfig, run_image, sample_proposal
 from situsearch.situation_model import (
+    CATEGORY_PAIRS,
+    DEFAULT_CATEGORIES,
     CategorySearchDist,
-    CategorySet,
     LogUniformBox,
     box_descriptor,
     box_from_descriptor,
@@ -35,7 +41,6 @@ from situsearch.situation_model import (
     load_model,
     model_from_dict,
     model_to_dict,
-    prior_alpha_gamma,
     save_model,
 )
 
@@ -63,20 +68,6 @@ def fixed_annotation(image_id="fixed"):
 
 
 # ---------------------------------------------------------------------------
-# CategorySet
-
-
-def test_category_set_requires_exactly_three_unique():
-    with pytest.raises(InvalidInputError):
-        CategorySet(("a", "b"))
-    with pytest.raises(InvalidInputError):
-        CategorySet(("a", "a", "b"))
-    cats = CategorySet(("a", "b", "c"))
-    assert cats.pair_key("c", "a") == ("a", "c")
-    assert cats.pairs() == [("a", "b"), ("a", "c"), ("b", "c")]
-
-
-# ---------------------------------------------------------------------------
 # learn
 
 
@@ -101,8 +92,7 @@ def test_learn_duplicated_annotation_degenerates():
     alpha, gamma = box_descriptor(dog, frame)
     idx = model.loc_triple.dims.index("x_dog")
     assert model.loc_triple.mean[idx] == pytest.approx(dog.cx)
-    assert model.box_priors["dog"].alpha.mean == pytest.approx(alpha)
-    assert model.box_priors["dog"].gamma.mean == pytest.approx(gamma)
+    assert model.box_priors["dog"].mean.tolist() == pytest.approx([alpha, gamma])
     # covariance collapses to the ridge
     assert np.max(np.abs(model.loc_triple.cov - np.diag(np.diag(model.loc_triple.cov)))) < 1e-6
 
@@ -114,10 +104,29 @@ def test_learn_recovers_generator_means(synthetic_model):
     assert rel < 0.05
 
 
+def test_box_prior_is_the_floored_ml_fit_of_each_descriptor():
+    annotations = generate_synthetic(default_generator_config(seed=5), 40)
+    model = learn(annotations)
+    for cat in CATS:
+        descriptors = []
+        for ann in annotations:
+            frame = normalize_frame(ann.width, ann.height)
+            descriptors.append(box_descriptor(to_normalized(*ann.boxes[cat], frame), frame))
+        descriptors = np.array(descriptors)
+        prior = model.box_priors[cat]
+        assert prior.dims == (f"alpha_{cat}", f"gamma_{cat}")
+        np.testing.assert_allclose(prior.mean, descriptors.mean(axis=0), rtol=1e-12)
+        # the maximum-likelihood (1/N) variance, independent across the two
+        np.testing.assert_allclose(np.diag(prior.cov), descriptors.var(axis=0), rtol=1e-9)
+        assert prior.cov[0, 1] == prior.cov[1, 0] == 0.0
+    # identical boxes: the variance is floored, not zero
+    flat = learn([fixed_annotation()] * 10).box_priors["dog"]
+    assert np.diag(flat.cov).tolist() == pytest.approx([FIT_RIDGE_FLOOR] * 2)
+
+
 def test_walker_area_prior_exceeds_dog(synthetic_model):
     priors = synthetic_model.box_priors
-    assert priors["dog_walker"].alpha.mean > priors["dog"].alpha.mean
-    assert priors["dog"].alpha.mean > priors["leash"].alpha.mean
+    assert priors["dog_walker"].mean[0] > priors["dog"].mean[0] > priors["leash"].mean[0]
 
 
 def test_pairwise_joints_agree_with_triple_marginals(synthetic_model):
@@ -184,10 +193,7 @@ def assert_prior(model, dist, category):
     """Uniform location with the category's learned box prior."""
     grid = dist.location.grid
     assert np.allclose(grid, 1.0 / grid.size)
-    prior = model.box_priors[category]
-    assert dist.alpha_gamma.mean[0] == prior.alpha.mean
-    assert dist.alpha_gamma.cov[0, 0] == pytest.approx(prior.alpha.std**2)
-    assert dist.alpha_gamma.cov[0, 1] == 0.0
+    assert dist.alpha_gamma is model.box_priors[category]
 
 
 def test_initial_distributions_are_uniform_with_prior_boxes(synthetic_model):
@@ -356,7 +362,7 @@ def test_sampled_proposals_stay_in_frame(synthetic_model):
     frame = normalize_frame(640, 480)
     uniform = uniform_map(frame, cell_size=4)
     dists = {
-        cat: CategorySearchDist(cat, uniform, prior_alpha_gamma(synthetic_model, cat))
+        cat: CategorySearchDist(cat, uniform, synthetic_model.box_priors[cat])
         for cat in CATS
     }
     rng = np.random.default_rng(7)
@@ -392,10 +398,77 @@ def test_model_save_load_bit_for_bit(synthetic_model, tmp_path):
     np.testing.assert_array_equal(loaded.loc_triple.mean, synthetic_model.loc_triple.mean)
     np.testing.assert_array_equal(loaded.loc_triple.cov, synthetic_model.loc_triple.cov)
     np.testing.assert_array_equal(loaded.box_triple.cov, synthetic_model.box_triple.cov)
-    assert loaded.categories == synthetic_model.categories
     path2 = tmp_path / "model2.json"
     save_model(loaded, path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+# SHA-256 of the model file learned on the shared dataset's first 50 images,
+# computed while each box prior was still stored as two univariate normals.
+LEARNED_MODEL_SHA256 = "5fda2c6d37e4525f5618726aeaa394c8bba2b397b6ff53649f75ebb63b25610a"
+
+
+def test_learned_model_file_matches_pinned_digest(small_synthetic_dataset, tmp_path):
+    save_model(learn(small_synthetic_dataset[:50]), tmp_path / "model.json")
+    digest = hashlib.sha256((tmp_path / "model.json").read_bytes()).hexdigest()
+    assert digest == LEARNED_MODEL_SHA256
+
+
+# The stds a box prior may have: each square a normal double, at most a
+# quarter of the largest double.
+PRIOR_STD_LO = math.sqrt(sys.float_info.min)
+PRIOR_STD_HI = math.sqrt(sys.float_info.max / 4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    stds=st.lists(
+        st.one_of(
+            st.floats(PRIOR_STD_LO, PRIOR_STD_HI),
+            st.sampled_from([PRIOR_STD_LO, PRIOR_STD_HI, 1e-6, 1.0, 1e150]),
+        ),
+        min_size=6,
+        max_size=6,
+    ),
+    means=st.lists(st.floats(-1e300, 1e300), min_size=6, max_size=6),
+)
+def test_box_prior_round_trips_across_the_accepted_stds(synthetic_model, stds, means):
+    doc = model_to_dict(synthetic_model)
+    fields = [(c, name) for c in CATS for name in ("alpha", "gamma")]
+    for (cat, name), std, mean in zip(fields, stds, means):
+        doc["box_priors"][cat][name] = {"mean": mean, "std": std}
+    model = model_from_dict(doc)
+    assert model_to_dict(model) == doc
+    rng = np.random.default_rng(0)
+    for prior in model.box_priors.values():  # a draw does not overflow
+        assert np.isfinite(prior.sample(rng)).all()
+
+
+def test_box_prior_std_outside_the_accepted_range_is_rejected(synthetic_model):
+    for std in (math.nextafter(PRIOR_STD_LO, 0), math.nextafter(PRIOR_STD_HI, math.inf)):
+        doc = model_to_dict(synthetic_model)
+        doc["box_priors"]["dog"]["gamma"]["std"] = std
+        with pytest.raises(InvalidInputError, match=re.escape("box_priors['dog'].gamma.std")):
+            model_from_dict(doc)
+
+
+def test_model_categories_must_be_the_shipped_three(synthetic_model):
+    assert CATEGORY_PAIRS == (("dog_walker", "dog"), ("dog_walker", "leash"), ("dog", "leash"))
+    for categories in (
+        ["dog_walker", "dog"],
+        ["dog_walker", "dog", "dog"],
+        ["walker", "dog", "leash"],
+        ["dog", "dog_walker", "leash"],
+    ):
+        doc = model_to_dict(synthetic_model)
+        doc["categories"] = categories
+        with pytest.raises(
+            InvalidInputError,
+            match=re.escape(
+                f"model categories {categories} are not the situation's {list(DEFAULT_CATEGORIES)}"
+            ),
+        ):
+            model_from_dict(doc)
 
 
 def test_model_missing_box_prior_names_category(synthetic_model):
