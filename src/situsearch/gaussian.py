@@ -19,6 +19,7 @@ The observed block is solved through a Cholesky factorization of the
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -76,8 +77,16 @@ class MultivariateGaussian:
             )
         if not np.all(np.isfinite(mean)) or not np.all(np.isfinite(cov)):
             raise InvalidInputError("mean and covariance must be finite")
+        # A larger entry overflows to infinity when the covariance is
+        # symmetrized or its trace is summed.
+        limit = sys.float_info.max / (2 * max(d, 1))
+        largest = float(np.max(np.abs(cov))) if d else 0.0
+        if largest > limit:
+            raise InvalidInputError(
+                f"covariance entries must be at most {limit:g} in size, got {largest:g}"
+            )
         asym = np.max(np.abs(cov - cov.T)) if d else 0.0
-        scale = max(np.max(np.abs(cov)), 1.0)
+        scale = max(largest, 1.0)
         if asym > _SYM_TOL * scale:
             raise InvalidInputError(f"covariance is not symmetric (max asymmetry {asym:g})")
         cov = (cov + cov.T) / 2
@@ -361,10 +370,27 @@ def cell_centers(frame: ImageFrame, cell_size: float) -> tuple[np.ndarray, np.nd
     return xs, ys
 
 
+# The map uniform_map built last. Every run of a uniform-prior method on a
+# frame of one size draws from the same map, so its CDF is built once.
+_last_uniform: LocationMap | None = None
+
+
 def uniform_map(frame: ImageFrame, cell_size: float = 1.0) -> LocationMap:
+    """The uniform map on the frame's grid.
+
+    The map built last is returned again for the same frame and cell size,
+    and no other is held. Its grid is its one cell value, read-only and
+    broadcast to the grid's shape.
+    """
+    global _last_uniform
+    held = _last_uniform
+    if held is not None and held.frame == frame and held.cell_size == cell_size:
+        return held
+    _last_uniform = None  # released before its successor is built
     rows, cols = grid_shape(frame, cell_size)
-    grid = np.full((rows, cols), 1.0 / (rows * cols))
-    return LocationMap._adopt(frame, cell_size, _normalize(grid))
+    grid = _normalize(np.full((rows, cols), 1.0 / (rows * cols)))
+    _last_uniform = LocationMap._adopt(frame, cell_size, np.broadcast_to(grid[0, 0], grid.shape))
+    return _last_uniform
 
 
 def default_epsilon(num_cells: int) -> float:

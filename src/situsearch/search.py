@@ -19,10 +19,17 @@ on the Workspace as it stood at its last change; a map replaced by a later
 change before any draw is never built. Between changes the loop is a tight
 sample/score/file cycle. A category's out-of-date map is released at the
 change that supersedes it, so it never holds memory beside its successor.
+
+A context-free run (situation model ``none``) with no scoring or observing
+hook is drawn and scored BLOCK_SIZE proposals at a time, with the same
+random calls and the same floating-point arithmetic as the per-proposal
+loop, so it gives the same result and leaves the generator where the loop
+would.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -34,6 +41,8 @@ from .geometry import BoundingBox, ImageFrame, crop_to_frame, iou, normalize_fra
 from .salience import combine  # unused here; the benchmark tracer patches this module attribute
 from .situation_model import (
     DEFAULT_CATEGORIES,
+    MAX_LOG_SIDE,
+    MIN_BOX_SIDE,
     CategorySearchDist,
     LogUniformBox,
     SituationModel,
@@ -54,6 +63,12 @@ FINAL = "final"
 PROVISIONAL_THRESHOLD = 0.25
 FINAL_THRESHOLD = 0.5
 DEFAULT_MAX_ITERATIONS = 1000
+
+# Proposals a context-free run draws and scores at once.
+BLOCK_SIZE = 64
+# A block leaves a descriptor beyond this size, or not finite, to the
+# per-proposal step, so that its arithmetic never overflows.
+_BLOCK_DESCRIPTOR_LIMIT = 1e300
 
 
 @dataclass(eq=False, slots=True)
@@ -230,7 +245,8 @@ def run_image(
     each proposal from it, and tests inject scripted scorers to pin down the
     loop protocol. ``observer`` fires after every Workspace change with the
     iteration, the Workspace, and the current per-category distributions,
-    where a category with a final detection maps to None.
+    where a category with a final detection maps to None. A context-free
+    method run with neither hook is scored in blocks, to the same result.
     """
     frame = normalize_frame(annotation.width, annotation.height)
     gt = ground_truth(annotation, DEFAULT_CATEGORIES, frame)
@@ -265,9 +281,11 @@ def run_image(
         return dists[cat]
 
     iterations = 0
+    if config.situation_model == MODEL_NONE and scorer is None and observer is None:
+        iterations = _search_in_blocks(workspace, dists, frame, gt, config, rng)
     remaining = workspace.remaining()  # refreshed at each Workspace change
-    for t in range(1, config.max_iterations + 1):
-        iterations = t
+    while remaining and iterations < config.max_iterations:
+        iterations = t = iterations + 1
         category = remaining[int(rng.integers(len(remaining)))]
         proposal = sample_proposal(current(category), frame, rng)
         if scorer is None:
@@ -291,14 +309,138 @@ def run_image(
                     dists[cat] = None
         if observer is not None:
             observer(t, workspace, {c: current(c) if c in remaining else None for c in dists})
-        if not remaining:
-            break
 
     finals = {
         c: slot.iteration if slot is not None and slot.kind == FINAL else None
         for c, slot in workspace.slots.items()
     }
     return RunResult(finals, iterations)
+
+
+def _draw(rng: np.random.Generator, searched: Sequence[CategorySearchDist], size: int):
+    """The random calls of ``size`` iterations of the loop over ``searched``, in its order.
+
+    Returns each iteration's index into ``searched``, its three location
+    uniforms and its (alpha, gamma) draw, as arrays.
+    """
+    picks, uniforms, descriptors = [], [], []
+    n = len(searched)
+    for _ in range(size):
+        k = int(rng.integers(n))
+        picks.append(k)
+        uniforms.append(rng.random(3))
+        descriptors.append(searched[k].sample_alpha_gamma(rng))
+    return np.array(picks), np.array(uniforms), np.array(descriptors, dtype=float)
+
+
+def _score_block(
+    location: LocationMap,
+    frame: ImageFrame,
+    truths: np.ndarray,
+    uniforms: np.ndarray,
+    descriptors: np.ndarray,
+):
+    """Each drawn proposal's box and IOU, with the per-proposal step's arithmetic.
+
+    ``truths`` holds the ground truth (cx, cy, w, h) of each proposal's
+    category. Each step of ``sample_point``, ``box_from_descriptor``,
+    ``crop_to_frame`` and ``iou`` is done on arrays by the same IEEE
+    operations in the same order, and each exponential by ``math.exp``, so
+    every bit agrees. Returns the (cx, cy, w, h) rows of the cropped boxes,
+    the scores, and where the arithmetic holds: False for a descriptor over
+    _BLOCK_DESCRIPTOR_LIMIT or not finite, or a crop without area, which
+    the per-proposal step must decide.
+    """
+    cdf = location._cdf
+    cells = np.minimum(cdf.searchsorted(uniforms[:, 0] * cdf[-1], "right"), cdf.size - 1)
+    row, col = np.divmod(cells, location.grid.shape[1])
+    hx = frame.norm_width / 2
+    hy = frame.norm_height / 2
+    cx = np.minimum(-hx + (col + uniforms[:, 1]) * location.cell_size, hx)
+    cy = np.minimum(-hy + (row + uniforms[:, 2]) * location.cell_size, hy)
+
+    plain = (np.abs(descriptors) <= _BLOCK_DESCRIPTOR_LIMIT).all(axis=1)
+    alpha, gamma = np.where(plain[:, None], descriptors, 0.0).T
+    root_area = math.sqrt(frame.area)
+    sides = []
+    for log_side, ceiling in (
+        ((alpha + gamma) / 2, 2 * frame.norm_width),
+        ((alpha - gamma) / 2, 2 * frame.norm_height),
+    ):
+        grown = np.array(list(map(math.exp, np.minimum(log_side, MAX_LOG_SIDE).tolist())))
+        side = np.where(log_side > MAX_LOG_SIDE, ceiling, root_area * grown)
+        sides.append(np.minimum(np.maximum(side, MIN_BOX_SIDE), ceiling))
+    w, h = sides
+
+    x0 = np.maximum(cx - w / 2, -hx)
+    x1 = np.minimum(cx + w / 2, hx)
+    y0 = np.maximum(cy - h / 2, -hy)
+    y1 = np.minimum(cy + h / 2, hy)
+    ok = plain & (x1 > x0) & (y1 > y0)
+    acx, acy, aw, ah = (x0 + x1) / 2, (y0 + y1) / 2, x1 - x0, y1 - y0
+
+    bcx, bcy, bw, bh = truths.T
+    ix = np.minimum(acx + aw / 2, bcx + bw / 2) - np.maximum(acx - aw / 2, bcx - bw / 2)
+    iy = np.minimum(acy + ah / 2, bcy + bh / 2) - np.maximum(acy - ah / 2, bcy - bh / 2)
+    inter = ix * iy
+    union = aw * ah + bw * bh - inter
+    scores = np.divide(inter, union, out=np.zeros(len(inter)), where=ok & (ix > 0) & (iy > 0))
+    return np.stack([acx, acy, aw, ah], axis=1), scores, ok
+
+
+def _search_in_blocks(
+    workspace: Workspace,
+    dists: Mapping[str, CategorySearchDist],
+    frame: ImageFrame,
+    gt: Mapping[str, BoundingBox],
+    config: MethodConfig,
+    rng: np.random.Generator,
+) -> int:
+    """The per-proposal loop of a context-free run, BLOCK_SIZE iterations at a time.
+
+    Without conditioning, an iteration's random calls depend on earlier
+    scores only through the number of remaining categories, which changes
+    only at a final detection. So a block makes the loop's random calls,
+    scores the proposals as arrays, and files in order those that can change
+    the Workspace, up to the first final. There it rewinds the generator and
+    redraws the block up to that final, so that the next block starts where
+    the loop would. Returns the iterations made: all of the run, or those
+    before a proposal left to the per-proposal loop.
+    """
+    iterations = 0
+    remaining = workspace.remaining()
+    while remaining and iterations < config.max_iterations:
+        searched = [dists[c] for c in remaining]
+        # Every category of a context-free run draws from the one prior map.
+        location = searched[0].location
+        size = min(BLOCK_SIZE, config.max_iterations - iterations)
+        start = rng.bit_generator.state
+        picks, uniforms, descriptors = _draw(rng, searched, size)
+        truths = np.array([[gt[c].cx, gt[c].cy, gt[c].w, gt[c].h] for c in remaining])
+        boxes, scores, ok = _score_block(location, frame, truths[picks], uniforms, descriptors)
+        stops = np.flatnonzero(~ok | (scores >= FINAL_THRESHOLD))
+        end = int(stops[0]) if stops.size else size
+        # A proposal scoring under the provisional threshold leaves the
+        # Workspace as it is; a proposal left to the loop scores 0 here.
+        for i in np.flatnonzero(scores[: end + 1] >= PROVISIONAL_THRESHOLD).tolist():
+            proposal = ObjectProposal(remaining[picks[i]], BoundingBox(*boxes[i].tolist()))
+            workspace.observe(
+                proposal,
+                float(scores[i]),
+                iterations + i + 1,
+                provisional_enabled=config.provisional_enabled,
+            )
+        if end == size:
+            iterations += size
+            continue
+        rng.bit_generator.state = start
+        if not ok[end]:
+            _draw(rng, searched, end)
+            return iterations + end
+        _draw(rng, searched, end + 1)
+        iterations += end + 1
+        remaining = workspace.remaining()
+    return iterations
 
 
 def evaluate_proposal_set(

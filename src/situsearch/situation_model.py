@@ -61,7 +61,7 @@ LOG_ASPECT_RANGE = (math.log(0.25), math.log(4.0))
 MIN_BOX_SIDE = 1e-6
 # math.exp overflows above ~709.78; a side of sqrt(frame area) * e^700 is far
 # beyond the ceiling of twice the frame's side anyway.
-_MAX_LOG_SIDE = 700.0
+MAX_LOG_SIDE = 700.0
 
 # The stds a box prior may have: each square a normal double, at most a
 # quarter of the largest one, so that the 2-d Gaussian's symmetrized
@@ -137,8 +137,8 @@ def box_from_descriptor(
     max_h = 2 * frame.norm_height
     log_w = (alpha + gamma) / 2
     log_h = (alpha - gamma) / 2
-    w = max_w if log_w > _MAX_LOG_SIDE else root_area * math.exp(log_w)
-    h = max_h if log_h > _MAX_LOG_SIDE else root_area * math.exp(log_h)
+    w = max_w if log_w > MAX_LOG_SIDE else root_area * math.exp(log_w)
+    h = max_h if log_h > MAX_LOG_SIDE else root_area * math.exp(log_h)
     if not (MIN_BOX_SIDE <= w <= max_w and MIN_BOX_SIDE <= h <= max_h):
         w = min(max(w, MIN_BOX_SIDE), max_w)  # NaN stays NaN, for BoundingBox to reject
         h = min(max(h, MIN_BOX_SIDE), max_h)
@@ -276,7 +276,7 @@ def model_to_dict(model: SituationModel) -> dict:
 
 
 def _check_keys(section: str, found: Iterable[str], expected: Sequence[str]) -> None:
-    """Reject a model section whose keys differ from the ones the categories imply."""
+    """Reject a model section that lacks an expected key or has one it does not use."""
     found = list(found)
     culprits = [f"missing {k!r}" for k in expected if k not in found]
     culprits += [f"unexpected {k!r}" for k in found if k not in expected]
@@ -287,18 +287,24 @@ def _check_keys(section: str, found: Iterable[str], expected: Sequence[str]) -> 
 def _box_prior_from_dict(category: str, doc: Mapping) -> MultivariateGaussian:
     """A category's box prior from its document, each bad field named."""
     lo, hi = _PRIOR_STD_RANGE
-    fits = [(doc[name]["mean"], doc[name]["std"]) for name in ("alpha", "gamma")]
-    for name, (mean, std) in zip(("alpha", "gamma"), fits):
-        field = f"box_priors[{category!r}].{name}"
+    section = f"box_priors[{category!r}]"
+    _check_keys(section, doc, ("alpha", "gamma"))
+    fits = []
+    for name in ("alpha", "gamma"):
+        field = f"{section}.{name}"
+        _check_keys(field, doc[name], ("mean", "std"))
+        mean, std = doc[name]["mean"], doc[name]["std"]
         if not math.isfinite(mean):
             raise InvalidInputError(f"{field}.mean must be finite, got {mean}")
         if not lo <= std <= hi:
             raise InvalidInputError(f"{field}.std must lie in [{lo:g}, {hi:g}], got {std}")
+        fits.append((mean, std))
     return _box_prior(category, fits)
 
 
 def _joint_from_dict(section: str, doc: Mapping, dims: tuple[str, ...]) -> MultivariateGaussian:
     """One joint of a model document; its errors name its section."""
+    _check_keys(section, [k for k in doc if k != "epsilon"], ("dims", "mean", "cov"))
     try:
         joint = gaussian_from_dict(doc)
     except InvalidInputError as exc:

@@ -47,13 +47,21 @@ def test_tracer_installs_counts_and_restores_every_attribute():
     owners.append((search.Workspace, "observe"))
     before = [(owner, attr, getattr(owner, attr)) for owner, attr in owners]
     scenes = generate_synthetic(default_generator_config(seed=2), 12)
+    tokens = ["uniform-learned-learned", "uniform-learned-none"]
     tracer = tracer_module.Tracer("call-sites")
     with tracer:
         assert all(getattr(owner, attr) is not fn for owner, attr, fn in before)
-        evaluation.run_experiment(
-            scenes, ["uniform-learned-learned"], k=3, max_iterations=100, cell_size=8.0
-        )
+        report = evaluation.run_experiment(scenes, tokens, k=3, max_iterations=100, cell_size=8.0)
     assert [(owner, attr, getattr(owner, attr)) for owner, attr in owners] == before
-    assert {run[1] for run in tracer.runs[1:]} == {"uniform-learned-learned"}
-    assert tracer.workspace_changes > 0
+    assert {run[1] for run in tracer.runs[1:]} == set(tokens)
     assert tracer.calls[tracer._nid["search.score_proposal"]] > 0
+
+    # The context-free runs are scored in blocks, and still file their
+    # detections through Workspace.observe: each final is a counted change.
+    situation_only = tracer_module.Tracer("call-sites")
+    with situation_only:
+        evaluation.run_experiment(scenes, tokens[:1], k=3, max_iterations=100, cell_size=8.0)
+    context_free = next(m for m in report.methods if m.config.situation_model == "none")
+    finals = sum(t is not None for run in context_free.runs for t in run.detections.values())
+    assert finals > 0
+    assert tracer.workspace_changes - situation_only.workspace_changes >= finals

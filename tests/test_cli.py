@@ -370,8 +370,9 @@ def test_run_broken_box_prior_exits_one_naming_the_field(
             "loc_pair['dog_walker|dog']: mean and covariance must be finite",
         ),
         ("box_triple", "cov", None, [1.0], "box_triple: malformed gaussian document: cannot reshape"),
+        ("loc_triple", "cov", 0, 1e308, "loc_triple: covariance entries must be at most"),
     ],
-    ids=["not-psd", "asymmetric", "nan-mean", "wrong-size"],
+    ids=["not-psd", "asymmetric", "nan-mean", "wrong-size", "overflowing-cov"],
 )
 def test_run_broken_joint_exits_one_naming_section_and_file(
     dataset_dir, model_path, tmp_path, capsys, section, field, index, value, message

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import gc
 import json
 import math
 import pickle
+import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -360,6 +363,27 @@ def test_uniform_map_samples_cover_frame():
     assert (points[:, 1] > 0).any() and (points[:, 1] < 0).any()
 
 
+def test_uniform_map_is_reused_for_its_frame_and_holds_no_other():
+    # Frames no other test builds a uniform map on, so no other test holds one.
+    frame, other = normalize_frame(321, 123), normalize_frame(123, 321)
+    lmap = uniform_map(frame, 4.0)
+    assert uniform_map(frame, 4.0) is lmap
+    fresh = LocationMap(frame, 4.0, np.full(lmap.shape, 1.0 / lmap.grid.size))
+    assert lmap.grid.shape == fresh.grid.shape
+    assert lmap.grid.tobytes() == fresh.grid.tobytes()
+    assert lmap._cdf.tobytes() == fresh._cdf.tobytes()
+    assert not lmap.grid.flags.writeable
+
+    held = weakref.ref(lmap)
+    del lmap
+    replacement = uniform_map(other, 4.0)
+    gc.collect()
+    assert held() is None  # the map of the other frame replaced it
+    assert uniform_map(other, 4.0) is replacement
+    assert uniform_map(other, 8.0) is not replacement  # a cell size of its own
+    assert uniform_map(frame, 4.0).shape == fresh.shape
+
+
 def test_point_mass_map_samples_inside_its_cell():
     frame = normalize_frame(1000, 1000)
     grid = np.zeros((5, 5))
@@ -629,6 +653,21 @@ def test_json_rejects_malformed_document():
 
 # ---------------------------------------------------------------------------
 # type invariants
+
+
+@pytest.mark.parametrize("d", [2, 6])
+def test_gaussian_rejects_a_covariance_whose_arithmetic_overflows(d):
+    # An entry over half the largest double overflows the symmetrized
+    # covariance; d entries over 1/d of it overflow the trace.
+    limit = sys.float_info.max / (2 * d)
+    dims = tuple(f"v{i}" for i in range(d))
+    huge = np.eye(d)
+    huge[0, 0] = 1e308
+    for cov in (huge, np.eye(d) * math.nextafter(limit, math.inf)):
+        with pytest.raises(InvalidInputError, match="covariance entries must be at most"):
+            MultivariateGaussian(dims=dims, mean=np.zeros(d), cov=cov)
+    widest = MultivariateGaussian(dims=dims, mean=np.zeros(d), cov=np.eye(d) * limit)
+    assert np.isfinite(widest.cov).all() and np.isfinite(widest._chol).all()
 
 
 def test_gaussian_rejects_asymmetric_or_indefinite():

@@ -15,7 +15,12 @@ from hypothesis import strategies as st
 from situsearch import search
 from situsearch.datagen import SituationAnnotation, default_generator_config, generate_synthetic
 from situsearch.errors import InvalidInputError
-from situsearch.evaluation import METHOD_TOKENS, config_for_token, salience_for_annotation
+from situsearch.evaluation import (
+    METHOD_TOKENS,
+    config_for_token,
+    method_label,
+    salience_for_annotation,
+)
 from situsearch.gaussian import (
     LocationMap,
     MultivariateGaussian,
@@ -801,6 +806,147 @@ def test_proposal_stream_matches_pinned_digest(held_out, token):
         records = [[i, c, b.cx, b.cy, b.w, b.h, score] for i, c, b, score in log]
         digest.update(json.dumps([run.to_dict(), records]).encode())
     assert digest.hexdigest() == PROPOSAL_STREAM_DIGESTS[token]
+
+
+# ---------------------------------------------------------------------------
+# block scoring of context-free runs
+
+
+def oracle_scorer(annotation):
+    """The IOU oracle as a scorer hook, which keeps run_image on its per-proposal loop."""
+    frame = normalize_frame(annotation.width, annotation.height)
+    gt = {c: to_normalized(*box, frame) for c, box in annotation.boxes.items()}
+    return lambda proposal: score_proposal(gt, proposal)
+
+
+def run_logging_changes(*args):
+    """run_image's result, and each Workspace change it made: iteration, slot and box bits."""
+    changes = []
+
+    class LoggingWorkspace(Workspace):
+        def observe(self, proposal, score, iteration, provisional_enabled=True):
+            changed = super().observe(proposal, score, iteration, provisional_enabled)
+            if changed:
+                slot = self.slots[proposal.category]
+                box = box_hexes(slot.proposal.box)
+                changes.append((iteration, proposal.category, slot.kind, hexes(score), box))
+            return changed
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(search, "Workspace", LoggingWorkspace)
+        return run_image(*args), changes
+
+
+def assert_blocks_match_the_loop(model, config, annotation, seeds):
+    """run_image without hooks makes the changes, result and generator state of the
+    per-proposal loop."""
+    salience = (
+        salience_for_annotation(annotation, config.cell_size) if config.needs_salience else None
+    )
+    for seed in seeds:
+        blocks, loop = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = run_logging_changes(model, salience, config, annotation, blocks)
+        want = run_logging_changes(
+            model, salience, config, annotation, loop, oracle_scorer(annotation)
+        )
+        assert got == want
+        assert blocks.bit_generator.state == loop.bit_generator.state
+
+
+CONTEXT_FREE = [
+    *(c for c in METHOD_TOKENS.values() if c.situation_model == search.MODEL_NONE),
+    MethodConfig("salience", "learned", "none"),
+    MethodConfig("salience", "learned", "none", provisional_enabled=False),
+]
+
+
+@pytest.mark.parametrize("config", CONTEXT_FREE, ids=method_label)
+@pytest.mark.parametrize("budget", [1, 63, 64, 65, 1000])
+def test_block_scoring_matches_the_per_proposal_loop(held_out, config, budget):
+    model, annotations = held_out
+    config = replace(config, max_iterations=budget, cell_size=8.0)
+    for i, ann in enumerate(annotations):
+        assert_blocks_match_the_loop(model, config, ann, seeds=[i, 100 + i])
+
+
+def test_block_scoring_rewinds_at_finals_mid_block(degenerate_model):
+    # Box priors fitted to the easy boxes find each object within a few
+    # dozen proposals, so most finals fall inside a block, which is then
+    # rewound and redrawn up to them.
+    config = replace(config_for_token("uniform-learned-none"), cell_size=8.0)
+    assert_blocks_match_the_loop(degenerate_model, config, easy_annotation(), seeds=range(20))
+    results = [
+        run_image(degenerate_model, None, config, easy_annotation(), np.random.default_rng(seed))
+        for seed in range(20)
+    ]
+    assert all(r.completed for r in results)
+    finals = [t for r in results for t in r.detections.values()]
+    assert any(t % search.BLOCK_SIZE for t in finals)
+
+
+@pytest.mark.parametrize("size", [(1, 900), (3000, 40)], ids=["1x900", "3000x40"])
+@pytest.mark.parametrize("config", CONTEXT_FREE, ids=method_label)
+def test_block_scoring_matches_the_loop_on_extreme_frames(held_out, size, config):
+    width, height = size
+    ann = SituationAnnotation(
+        image_id=f"{width}x{height}",
+        width=width,
+        height=height,
+        boxes={
+            "dog_walker": (0.0, 0.0, width * 0.5, height * 0.6),
+            "dog": (width * 0.3, height * 0.2, width * 0.7, height * 0.4),
+            "leash": (width * 0.1, height * 0.5, width * 0.2, height * 0.5),
+        },
+    )
+    config = replace(config, max_iterations=300, cell_size=4.0)
+    assert_blocks_match_the_loop(held_out[0], config, ann, seeds=range(4))
+
+
+def test_block_scoring_matches_the_loop_with_a_correlated_box_prior(held_out):
+    # A batched Z @ chol.T would round differently from mean + chol @ z per draw.
+    model, annotations = held_out
+
+    def correlated(prior):
+        sd = np.sqrt(np.diag(prior.cov))
+        return MultivariateGaussian(prior.dims, prior.mean, prior.cov + 0.6 * np.outer(sd, sd))
+
+    priors = {c: correlated(p) for c, p in model.box_priors.items()}
+    assert all(p._chol[1, 0] != 0 for p in priors.values())
+    model = replace(model, box_priors=priors)
+    config = replace(config_for_token("uniform-learned-none"), cell_size=8.0)
+    for ann in annotations:
+        assert_blocks_match_the_loop(model, config, ann, seeds=[0, 1])
+
+
+class SometimesNanSide:
+    """A box prior whose gamma is NaN whenever its alpha draw exceeds ``above``."""
+
+    def __init__(self, prior: MultivariateGaussian, above: float):
+        self.prior, self.above = prior, above
+
+    def sample(self, rng):
+        alpha, gamma = self.prior.sample(rng)
+        return np.array([alpha, gamma if alpha <= self.above else math.nan])
+
+
+def test_block_scoring_raises_where_the_loop_raises_on_a_nan_side(held_out):
+    model, annotations = held_out
+    prior = model.box_priors["leash"]
+    above = float(prior.mean[0] + 1.5 * math.sqrt(prior.cov[0, 0]))
+    model = replace(model, box_priors={**model.box_priors, "leash": SometimesNanSide(prior, above)})
+    config = replace(config_for_token("uniform-learned-none"), cell_size=8.0)
+    raised = []
+    for i, ann in enumerate(annotations):
+        blocks, loop = np.random.default_rng(i), np.random.default_rng(i)
+        with pytest.raises(InvalidInputError) as got:
+            run_image(model, None, config, ann, blocks)
+        with pytest.raises(InvalidInputError) as want:
+            run_image(model, None, config, ann, loop, oracle_scorer(ann))
+        assert str(got.value) == str(want.value)
+        assert "w=nan" in str(got.value) or "h=nan" in str(got.value)
+        assert blocks.bit_generator.state == loop.bit_generator.state
+        raised.append(str(got.value))
+    assert raised
 
 
 # ---------------------------------------------------------------------------

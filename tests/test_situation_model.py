@@ -511,6 +511,44 @@ def test_model_joint_dims_must_match_categories(synthetic_model):
         model_from_dict(doc)
 
 
+@pytest.mark.parametrize(
+    "path, key, message",
+    [
+        (("box_priors", "dog"), "gamma", "box_priors['dog']: missing 'gamma'"),
+        (("box_priors", "dog", "gamma"), "std", "box_priors['dog'].gamma: missing 'std'"),
+        (("loc_pair", "dog_walker|leash"), "cov", "loc_pair['dog_walker|leash']: missing 'cov'"),
+        (("box_triple",), "dims", "box_triple: missing 'dims'"),
+    ],
+    ids=["box-prior", "box-prior-field", "pair-joint", "triple-joint"],
+)
+def test_model_key_missing_inside_a_section_names_the_section(
+    synthetic_model, path, key, message
+):
+    doc = model_to_dict(synthetic_model)
+    section = doc
+    for name in path:
+        section = section[name]
+    del section[key]
+    with pytest.raises(InvalidInputError, match=re.escape(message)):
+        model_from_dict(doc)
+
+
+def test_model_section_keys_are_checked_but_a_joint_may_omit_its_ridge(synthetic_model):
+    doc = model_to_dict(synthetic_model)
+    doc["box_priors"]["leash"]["alpha"]["sd"] = doc["box_priors"]["leash"]["alpha"].pop("std")
+    with pytest.raises(
+        InvalidInputError, match=re.escape("box_priors['leash'].alpha: missing 'std', unexpected 'sd'")
+    ):
+        model_from_dict(doc)
+    doc = model_to_dict(synthetic_model)
+    doc["loc_triple"]["weights"] = [1.0]
+    with pytest.raises(InvalidInputError, match=re.escape("loc_triple: unexpected 'weights'")):
+        model_from_dict(doc)
+    doc = model_to_dict(synthetic_model)
+    del doc["box_pair"]["dog|leash"]["epsilon"]
+    assert model_from_dict(doc).box_pair["dog", "leash"].epsilon == 0.0
+
+
 # ---------------------------------------------------------------------------
 # memory and memo of the conditioning step
 
