@@ -20,11 +20,12 @@ change before any draw is never built. Between changes the loop is a tight
 sample/score/file cycle. A category's out-of-date map is released at the
 change that supersedes it, so it never holds memory beside its successor.
 
-A context-free run (situation model ``none``) with no scoring or observing
-hook is drawn and scored BLOCK_SIZE proposals at a time, with the same
-random calls and the same floating-point arithmetic as the per-proposal
-loop, so it gives the same result and leaves the generator where the loop
-would.
+A context-free run (situation model ``none``) on a PCG64 generator with no
+scoring or observing hook is drawn and scored BLOCK_SIZE proposals at a
+time. A block reads the generator's raw 64-bit words and decodes them as
+the per-proposal loop's random calls would, then scores the proposals
+with the loop's floating-point arithmetic, so it gives the same result and
+leaves the generator where the loop would.
 """
 
 from __future__ import annotations
@@ -36,11 +37,13 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import InvalidInputError
-from .gaussian import LocationMap, grid_shape, uniform_map
+from .gaussian import LocationMap, MultivariateGaussian, grid_shape, uniform_map
 from .geometry import BoundingBox, ImageFrame, crop_to_frame, iou, normalize_frame, to_normalized
 from .salience import combine  # unused here; the benchmark tracer patches this module attribute
 from .situation_model import (
     DEFAULT_CATEGORIES,
+    LOG_AREA_RANGE,
+    LOG_ASPECT_RANGE,
     MAX_LOG_SIDE,
     MIN_BOX_SIDE,
     CategorySearchDist,
@@ -69,6 +72,10 @@ BLOCK_SIZE = 64
 # A block leaves a descriptor beyond this size, or not finite, to the
 # per-proposal step, so that its arithmetic never overflows.
 _BLOCK_DESCRIPTOR_LIMIT = 1e300
+# A PCG64 word's low 32-bit half, and the scale of its top 53 bits to a
+# uniform in [0, 1).
+_LOW_HALF = 0xFFFFFFFF
+_WORD_UNIT = 1.0 / 9007199254740992.0
 
 
 @dataclass(eq=False, slots=True)
@@ -246,7 +253,8 @@ def run_image(
     loop protocol. ``observer`` fires after every Workspace change with the
     iteration, the Workspace, and the current per-category distributions,
     where a category with a final detection maps to None. A context-free
-    method run with neither hook is scored in blocks, to the same result.
+    method run with neither hook on a PCG64 generator is scored in blocks,
+    to the same result.
     """
     frame = normalize_frame(annotation.width, annotation.height)
     gt = ground_truth(annotation, DEFAULT_CATEGORIES, frame)
@@ -281,7 +289,12 @@ def run_image(
         return dists[cat]
 
     iterations = 0
-    if config.situation_model == MODEL_NONE and scorer is None and observer is None:
+    if (
+        config.situation_model == MODEL_NONE
+        and scorer is None
+        and observer is None
+        and type(rng.bit_generator) is np.random.PCG64
+    ):
         iterations = _search_in_blocks(workspace, dists, frame, gt, config, rng)
     remaining = workspace.remaining()  # refreshed at each Workspace change
     while remaining and iterations < config.max_iterations:
@@ -318,19 +331,119 @@ def run_image(
 
 
 def _draw(rng: np.random.Generator, searched: Sequence[CategorySearchDist], size: int):
-    """The random calls of ``size`` iterations of the loop over ``searched``, in its order.
+    """The random draws of ``size`` iterations of the loop over ``searched``, in its order.
 
+    For a PCG64 ``rng``: the values of the loop's ``rng.integers(len(searched))``,
+    ``rng.random(3)`` and ``searched[k].sample_alpha_gamma(rng)`` calls, read
+    as raw 64-bit words and decoded as numpy decodes them, leaving the
+    generator, its half-word buffer included, where those calls would.
     Returns each iteration's index into ``searched``, its three location
     uniforms and its (alpha, gamma) draw, as arrays.
+
+    numpy rejects a pick's half-word when the pick would be biased (for
+    three categories, one half-word in 2**32) and takes the next. So a block
+    is decoded as if no pick were rejected; at a rejected pick it is decoded
+    again up to there, the rejected half-word is taken, and the pick is drawn
+    again as the first of the rest of the block.
     """
-    picks, uniforms, descriptors = [], [], []
+    bitgen = rng.bit_generator
+    state = bitgen.state
+    buffer = state["has_uint32"], state["uinteger"]
+    parts = []
+    while True:
+        part, end_buffer, rejected = _decode(rng, searched, size, buffer)
+        if rejected is None:
+            break
+        bitgen.state = state
+        part, (has, half), _ = _decode(rng, searched, rejected, buffer)
+        parts.append(part)
+        buffer = (0, half) if has else (1, int(bitgen.random_raw()) >> 32)
+        size -= rejected
+        state = bitgen.state
+    parts.append(part)
+    state = bitgen.state
+    state["has_uint32"], state["uinteger"] = end_buffer
+    bitgen.state = state
+    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
+
+
+def _decode(
+    rng: np.random.Generator,
+    searched: Sequence[CategorySearchDist],
+    size: int,
+    buffer: tuple[int, int],
+):
+    """``size`` iterations' draws, as if numpy rejected no pick's half-word.
+
+    ``buffer`` is PCG64's half-word buffer, (has_uint32, uinteger), which
+    ``random_raw``, ``random`` and ``standard_normal`` leave alone. A pick
+    takes the buffered half-word, or else reads a word, takes its low half
+    and buffers its high half; a pick among one category reads nothing. A
+    uniform is a word's top 53 bits times 2**-53. Returns the draws, the
+    buffer after them, and the first iteration whose pick numpy rejects, or
+    None.
+    """
+    bitgen = rng.bit_generator
     n = len(searched)
-    for _ in range(size):
-        k = int(rng.integers(n))
-        picks.append(k)
-        uniforms.append(rng.random(3))
-        descriptors.append(searched[k].sample_alpha_gamma(rng))
-    return np.array(picks), np.array(uniforms), np.array(descriptors, dtype=float)
+    has, value = buffer
+    fresh = (np.arange(size) + has) % 2 == 0 if n > 1 else np.zeros(size, dtype=bool)
+    boxes = [dist.alpha_gamma for dist in searched]
+    log_uniform = all(isinstance(box, LogUniformBox) for box in boxes)
+    diagonal = all(
+        isinstance(box, MultivariateGaussian) and box._chol[1, 0] == 0 for box in boxes
+    )
+    width = 5 if log_uniform else 3  # the words an iteration reads after its pick's
+    if log_uniform:
+        words = bitgen.random_raw(int(fresh.sum()) + width * size)
+    else:
+        # Each box draw is a call at its place in the stream.
+        rows, draws, high = [], [], value
+        for takes in fresh.tolist():
+            row = bitgen.random_raw(width + takes)
+            rows.append(row)
+            if diagonal:
+                draws.append(rng.standard_normal(2))
+                continue
+            if takes:
+                half, high = int(row[0]) & _LOW_HALF, int(row[0]) >> 32
+            else:
+                half = high
+            draws.append(searched[half * n >> 32].sample_alpha_gamma(rng))
+        words = np.concatenate(rows or [np.empty(0, dtype=np.uint64)])
+    first = np.cumsum(fresh + width) - width  # each iteration's first word after its pick's
+    doubles = (words[first[:, None] + np.arange(width)] >> 11) * _WORD_UNIT
+
+    picks, rejected, end_buffer = np.zeros(size, dtype=np.intp), None, buffer
+    if n > 1:
+        # The half-words in the order picks take them: the buffered one, then
+        # each word read for a pick, low half first.
+        pick_words = words[first[fresh] - 1]
+        halves = np.empty(2 * pick_words.size + 1, dtype=np.uint64)
+        halves[0] = value
+        halves[1::2] = pick_words & _LOW_HALF
+        halves[2::2] = pick_words >> 32
+        after = 1 - has + size
+        if after < halves.size:
+            end_buffer = 1, int(halves[after])
+        else:
+            end_buffer = 0, int(halves[after - 1])
+        scaled = halves[after - size : after] * n
+        picks = (scaled >> 32).astype(np.intp)
+        kept = (scaled & _LOW_HALF) >= (2**32 - n) % n
+        if not kept.all():
+            rejected = int(np.argmin(kept))
+
+    if log_uniform:
+        (a0, a1), (g0, g1) = LOG_AREA_RANGE, LOG_ASPECT_RANGE
+        descriptors = np.array([a0, g0]) + np.array([a1 - a0, g1 - g0]) * doubles[:, 3:]
+    elif diagonal:
+        # mean + chol @ z, whose off-diagonal products are exact zeros
+        means = np.array([box.mean for box in boxes])
+        scales = np.array([box._chol.diagonal() for box in boxes])
+        descriptors = means[picks] + scales[picks] * np.reshape(draws, (size, 2))
+    else:
+        descriptors = np.reshape(draws, (size, 2))
+    return (picks, doubles[:, :3], descriptors), end_buffer, rejected
 
 
 def _score_block(
@@ -400,7 +513,8 @@ def _search_in_blocks(
 
     Without conditioning, an iteration's random calls depend on earlier
     scores only through the number of remaining categories, which changes
-    only at a final detection. So a block makes the loop's random calls,
+    only at a final detection. So a block reads the raw PCG64 words of the
+    loop's random calls and decodes them as those calls would (``_draw``),
     scores the proposals as arrays, and files in order those that can change
     the Workspace, up to the first final. There it rewinds the generator and
     redraws the block up to that final, so that the next block starts where

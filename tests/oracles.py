@@ -27,3 +27,25 @@ def marginal(dist: MultivariateGaussian, keep: list[str]) -> MultivariateGaussia
         cov=dist.cov[np.ix_(idx, idx)],
         epsilon=dist.epsilon,
     )
+
+
+def draw(rng: np.random.Generator, searched, size: int):
+    """The random calls of ``size`` iterations of the per-proposal loop over ``searched``.
+
+    One ``rng.integers``, ``rng.random(3)`` and ``sample_alpha_gamma`` call
+    per iteration, in the loop's order: the oracle of the block decoder,
+    ``search._draw``. Returns each iteration's index into ``searched``, its
+    three location uniforms and its (alpha, gamma) draw, as arrays.
+    """
+    picks, uniforms, descriptors = [], [], []
+    n = len(searched)
+    for _ in range(size):
+        k = int(rng.integers(n))
+        picks.append(k)
+        uniforms.append(rng.random(3))
+        descriptors.append(searched[k].sample_alpha_gamma(rng))
+    return (
+        np.array(picks, dtype=np.intp),
+        np.reshape(uniforms, (size, 3)),
+        np.reshape(descriptors, (size, 2)),
+    )

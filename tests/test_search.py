@@ -12,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from situsearch import search
 from situsearch.datagen import SituationAnnotation, default_generator_config, generate_synthetic
 from situsearch.errors import InvalidInputError
@@ -837,20 +838,27 @@ def run_logging_changes(*args):
         return run_image(*args), changes
 
 
-def assert_blocks_match_the_loop(model, config, annotation, seeds):
+def assert_blocks_match_the_loop(
+    model, config, annotation, seeds, make_rng=np.random.default_rng
+):
     """run_image without hooks makes the changes, result and generator state of the
     per-proposal loop."""
     salience = (
         salience_for_annotation(annotation, config.cell_size) if config.needs_salience else None
     )
     for seed in seeds:
-        blocks, loop = np.random.default_rng(seed), np.random.default_rng(seed)
+        blocks, loop = make_rng(seed), make_rng(seed)
         got = run_logging_changes(model, salience, config, annotation, blocks)
         want = run_logging_changes(
             model, salience, config, annotation, loop, oracle_scorer(annotation)
         )
         assert got == want
-        assert blocks.bit_generator.state == loop.bit_generator.state
+        assert generator_state(blocks) == generator_state(loop)
+
+
+def generator_state(rng) -> str:
+    """The bit generator's state, comparable also where it holds arrays (MT19937, Philox)."""
+    return json.dumps(rng.bit_generator.state, default=np.ndarray.tolist)
 
 
 CONTEXT_FREE = [
@@ -947,6 +955,103 @@ def test_block_scoring_raises_where_the_loop_raises_on_a_nan_side(held_out):
         assert blocks.bit_generator.state == loop.bit_generator.state
         raised.append(str(got.value))
     assert raised
+
+
+def buffered_rng(seed: int, has_uint32: int, uinteger: int, zero_word: int | None = None):
+    """A PCG64 generator with the given half-word buffer.
+
+    With ``zero_word``, the stream's ``zero_word``-th word from here is 0:
+    PCG64 outputs the xor of its new 128-bit state's halves, rotated, so a
+    state with equal halves gives a word whose two half-words numpy rejects
+    for three categories.
+    """
+    bitgen = np.random.PCG64(seed)
+    if zero_word is not None:
+        state = bitgen.state
+        state["state"]["state"] = (seed << 64) | seed
+        bitgen.state = state
+        bitgen.advance(-zero_word)
+    state = bitgen.state
+    state["has_uint32"], state["uinteger"] = has_uint32, uinteger
+    bitgen.state = state
+    return np.random.Generator(bitgen)
+
+
+def box_priors(kind: str, n: int) -> list:
+    """``n`` categories' box distributions: log-uniform, or Gaussians apart per category."""
+    if kind == "log-uniform":
+        return [LogUniformBox()] * n
+    rho = 0.6 if kind == "correlated" else 0.0
+    return [
+        MultivariateGaussian(
+            ("alpha", "gamma"), [-2.0 - k, 0.5 * k], [[0.3, rho * 0.2], [rho * 0.2, 0.4 / (k + 1)]]
+        )
+        for k in range(n)
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    has_uint32=st.integers(0, 1),
+    uinteger=st.one_of(st.just(0), st.integers(0, 2**32 - 1)),
+    n=st.integers(1, 3),
+    size=st.integers(1, 64),
+    kind=st.sampled_from(["log-uniform", "diagonal", "correlated"]),
+    zero_word=st.one_of(st.none(), st.integers(1, 300)),
+)
+def test_block_draws_decode_the_per_call_draws(
+    seed, has_uint32, uinteger, n, size, kind, zero_word
+):
+    location = uniform_map(normalize_frame(640, 480), 8.0)
+    searched = [
+        CategorySearchDist(cat, location, box) for cat, box in zip(CATS, box_priors(kind, n))
+    ]
+    blocks = buffered_rng(seed, has_uint32, uinteger, zero_word)
+    calls = buffered_rng(seed, has_uint32, uinteger, zero_word)
+    got = search._draw(blocks, searched, size)
+    want = oracles.draw(calls, searched, size)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert hexes(*g.ravel().tolist()) == hexes(*w.ravel().tolist())
+    assert blocks.bit_generator.state == calls.bit_generator.state
+
+
+@pytest.mark.parametrize(
+    "config", [config_for_token("uniform-uniform-none"), config_for_token("uniform-learned-none")]
+)
+def test_block_scoring_matches_the_loop_from_a_rejected_pick(held_out, config):
+    # A buffered half-word of 0 is the one numpy rejects for a pick among
+    # three: the first pick takes it, then the low half of the next word.
+    model, annotations = held_out
+    probe = buffered_rng(0, 1, 0)
+    probe.integers(3)
+    assert probe.bit_generator.state["has_uint32"] == 1
+
+    config = replace(config, cell_size=8.0)
+    for ann in annotations:
+        assert_blocks_match_the_loop(
+            model, config, ann, [0, 1], lambda seed: buffered_rng(seed, 1, 0)
+        )
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.Philox])
+@pytest.mark.parametrize("config", CONTEXT_FREE, ids=method_label)
+def test_runs_on_other_bit_generators_keep_the_per_proposal_loop(
+    held_out, config, bit_generator, monkeypatch
+):
+    # Blocks decode PCG64's words; MT19937, for one, makes a double from two
+    # 32-bit outputs.
+    def no_blocks(*args):
+        raise AssertionError("a block read the words of another bit generator")
+
+    monkeypatch.setattr(search, "_search_in_blocks", no_blocks)
+    model, annotations = held_out
+    config = replace(config, max_iterations=300, cell_size=8.0)
+    for ann in annotations[:3]:
+        assert_blocks_match_the_loop(
+            model, config, ann, [0, 1], lambda seed: np.random.Generator(bit_generator(seed))
+        )
 
 
 # ---------------------------------------------------------------------------
