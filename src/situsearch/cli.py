@@ -15,6 +15,7 @@ import argparse
 import contextlib
 import itertools
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -34,7 +35,7 @@ from .datagen import (
     save_annotation,
     save_generator_config,
 )
-from .errors import ParseError, SituSearchError
+from .errors import InvalidInputError, ParseError, SituSearchError
 from .geometry import normalize_frame
 from .images import read_pnm, write_pgm
 from .salience import compute_salience, save_salience
@@ -206,7 +207,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         tokens,
         k=args.folds,
         master_seed=args.seed,
-        jobs=max(1, jobs),
+        jobs=jobs,
         max_iterations=args.max_iter,
         cell_size=args.cell_size,
         progress=progress,
@@ -273,9 +274,14 @@ def cmd_eval_proposals(args: argparse.Namespace) -> int:
                 continue
             try:
                 doc = json.loads(line)
-                proposals.append((float(doc["x"]), float(doc["y"]), float(doc["w"]), float(doc["h"])))
+                box = (float(doc["x"]), float(doc["y"]), float(doc["w"]), float(doc["h"]))
             except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
                 raise ParseError(f"{args.proposals}:{lineno}: bad proposal line ({exc})") from exc
+            if not all(map(math.isfinite, box)) or box[2] <= 0 or box[3] <= 0:
+                raise InvalidInputError(
+                    f"{args.proposals}:{lineno}: box {box} is empty or not finite"
+                )
+            proposals.append(box)
     rng = np.random.default_rng(stable_seed(args.seed, "eval-proposals", annotation.image_id))
     result = evaluate_proposal_set(proposals, annotation, budget=args.budget, rng=rng)
     print(json.dumps(result.to_dict(), sort_keys=True))

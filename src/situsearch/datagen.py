@@ -121,16 +121,19 @@ def load_dataset(directory: str | Path) -> list[SituationAnnotation]:
     """Load and validate every *.json annotation under a directory (sorted).
 
     A generator_config.json left behind by the synthetic generator is
-    provenance, not an annotation, and is skipped.
+    provenance, not an annotation, and is skipped. Two files with one
+    image_id are rejected: their runs would share every seed.
     """
     directory = Path(directory)
     if not directory.is_dir():
         raise ParseError(f"{directory}: not a directory")
-    return [
-        load_annotation(p)
-        for p in sorted(directory.glob("*.json"))
-        if p.name != GENERATOR_CONFIG_NAME
-    ]
+    paths = [p for p in sorted(directory.glob("*.json")) if p.name != GENERATOR_CONFIG_NAME]
+    annotations = [load_annotation(p) for p in paths]
+    first: dict[str, Path] = {}
+    for path, ann in zip(paths, annotations):
+        if (other := first.setdefault(ann.image_id, path)) != path:
+            raise DatasetError(f"{other} and {path} share image_id {ann.image_id!r}")
+    return annotations
 
 
 # ---------------------------------------------------------------------------

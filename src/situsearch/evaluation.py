@@ -79,7 +79,7 @@ def config_for_token(
     if token not in METHOD_TOKENS:
         raise InvalidInputError(
             f"unknown method token {token!r}; valid tokens: "
-            + ", ".join(["all", *METHOD_TOKENS])
+            + ", ".join(METHOD_TOKENS)
         )
     config = METHOD_TOKENS[token]
     if max_iterations is not None:
@@ -98,10 +98,12 @@ def expand_method_spec(spec: str) -> list[str]:
             continue
         if part == "all":
             tokens.extend(t for t in METHOD_TOKENS if t not in tokens)
-        else:
-            config_for_token(part)
-            if part not in tokens:
-                tokens.append(part)
+        elif part not in METHOD_TOKENS:
+            raise InvalidInputError(
+                f"unknown method token {part!r}; valid tokens: all, " + ", ".join(METHOD_TOKENS)
+            )
+        elif part not in tokens:
+            tokens.append(part)
     if not tokens:
         raise InvalidInputError("empty method spec")
     return tokens
@@ -255,6 +257,8 @@ def run_experiment(
     ``methods`` are method tokens. ``max_iterations`` and ``cell_size``,
     when given, override every method.
     """
+    if jobs < 1:
+        raise InvalidInputError(f"jobs must be >= 1, got {jobs}")
     configs = {token: config_for_token(token, max_iterations, cell_size) for token in methods}
     if len(configs) < len(methods):
         raise InvalidInputError(f"duplicate method token in {list(methods)}")

@@ -20,12 +20,17 @@ change before any draw is never built. Between changes the loop is a tight
 sample/score/file cycle. A category's out-of-date map is released at the
 change that supersedes it, so it never holds memory beside its successor.
 
-A context-free run (situation model ``none``) on a PCG64 generator with no
-scoring or observing hook is drawn and scored BLOCK_SIZE proposals at a
-time. A block reads the generator's raw 64-bit words and decodes them as
-the per-proposal loop's random calls would, then scores the proposals
-with the loop's floating-point arithmetic, so it gives the same result and
-leaves the generator where the loop would.
+A context-free run (situation model ``none``) with no scoring or observing
+hook is drawn and scored BLOCK_SIZE proposals at a time. A block reads the
+generator's raw 64-bit PCG64 words and decodes them as the per-proposal
+loop's random calls would, then scores the proposals with the loop's
+floating-point arithmetic, so it gives the same result and leaves the
+generator where the loop would. A block stops at its first final, its
+first pick numpy rejects, or its first proposal the arrays cannot score.
+After a final the next block goes on; after any other stop the
+per-proposal loop finishes the run. A run on a bit generator other than
+PCG64, or with box priors neither all log-uniform nor all diagonal
+Gaussians, goes one proposal at a time from the start.
 """
 
 from __future__ import annotations
@@ -253,8 +258,8 @@ def run_image(
     loop protocol. ``observer`` fires after every Workspace change with the
     iteration, the Workspace, and the current per-category distributions,
     where a category with a final detection maps to None. A context-free
-    method run with neither hook on a PCG64 generator is scored in blocks,
-    to the same result.
+    method run with neither hook is scored in blocks where its draws can be
+    decoded (``_search_in_blocks``), to the same result.
     """
     frame = normalize_frame(annotation.width, annotation.height)
     gt = ground_truth(annotation, DEFAULT_CATEGORIES, frame)
@@ -289,12 +294,7 @@ def run_image(
         return dists[cat]
 
     iterations = 0
-    if (
-        config.situation_model == MODEL_NONE
-        and scorer is None
-        and observer is None
-        and type(rng.bit_generator) is np.random.PCG64
-    ):
+    if config.situation_model == MODEL_NONE and scorer is None and observer is None:
         iterations = _search_in_blocks(workspace, dists, frame, gt, config, rng)
     remaining = workspace.remaining()  # refreshed at each Workspace change
     while remaining and iterations < config.max_iterations:
@@ -333,87 +333,41 @@ def run_image(
 def _draw(rng: np.random.Generator, searched: Sequence[CategorySearchDist], size: int):
     """The random draws of ``size`` iterations of the loop over ``searched``, in its order.
 
-    For a PCG64 ``rng``: the values of the loop's ``rng.integers(len(searched))``,
+    For a PCG64 ``rng`` and box priors all ``LogUniformBox`` or all diagonal
+    Gaussians: the values of the loop's ``rng.integers(len(searched))``,
     ``rng.random(3)`` and ``searched[k].sample_alpha_gamma(rng)`` calls, read
-    as raw 64-bit words and decoded as numpy decodes them, leaving the
-    generator, its half-word buffer included, where those calls would.
+    as raw 64-bit words and decoded as numpy decodes them, as if numpy
+    rejected no pick. A pick takes PCG64's buffered half-word, or else reads
+    a word, takes its low half and buffers its high half; a pick among one
+    category reads nothing. A uniform is a word's top 53 bits times 2**-53.
     Returns each iteration's index into ``searched``, its three location
-    uniforms and its (alpha, gamma) draw, as arrays.
-
-    numpy rejects a pick's half-word when the pick would be biased (for
-    three categories, one half-word in 2**32) and takes the next. So a block
-    is decoded as if no pick were rejected; at a rejected pick it is decoded
-    again up to there, the rejected half-word is taken, and the pick is drawn
-    again as the first of the rest of the block.
+    uniforms and its (alpha, gamma) draw, as arrays, and the first iteration
+    whose pick numpy rejects (for three categories, one half-word in 2**32),
+    or None. With None, the generator, its half-word buffer included, is
+    where those calls would leave it; the draws from a rejected pick on are
+    not the loop's.
     """
     bitgen = rng.bit_generator
     state = bitgen.state
-    buffer = state["has_uint32"], state["uinteger"]
-    parts = []
-    while True:
-        part, end_buffer, rejected = _decode(rng, searched, size, buffer)
-        if rejected is None:
-            break
-        bitgen.state = state
-        part, (has, half), _ = _decode(rng, searched, rejected, buffer)
-        parts.append(part)
-        buffer = (0, half) if has else (1, int(bitgen.random_raw()) >> 32)
-        size -= rejected
-        state = bitgen.state
-    parts.append(part)
-    state = bitgen.state
-    state["has_uint32"], state["uinteger"] = end_buffer
-    bitgen.state = state
-    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
-
-
-def _decode(
-    rng: np.random.Generator,
-    searched: Sequence[CategorySearchDist],
-    size: int,
-    buffer: tuple[int, int],
-):
-    """``size`` iterations' draws, as if numpy rejected no pick's half-word.
-
-    ``buffer`` is PCG64's half-word buffer, (has_uint32, uinteger), which
-    ``random_raw``, ``random`` and ``standard_normal`` leave alone. A pick
-    takes the buffered half-word, or else reads a word, takes its low half
-    and buffers its high half; a pick among one category reads nothing. A
-    uniform is a word's top 53 bits times 2**-53. Returns the draws, the
-    buffer after them, and the first iteration whose pick numpy rejects, or
-    None.
-    """
-    bitgen = rng.bit_generator
+    has, value = state["has_uint32"], state["uinteger"]
     n = len(searched)
-    has, value = buffer
     fresh = (np.arange(size) + has) % 2 == 0 if n > 1 else np.zeros(size, dtype=bool)
     boxes = [dist.alpha_gamma for dist in searched]
-    log_uniform = all(isinstance(box, LogUniformBox) for box in boxes)
-    diagonal = all(
-        isinstance(box, MultivariateGaussian) and box._chol[1, 0] == 0 for box in boxes
-    )
+    log_uniform = isinstance(boxes[0], LogUniformBox)
     width = 5 if log_uniform else 3  # the words an iteration reads after its pick's
     if log_uniform:
         words = bitgen.random_raw(int(fresh.sum()) + width * size)
     else:
-        # Each box draw is a call at its place in the stream.
-        rows, draws, high = [], [], value
+        # A standard normal reads a varying number of words.
+        rows, normals = [], []
         for takes in fresh.tolist():
-            row = bitgen.random_raw(width + takes)
-            rows.append(row)
-            if diagonal:
-                draws.append(rng.standard_normal(2))
-                continue
-            if takes:
-                half, high = int(row[0]) & _LOW_HALF, int(row[0]) >> 32
-            else:
-                half = high
-            draws.append(searched[half * n >> 32].sample_alpha_gamma(rng))
+            rows.append(bitgen.random_raw(width + takes))
+            normals.append(rng.standard_normal(2))
         words = np.concatenate(rows or [np.empty(0, dtype=np.uint64)])
     first = np.cumsum(fresh + width) - width  # each iteration's first word after its pick's
     doubles = (words[first[:, None] + np.arange(width)] >> 11) * _WORD_UNIT
 
-    picks, rejected, end_buffer = np.zeros(size, dtype=np.intp), None, buffer
+    picks, rejected = np.zeros(size, dtype=np.intp), None
     if n > 1:
         # The half-words in the order picks take them: the buffered one, then
         # each word read for a pick, low half first.
@@ -424,26 +378,27 @@ def _decode(
         halves[2::2] = pick_words >> 32
         after = 1 - has + size
         if after < halves.size:
-            end_buffer = 1, int(halves[after])
+            has, value = 1, int(halves[after])
         else:
-            end_buffer = 0, int(halves[after - 1])
+            has, value = 0, int(halves[after - 1])
         scaled = halves[after - size : after] * n
         picks = (scaled >> 32).astype(np.intp)
         kept = (scaled & _LOW_HALF) >= (2**32 - n) % n
         if not kept.all():
             rejected = int(np.argmin(kept))
+    state = bitgen.state
+    state["has_uint32"], state["uinteger"] = has, value
+    bitgen.state = state
 
     if log_uniform:
         (a0, a1), (g0, g1) = LOG_AREA_RANGE, LOG_ASPECT_RANGE
         descriptors = np.array([a0, g0]) + np.array([a1 - a0, g1 - g0]) * doubles[:, 3:]
-    elif diagonal:
+    else:
         # mean + chol @ z, whose off-diagonal products are exact zeros
         means = np.array([box.mean for box in boxes])
         scales = np.array([box._chol.diagonal() for box in boxes])
-        descriptors = means[picks] + scales[picks] * np.reshape(draws, (size, 2))
-    else:
-        descriptors = np.reshape(draws, (size, 2))
-    return (picks, doubles[:, :3], descriptors), end_buffer, rejected
+        descriptors = means[picks] + scales[picks] * np.reshape(normals, (size, 2))
+    return (picks, doubles[:, :3], descriptors), rejected
 
 
 def _score_block(
@@ -516,11 +471,20 @@ def _search_in_blocks(
     only at a final detection. So a block reads the raw PCG64 words of the
     loop's random calls and decodes them as those calls would (``_draw``),
     scores the proposals as arrays, and files in order those that can change
-    the Workspace, up to the first final. There it rewinds the generator and
-    redraws the block up to that final, so that the next block starts where
-    the loop would. Returns the iterations made: all of the run, or those
-    before a proposal left to the per-proposal loop.
+    the Workspace. A block stops at its first final, its first pick numpy
+    rejects, or its first proposal the arrays cannot score; there it rewinds
+    the generator and redraws the block up to the stop. After a final the
+    next block starts where the loop would; at any other stop the loop takes
+    the rest of the run. Returns the iterations made: all of the run, those
+    up to the hand-off, or 0 where the words cannot be decoded (another bit
+    generator, or box priors neither all log-uniform nor all diagonal).
     """
+    priors = [dist.alpha_gamma for dist in dists.values()]
+    if type(rng.bit_generator) is not np.random.PCG64 or not (
+        all(isinstance(box, LogUniformBox) for box in priors)
+        or all(isinstance(box, MultivariateGaussian) and box._chol[1, 0] == 0 for box in priors)
+    ):
+        return 0
     iterations = 0
     remaining = workspace.remaining()
     while remaining and iterations < config.max_iterations:
@@ -529,14 +493,19 @@ def _search_in_blocks(
         location = searched[0].location
         size = min(BLOCK_SIZE, config.max_iterations - iterations)
         start = rng.bit_generator.state
-        picks, uniforms, descriptors = _draw(rng, searched, size)
+        (picks, uniforms, descriptors), rejected = _draw(rng, searched, size)
+        drawn = size if rejected is None else rejected
         truths = np.array([[gt[c].cx, gt[c].cy, gt[c].w, gt[c].h] for c in remaining])
-        boxes, scores, ok = _score_block(location, frame, truths[picks], uniforms, descriptors)
+        boxes, scores, ok = _score_block(
+            location, frame, truths[picks[:drawn]], uniforms[:drawn], descriptors[:drawn]
+        )
         stops = np.flatnonzero(~ok | (scores >= FINAL_THRESHOLD))
-        end = int(stops[0]) if stops.size else size
+        end = int(stops[0]) if stops.size else drawn
+        final = bool(end < drawn and ok[end])
+        kept = end + final
         # A proposal scoring under the provisional threshold leaves the
-        # Workspace as it is; a proposal left to the loop scores 0 here.
-        for i in np.flatnonzero(scores[: end + 1] >= PROVISIONAL_THRESHOLD).tolist():
+        # Workspace as it is.
+        for i in np.flatnonzero(scores[:kept] >= PROVISIONAL_THRESHOLD).tolist():
             proposal = ObjectProposal(remaining[picks[i]], BoundingBox(*boxes[i].tolist()))
             workspace.observe(
                 proposal,
@@ -544,15 +513,12 @@ def _search_in_blocks(
                 iterations + i + 1,
                 provisional_enabled=config.provisional_enabled,
             )
-        if end == size:
-            iterations += size
-            continue
-        rng.bit_generator.state = start
-        if not ok[end]:
-            _draw(rng, searched, end)
-            return iterations + end
-        _draw(rng, searched, end + 1)
-        iterations += end + 1
+        iterations += kept
+        if kept < size:
+            rng.bit_generator.state = start
+            _draw(rng, searched, kept)
+            if not final:
+                return iterations
         remaining = workspace.remaining()
     return iterations
 

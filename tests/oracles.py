@@ -35,17 +35,42 @@ def draw(rng: np.random.Generator, searched, size: int):
     One ``rng.integers``, ``rng.random(3)`` and ``sample_alpha_gamma`` call
     per iteration, in the loop's order: the oracle of the block decoder,
     ``search._draw``. Returns each iteration's index into ``searched``, its
-    three location uniforms and its (alpha, gamma) draw, as arrays.
+    three location uniforms and its (alpha, gamma) draw, as arrays, and the
+    first iteration whose pick took more than one 32-bit half-word of a
+    PCG64 ``rng`` (numpy rejected one), or None.
     """
-    picks, uniforms, descriptors = [], [], []
+    picks, uniforms, descriptors, rejected = [], [], [], None
     n = len(searched)
-    for _ in range(size):
+    for i in range(size):
+        before = rng.bit_generator.state
         k = int(rng.integers(n))
+        if rejected is None and n > 1 and half_words_taken(before, rng.bit_generator.state) > 1:
+            rejected = i
         picks.append(k)
         uniforms.append(rng.random(3))
         descriptors.append(searched[k].sample_alpha_gamma(rng))
-    return (
+    arrays = (
         np.array(picks, dtype=np.intp),
         np.reshape(uniforms, (size, 3)),
         np.reshape(descriptors, (size, 2)),
     )
+    return arrays, rejected
+
+
+def half_words_taken(before: dict, after: dict) -> int:
+    """The 32-bit half-words a PCG64 generator handed out between two of its states.
+
+    Two per 64-bit word it read, plus the buffered half-word at ``before``
+    if it was used, less the one buffered at ``after``. A pick that numpy
+    accepts first time takes one; each rejected half-word adds one, so a
+    zero word read for a pick among three takes three. A rejection does not
+    always show in ``has_uint32``: an even number of them toggles it as an
+    accepted pick does.
+    """
+    probe = np.random.PCG64()
+    probe.state = before
+    for words in range(16):
+        if probe.state["state"] == after["state"]:
+            return 2 * words + before["has_uint32"] - after["has_uint32"]
+        probe.random_raw()
+    raise AssertionError("the generator read more than 15 words for one pick")

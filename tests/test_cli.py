@@ -481,6 +481,25 @@ def test_bench_rejects_unknown_method(dataset_dir, tmp_path, capsys):
     assert "uniform-learned-learned" in err  # lists the valid tokens
 
 
+def test_run_lists_only_the_method_tokens(dataset_dir, model_path, capsys):
+    # `all` names the full matrix for `bench --methods`; `run` takes one method.
+    ann = annotation_files(dataset_dir)[0]
+    args = ["--model", str(model_path), "--image-annotation", str(ann), "--method", "all"]
+    assert main(["run", *args]) == 1
+    err = capsys.readouterr().err
+    assert "unknown method token 'all'; valid tokens: uniform-uniform-none, " in err
+    assert "all," not in err
+
+
+@pytest.mark.parametrize("jobs, env", [(["--jobs", "-4"], "1"), ([], "0")], ids=["flag", "env"])
+def test_bench_rejects_fewer_than_one_job(dataset_dir, tmp_path, monkeypatch, capsys, jobs, env):
+    monkeypatch.setenv("SITUATE_JOBS", env)
+    args = ["bench", "--data", str(dataset_dir), "--out", str(tmp_path / "r"), *jobs]
+    assert main(args) == 1
+    assert f"jobs must be >= 1, got {jobs[-1] if jobs else env}" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
 def test_salience_command_constant_image_uniform(tmp_path, capsys):
     img_path = tmp_path / "flat.pgm"
     write_pgm(img_path, np.full((64, 64), 0.5))
@@ -531,6 +550,20 @@ def test_eval_proposals_matches_seeded_shuffle(dataset_dir, tmp_path, capsys):
     )
     expected_last = max(perm.index(idx) + 1 for idx in gt_positions)
     assert doc["total_iterations"] == expected_last
+
+
+def test_eval_proposals_rejects_an_empty_box_the_budget_never_draws(
+    dataset_dir, tmp_path, capsys
+):
+    ann_path = annotation_files(dataset_dir)[0]
+    bad = tmp_path / "bad.jsonl"
+    good = json.dumps({"x": 1.0, "y": 1.0, "w": 2.0, "h": 2.0})
+    bad.write_text("\n".join([good] * 3 + ['{"x": 1.0, "y": 1.0, "w": 0, "h": 2.0}'] + [good] * 2))
+    for seed in range(6):
+        args = ["--proposals", str(bad), "--image-annotation", str(ann_path), "--budget", "3"]
+        assert main(["eval-proposals", *args, "--seed", str(seed)]) == 1
+        err = capsys.readouterr().err
+        assert "bad.jsonl:4: box (1.0, 1.0, 0.0, 2.0) is empty or not finite" in err
 
 
 def test_eval_proposals_malformed_line_exits_two(dataset_dir, tmp_path, capsys):

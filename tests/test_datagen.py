@@ -101,6 +101,15 @@ def test_dataset_error_names_the_file(tmp_path):
         load_dataset(tmp_path)
 
 
+def test_two_files_with_one_image_id_are_rejected(tmp_path):
+    # Their runs would share every run seed, and a fold split could put one
+    # scene in its training set and its test set at once.
+    save_annotation(make_annotation("scene_1"), tmp_path / "a.json")
+    save_annotation(make_annotation("scene_1"), tmp_path / "copy.json")
+    with pytest.raises(DatasetError, match=r"a\.json and .*copy\.json share image_id 'scene_1'"):
+        load_dataset(tmp_path)
+
+
 def test_duplicate_category_rejected():
     doc = {
         "image_id": "x",

@@ -910,8 +910,15 @@ def test_block_scoring_matches_the_loop_on_extreme_frames(held_out, size, config
     assert_blocks_match_the_loop(held_out[0], config, ann, seeds=range(4))
 
 
-def test_block_scoring_matches_the_loop_with_a_correlated_box_prior(held_out):
-    # A batched Z @ chol.T would round differently from mean + chol @ z per draw.
+def no_draws(*args):
+    raise AssertionError("a block decoded words the per-proposal loop must draw")
+
+
+def test_block_scoring_matches_the_loop_with_a_correlated_box_prior(held_out, monkeypatch):
+    # Blocks decode only diagonal Gaussians, whose off-diagonal products in
+    # mean + chol @ z are exact zeros; a correlated prior goes one proposal
+    # at a time.
+    monkeypatch.setattr(search, "_draw", no_draws)
     model, annotations = held_out
 
     def correlated(prior):
@@ -937,7 +944,9 @@ class SometimesNanSide:
         return np.array([alpha, gamma if alpha <= self.above else math.nan])
 
 
-def test_block_scoring_raises_where_the_loop_raises_on_a_nan_side(held_out):
+def test_block_scoring_raises_where_the_loop_raises_on_a_nan_side(held_out, monkeypatch):
+    # A box distribution other than the two shipped ones goes one proposal at a time.
+    monkeypatch.setattr(search, "_draw", no_draws)
     model, annotations = held_out
     prior = model.box_priors["leash"]
     above = float(prior.mean[0] + 1.5 * math.sqrt(prior.cov[0, 0]))
@@ -955,6 +964,27 @@ def test_block_scoring_raises_where_the_loop_raises_on_a_nan_side(held_out):
         assert blocks.bit_generator.state == loop.bit_generator.state
         raised.append(str(got.value))
     assert raised
+
+
+def test_block_scoring_hands_an_unscorable_descriptor_to_the_loop(held_out, monkeypatch):
+    # Every leash draw has an alpha near 1e301, beyond what a block's
+    # arithmetic takes, so a block hands the run to the per-proposal loop
+    # at its first leash pick, which the loop crops to the frame.
+    model, annotations = held_out
+    leash = MultivariateGaussian(("alpha", "gamma"), [1e301, 0.0], np.diag([0.3, 0.3]))
+    model = replace(model, box_priors={**model.box_priors, "leash": leash})
+    config = replace(config_for_token("uniform-learned-none"), cell_size=8.0)
+    search_in_blocks, handoffs = search._search_in_blocks, []
+
+    def recording_search_in_blocks(*args):
+        handoffs.append(search_in_blocks(*args))
+        return handoffs[-1]
+
+    monkeypatch.setattr(search, "_search_in_blocks", recording_search_in_blocks)
+    for ann in annotations:
+        assert_blocks_match_the_loop(model, config, ann, seeds=[0, 1])
+    assert all(t < config.max_iterations for t in handoffs)
+    assert any(t % search.BLOCK_SIZE for t in handoffs)
 
 
 def buffered_rng(seed: int, has_uint32: int, uinteger: int, zero_word: int | None = None):
@@ -978,14 +1008,11 @@ def buffered_rng(seed: int, has_uint32: int, uinteger: int, zero_word: int | Non
 
 
 def box_priors(kind: str, n: int) -> list:
-    """``n`` categories' box distributions: log-uniform, or Gaussians apart per category."""
+    """``n`` categories' box priors: log-uniform, or diagonal Gaussians apart per category."""
     if kind == "log-uniform":
         return [LogUniformBox()] * n
-    rho = 0.6 if kind == "correlated" else 0.0
     return [
-        MultivariateGaussian(
-            ("alpha", "gamma"), [-2.0 - k, 0.5 * k], [[0.3, rho * 0.2], [rho * 0.2, 0.4 / (k + 1)]]
-        )
+        MultivariateGaussian(("alpha", "gamma"), [-2.0 - k, 0.5 * k], np.diag([0.3, 0.4 / (k + 1)]))
         for k in range(n)
     ]
 
@@ -997,7 +1024,7 @@ def box_priors(kind: str, n: int) -> list:
     uinteger=st.one_of(st.just(0), st.integers(0, 2**32 - 1)),
     n=st.integers(1, 3),
     size=st.integers(1, 64),
-    kind=st.sampled_from(["log-uniform", "diagonal", "correlated"]),
+    kind=st.sampled_from(["log-uniform", "diagonal"]),
     zero_word=st.one_of(st.none(), st.integers(1, 300)),
 )
 def test_block_draws_decode_the_per_call_draws(
@@ -1009,30 +1036,52 @@ def test_block_draws_decode_the_per_call_draws(
     ]
     blocks = buffered_rng(seed, has_uint32, uinteger, zero_word)
     calls = buffered_rng(seed, has_uint32, uinteger, zero_word)
-    got = search._draw(blocks, searched, size)
-    want = oracles.draw(calls, searched, size)
+    got, rejected = search._draw(blocks, searched, size)
+    want, want_rejected = oracles.draw(calls, searched, size)
+    assert rejected == want_rejected
+    drawn = size if rejected is None else rejected
     for g, w in zip(got, want):
         assert g.dtype == w.dtype and g.shape == w.shape
-        assert hexes(*g.ravel().tolist()) == hexes(*w.ravel().tolist())
-    assert blocks.bit_generator.state == calls.bit_generator.state
+        assert hexes(*g[:drawn].ravel().tolist()) == hexes(*w[:drawn].ravel().tolist())
+    if rejected is None:
+        assert blocks.bit_generator.state == calls.bit_generator.state
 
 
 @pytest.mark.parametrize(
-    "config", [config_for_token("uniform-uniform-none"), config_for_token("uniform-learned-none")]
+    "token, zero_word", [("uniform-uniform-none", 441), ("uniform-learned-none", 801)]
 )
-def test_block_scoring_matches_the_loop_from_a_rejected_pick(held_out, config):
-    # A buffered half-word of 0 is the one numpy rejects for a pick among
-    # three: the first pick takes it, then the low half of the next word.
+def test_block_scoring_matches_the_loop_from_a_rejected_pick(
+    held_out, token, zero_word, monkeypatch
+):
+    # The planted zero word is read for a pick among three in the middle of a
+    # later block: numpy rejects both of its half-words. Blocks file what
+    # came before it, and the per-proposal loop takes the run from the pick.
     model, annotations = held_out
-    probe = buffered_rng(0, 1, 0)
-    probe.integers(3)
-    assert probe.bit_generator.state["has_uint32"] == 1
+    config = replace(config_for_token(token), cell_size=8.0)
+    draw, search_in_blocks = search._draw, search._search_in_blocks
+    rejections, handoffs = [], []
 
-    config = replace(config, cell_size=8.0)
+    def recording_draw(*args):
+        draws, rejected = draw(*args)
+        rejections.append(rejected)
+        return draws, rejected
+
+    def recording_search_in_blocks(workspace, *args):
+        iterations = search_in_blocks(workspace, *args)
+        handoffs.append((iterations, len(workspace.detected_boxes())))
+        return iterations
+
+    monkeypatch.setattr(search, "_draw", recording_draw)
+    monkeypatch.setattr(search, "_search_in_blocks", recording_search_in_blocks)
     for ann in annotations:
         assert_blocks_match_the_loop(
-            model, config, ann, [0, 1], lambda seed: buffered_rng(seed, 1, 0)
+            model, config, ann, [0], lambda seed: buffered_rng(seed, 0, 0, zero_word)
         )
+    assert any(rejected is not None for rejected in rejections)
+    assert any(
+        search.BLOCK_SIZE < t < config.max_iterations and t % search.BLOCK_SIZE and filed
+        for t, filed in handoffs
+    )
 
 
 @pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.Philox])
@@ -1042,10 +1091,7 @@ def test_runs_on_other_bit_generators_keep_the_per_proposal_loop(
 ):
     # Blocks decode PCG64's words; MT19937, for one, makes a double from two
     # 32-bit outputs.
-    def no_blocks(*args):
-        raise AssertionError("a block read the words of another bit generator")
-
-    monkeypatch.setattr(search, "_search_in_blocks", no_blocks)
+    monkeypatch.setattr(search, "_draw", no_draws)
     model, annotations = held_out
     config = replace(config, max_iterations=300, cell_size=8.0)
     for ann in annotations[:3]:
