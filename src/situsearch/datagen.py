@@ -164,6 +164,8 @@ class GeneratorConfig:
             )
         if self.box.dims != box_dims(cats):
             raise InvalidInputError(f"box dims {self.box.dims} do not match categories {cats}")
+        if self.seed < 0:
+            raise InvalidInputError(f"generator seed must be non-negative, got {self.seed}")
 
 
 def _structural_gaussian(
@@ -192,7 +194,7 @@ def generator_config_from_dict(doc: dict, source: str = "<memory>") -> Generator
         categories = list(doc.get("categories", DEFAULT_CATEGORIES))
         if categories != list(DEFAULT_CATEGORIES):
             raise InvalidInputError(
-                f"{source}: generator categories {categories} are not the situation's "
+                f"generator categories {categories} are not the situation's "
                 f"{list(DEFAULT_CATEGORIES)}"
             )
         config = GeneratorConfig(
@@ -203,10 +205,12 @@ def generator_config_from_dict(doc: dict, source: str = "<memory>") -> Generator
             seed=int(doc.get("seed", 0)),
         )
         clamping = doc.get("clamping", "translate")
+        if clamping != "translate":
+            raise InvalidInputError(f"unknown clamping policy {clamping!r}")
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{source}: malformed generator config ({exc})") from exc
-    if clamping != "translate":
-        raise InvalidInputError(f"unknown clamping policy {clamping!r}")
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"{source}: {exc}") from exc
     return config
 
 

@@ -272,7 +272,8 @@ def run_experiment(
 
     # Results come back in work order, folds then test images, as they are pooled.
     runs: dict[str, list[RunRecord]] = {token: [] for token in configs}
-    with ProcessPoolExecutor(jobs) if jobs > 1 else contextlib.nullcontext() as pool:
+    workers = min(jobs, len(work))  # a pool starts every worker at once
+    with ProcessPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
         results = pool.map(_run_work_item, work, chunksize=4) if pool else map(_run_work_item, work)
         for done, records in enumerate(results, start=1):
             for token, record in zip(configs, records):

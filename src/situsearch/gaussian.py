@@ -353,7 +353,7 @@ class LocationMap:
 
 def grid_shape(frame: ImageFrame, cell_size: float) -> tuple[int, int]:
     """(rows, cols) of the rasterization grid covering the frame."""
-    if cell_size < 1:
+    if not cell_size >= 1:  # NaN too
         raise InvalidInputError(f"cell_size must be >= 1 scaled pixel, got {cell_size}")
     if frame.norm_width < cell_size or frame.norm_height < cell_size:
         raise InvalidInputError("frame is smaller than a single grid cell")

@@ -44,9 +44,10 @@ def read_pnm(path: str | Path) -> np.ndarray:
         if magic not in ("P2", "P3", "P5", "P6"):
             raise ParseError(f"{path}: unsupported magic {magic!r}")
         header = []
-        pos = 0
         while len(header) < 3:
-            pos, tok = next(toks)
+            start, tok = next(toks)
+            if not tok.isdigit():  # int() would also take a sign or an underscore
+                raise ParseError(f"{path}: header token {tok.decode('latin-1')!r} is not a number")
             header.append(int(tok))
         width, height, maxval = header
         if width < 1 or height < 1 or maxval < 1 or maxval > 65535:
@@ -63,8 +64,8 @@ def read_pnm(path: str | Path) -> np.ndarray:
                 raise ParseError(f"{path}: expected {count} samples, got {len(values)}")
             raw = np.array(values, dtype=float)
         else:
-            # Binary payload starts after exactly one whitespace byte past maxval.
-            offset = pos + len(str(maxval)) + 1
+            # Binary payload starts after exactly one whitespace byte past maxval's token.
+            offset = start + len(tok) + 1
             dtype = np.dtype(">u2") if maxval > 255 else np.uint8
             raw = np.frombuffer(data, dtype=dtype, count=count, offset=offset).astype(float)
             if raw.size != count:

@@ -5,13 +5,14 @@ A situation model holds, for the three categories of DEFAULT_CATEGORIES:
 * per-category priors over log area-ratio and log aspect-ratio, each a
   diagonal 2-d Gaussian (the box is never modeled in raw units: logs keep
   the quantities positive and weight small boxes more),
-* pairwise 4-d and one three-way 6-d joint Gaussian over box centers,
-* the same pair/triple structure over (log area-ratio, log aspect-ratio).
+* one location joint (over box centers) and one size/shape joint (over log
+  area-ratio and log aspect-ratio) per pair of categories and over all
+  three, each table keyed by the categories its joint spans.
 
 At search time each category is given a location map plus a box-descriptor
 distribution. Until another category is detected these are the search
-method's priors; with one detection of another category the pairwise joint
-is conditioned on it; with two, the three-way joint is conditioned on both.
+method's priors; after that, the joint over the category and the detected
+others is conditioned on the others' boxes.
 A category's own detection never conditions its own distributions, and
 provisional detections condition exactly like final ones.
 """
@@ -43,9 +44,11 @@ from .gaussian import (
 from .geometry import BoundingBox, ImageFrame, normalize_frame, to_normalized
 
 DEFAULT_CATEGORIES = ("dog_walker", "dog", "leash")
-# Every unordered pair of categories, each in category order, in the order
-# the model fits, stores and serializes the pairwise joints.
+# Every unordered pair of categories, each in category order.
 CATEGORY_PAIRS = tuple(itertools.combinations(DEFAULT_CATEGORIES, 2))
+# The category sets the model holds joints over, in the order it fits,
+# stores and serializes them: every pair, then all three.
+JOINT_CATEGORIES = CATEGORY_PAIRS + (DEFAULT_CATEGORIES,)
 
 MODEL_FORMAT_VERSION = 1
 
@@ -83,14 +86,14 @@ class SituationModel:
     """All learned distributions over the situation's categories.
 
     ``box_priors`` holds each category's diagonal 2-d Gaussian over
-    (alpha_c, gamma_c); the pair joints are keyed by ``CATEGORY_PAIRS``.
+    (alpha_c, gamma_c). ``loc_joints`` and ``box_joints`` map each category
+    set of ``JOINT_CATEGORIES`` to its joint, with dims ``loc_dims`` and
+    ``box_dims`` of the set.
     """
 
     box_priors: dict[str, MultivariateGaussian]
-    loc_pair: dict[tuple[str, str], MultivariateGaussian]
-    loc_triple: MultivariateGaussian
-    box_pair: dict[tuple[str, str], MultivariateGaussian]
-    box_triple: MultivariateGaussian
+    loc_joints: dict[tuple[str, ...], MultivariateGaussian]
+    box_joints: dict[tuple[str, ...], MultivariateGaussian]
 
 
 @dataclass(eq=False)
@@ -191,21 +194,16 @@ def learn(training: Sequence) -> SituationModel:
         for k, cat in enumerate(cats)
     }
 
-    loc_pair = {}
-    box_pair = {}
-    for a, b in CATEGORY_PAIRS:
-        ia, ib = cats.index(a), cats.index(b)
-        cols = [2 * ia, 2 * ia + 1, 2 * ib, 2 * ib + 1]
-        loc_pair[(a, b)] = fit(locs[:, cols], loc_dims((a, b)))
-        box_pair[(a, b)] = fit(boxes[:, cols], box_dims((a, b)))
-
-    return SituationModel(
-        box_priors=box_priors,
-        loc_pair=loc_pair,
-        loc_triple=fit(locs, loc_dims(cats)),
-        box_pair=box_pair,
-        box_triple=fit(boxes, box_dims(cats)),
-    )
+    loc_joints, box_joints = {}, {}
+    for group in JOINT_CATEGORIES:
+        # A column copy is laid out differently from the arrays themselves, and
+        # fits other bits; the joint over every category is fitted on the arrays.
+        cols = [2 * cats.index(cat) + i for cat in group for i in (0, 1)]
+        loc = locs if group == cats else locs[:, cols]
+        box = boxes if group == cats else boxes[:, cols]
+        loc_joints[group] = fit(loc, loc_dims(group))
+        box_joints[group] = fit(box, box_dims(group))
+    return SituationModel(box_priors, loc_joints, box_joints)
 
 
 def conditioned_distribution(
@@ -219,38 +217,24 @@ def conditioned_distribution(
     """Search distributions for one category given current detections.
 
     Detections of the category itself are ignored; at least one other
-    category must be detected. With one other detection the pairwise joints
-    are conditioned on it; with two, the three-way joints are conditioned on
-    both. A ``salience`` map is folded into the location map as it is
-    rasterized.
+    category must be detected. The joints over the category and the detected
+    others are conditioned on the others' boxes. A ``salience`` map is folded
+    into the location map as it is rasterized.
     """
     if category not in DEFAULT_CATEGORIES:
         raise InvalidInputError(f"unknown category {category!r}")
-    others = [cat for cat in DEFAULT_CATEGORIES if cat != category and cat in detections]
+    group = tuple(cat for cat in DEFAULT_CATEGORIES if cat == category or cat in detections)
+    others = tuple(cat for cat in group if cat != category)
     if not others:
         raise InvalidInputError(f"no detection of another category to condition {category!r} on")
-    if len(others) == 1:
-        pair = next(p for p in CATEGORY_PAIRS if category in p and others[0] in p)
-        loc_joint, box_joint = model.loc_pair[pair], model.box_pair[pair]
-    else:
-        loc_joint, box_joint = model.loc_triple, model.box_triple
-
-    loc_obs: dict[str, float] = {}
-    box_obs: dict[str, float] = {}
-    for other_cat in others:
-        box = detections[other_cat]
-        loc_obs[f"x_{other_cat}"] = box.cx
-        loc_obs[f"y_{other_cat}"] = box.cy
-        alpha, gamma = box_descriptor(box, frame)
-        box_obs[f"alpha_{other_cat}"] = alpha
-        box_obs[f"gamma_{other_cat}"] = gamma
-    loc_cond = condition(loc_joint, loc_obs)
-    box_cond = condition(box_joint, box_obs)
-
+    boxes = [detections[cat] for cat in others]
+    loc_obs = dict(zip(loc_dims(others), [v for box in boxes for v in (box.cx, box.cy)]))
+    box_obs = dict(zip(box_dims(others), [v for box in boxes for v in box_descriptor(box, frame)]))
+    loc_cond = condition(model.loc_joints[group], loc_obs)
     return CategorySearchDist(
         category=category,
         location=rasterize_2d(loc_cond, frame, cell_size, salience),
-        alpha_gamma=box_cond,
+        alpha_gamma=condition(model.box_joints[group], box_obs),
     )
 
 
@@ -264,15 +248,16 @@ def model_to_dict(model: SituationModel) -> dict:
             for i, name in enumerate(("alpha", "gamma"))
         }
 
-    return {
+    doc = {
         "format_version": MODEL_FORMAT_VERSION,
         "categories": list(DEFAULT_CATEGORIES),
         "box_priors": {c: prior_dict(model.box_priors[c]) for c in DEFAULT_CATEGORIES},
-        "loc_pair": {f"{a}|{b}": gaussian_to_dict(model.loc_pair[a, b]) for a, b in CATEGORY_PAIRS},
-        "loc_triple": gaussian_to_dict(model.loc_triple),
-        "box_pair": {f"{a}|{b}": gaussian_to_dict(model.box_pair[a, b]) for a, b in CATEGORY_PAIRS},
-        "box_triple": gaussian_to_dict(model.box_triple),
     }
+    for kind, joints in (("loc", model.loc_joints), ("box", model.box_joints)):
+        *pairs, triple = (gaussian_to_dict(joints[group]) for group in JOINT_CATEGORIES)
+        doc[f"{kind}_pair"] = {"|".join(g): pair for g, pair in zip(CATEGORY_PAIRS, pairs)}
+        doc[f"{kind}_triple"] = triple
+    return doc
 
 
 def _check_keys(section: str, found: Iterable[str], expected: Sequence[str]) -> None:
@@ -329,22 +314,20 @@ def model_from_dict(data: Mapping) -> SituationModel:
         _check_keys("box_priors", data["box_priors"], cats)
         box_priors = {c: _box_prior_from_dict(c, data["box_priors"][c]) for c in cats}
 
-        def pair_map(name: str, dims) -> dict[tuple[str, str], MultivariateGaussian]:
-            section = data[name]
-            keys = {pair: f"{pair[0]}|{pair[1]}" for pair in CATEGORY_PAIRS}
-            _check_keys(name, section, list(keys.values()))
-            return {
-                pair: _joint_from_dict(f"{name}[{key!r}]", section[key], dims(pair))
-                for pair, key in keys.items()
-            }
-
-        return SituationModel(
-            box_priors=box_priors,
-            loc_pair=pair_map("loc_pair", loc_dims),
-            loc_triple=_joint_from_dict("loc_triple", data["loc_triple"], loc_dims(cats)),
-            box_pair=pair_map("box_pair", box_dims),
-            box_triple=_joint_from_dict("box_triple", data["box_triple"], box_dims(cats)),
-        )
+        tables = []
+        for kind, dims in (("loc", loc_dims), ("box", box_dims)):
+            pairs = data[f"{kind}_pair"]
+            _check_keys(f"{kind}_pair", pairs, ["|".join(pair) for pair in CATEGORY_PAIRS])
+            joints = {}
+            for group in JOINT_CATEGORIES:
+                if group == cats:
+                    section, doc = f"{kind}_triple", data[f"{kind}_triple"]
+                else:
+                    key = "|".join(group)
+                    section, doc = f"{kind}_pair[{key!r}]", pairs[key]
+                joints[group] = _joint_from_dict(section, doc, dims(group))
+            tables.append(joints)
+        return SituationModel(box_priors, *tables)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InvalidInputError(f"malformed model document: {exc}") from exc
 

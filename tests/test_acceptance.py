@@ -204,12 +204,12 @@ def test_criterion_3_model_recovery_from_generator():
         worst_mean = max(worst_mean, mean_err)
         worst_cov = max(worst_cov, cov_err)
 
-    check(model.loc_triple, config.location.mean, config.location.cov)
-    check(model.box_triple, config.box.mean, config.box.cov)
+    check(model.loc_joints[cats], config.location.mean, config.location.cov)
+    check(model.box_joints[cats], config.box.mean, config.box.cov)
     for pair, cols in pair_cols.items():
         sub = np.ix_(cols, cols)
-        check(model.loc_pair[pair], config.location.mean[cols], config.location.cov[sub])
-        check(model.box_pair[pair], config.box.mean[cols], config.box.cov[sub])
+        check(model.loc_joints[pair], config.location.mean[cols], config.location.cov[sub])
+        check(model.box_joints[pair], config.box.mean[cols], config.box.cov[sub])
 
     elapsed = time.perf_counter() - start
     assert worst_mean <= 0.05

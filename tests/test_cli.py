@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import weakref
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from situsearch import charts
-from situsearch.cli import main
+from situsearch.cli import build_parser, main
 from situsearch.datagen import load_generator_config, save_annotation
 from situsearch.errors import InvalidInputError
 from situsearch.images import write_pgm
@@ -575,3 +576,57 @@ def test_eval_proposals_malformed_line_exits_two(dataset_dir, tmp_path, capsys):
     )
     assert code == 2
     assert "bad.jsonl:1" in capsys.readouterr().err
+
+
+def numeric_options():
+    """(subcommand, option) for every option the CLI parses as a number."""
+    parser = build_parser()
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return [
+        (name, action.option_strings[-1])
+        for name, subparser in sub.choices.items()
+        for action in subparser._actions
+        if action.type in (int, float)
+    ]
+
+
+NUMERIC_OPTIONS = numeric_options()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
+@pytest.mark.parametrize(
+    "command, option", NUMERIC_OPTIONS, ids=[" ".join(o) for o in NUMERIC_OPTIONS]
+)
+def test_numeric_option_never_ends_in_a_traceback(
+    dataset_dir, model_path, tmp_path, monkeypatch, capsys, command, option, value
+):
+    monkeypatch.delenv("SITUATE_JOBS", raising=False)
+    ann = annotation_files(dataset_dir)[0]
+    image = tmp_path / "image.pgm"
+    write_pgm(image, np.random.default_rng(0).random((48, 64)))
+    proposals = tmp_path / "proposals.jsonl"
+    proposals.write_text(json.dumps({"x": 1.0, "y": 1.0, "w": 20.0, "h": 20.0}) + "\n")
+    base = {
+        "run": [
+            *("--model", model_path, "--image-annotation", ann),
+            *("--max-iter", 20, "--cell-size", 8),
+        ],
+        "bench": [
+            *("--data", dataset_dir, "--out", tmp_path / "report", "--methods"),
+            *("uniform-learned-none", "--folds", 2, "--max-iter", 5, "--cell-size", 8),
+        ],
+        "gen": ["--out", tmp_path / "gen", "--n", 2],
+        "salience": ["--image", image, "--out", tmp_path / "image.sal", "--cell-size", 8],
+        "eval-proposals": ["--proposals", proposals, "--image-annotation", ann, "--budget", 10],
+    }
+    # The option given last wins, so the value under test overrides the base's.
+    argv = [command, *map(str, base[command]), option, value]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse's usage errors
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code != 0:
+        assert len([line for line in err.splitlines() if "error: " in line]) == 1, err

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,8 +16,10 @@ from situsearch.datagen import (
     generate_synthetic,
     load_annotation,
     load_dataset,
+    load_generator_config,
     render_annotation_image,
     save_annotation,
+    save_generator_config,
     split_folds,
 )
 from situsearch.errors import DatasetError, GenerationError, InvalidInputError, ParseError
@@ -177,12 +180,11 @@ def test_fit_on_generated_data_recovers_generator():
     annotations = generate_synthetic(config, 4000)
     model = learn(annotations)
     true_mean = config.location.mean
-    got_mean = model.loc_triple.mean
+    got_mean = model.loc_joints[DEFAULT_CATEGORIES].mean
     rel = np.linalg.norm(got_mean - true_mean) / np.linalg.norm(true_mean)
     assert rel < 0.05
-    rel_box = np.linalg.norm(model.box_triple.mean - config.box.mean) / np.linalg.norm(
-        config.box.mean
-    )
+    box_mean = model.box_joints[DEFAULT_CATEGORIES].mean
+    rel_box = np.linalg.norm(box_mean - config.box.mean) / np.linalg.norm(config.box.mean)
     assert rel_box < 0.05
 
 
@@ -245,6 +247,20 @@ def test_unknown_clamping_policy_rejected(tmp_path):
     doc["clamping"] = "shrink"
     path.write_text(json.dumps(doc))
     with pytest.raises(InvalidInputError, match="'shrink'"):
+        load_generator_config(path)
+
+
+def test_negative_generator_seed_is_rejected_naming_value_and_file(tmp_path):
+    with pytest.raises(InvalidInputError, match="generator seed must be non-negative, got -1"):
+        default_generator_config(seed=-1)
+    path = tmp_path / "config.json"
+    save_generator_config(default_generator_config(), path)
+    doc = json.loads(path.read_text())
+    doc["seed"] = -7
+    path.write_text(json.dumps(doc))
+    with pytest.raises(
+        InvalidInputError, match=re.escape(f"{path}: generator seed must be non-negative, got -7")
+    ):
         load_generator_config(path)
 
 

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from situsearch import evaluation
 from situsearch.errors import InvalidInputError
 from situsearch.evaluation import (
     METHOD_TOKENS,
@@ -292,6 +293,35 @@ def test_progress_counts_every_test_image_in_order(small_synthetic_dataset, jobs
         progress=lambda done, total: calls.append((done, total)),
     )
     assert calls == [(done, 12) for done in range(1, 13)]
+
+
+@pytest.mark.parametrize("jobs, workers", [(64, [12]), (5, [5]), (1, [])])
+def test_pool_starts_no_more_workers_than_test_images(
+    small_synthetic_dataset, monkeypatch, jobs, workers
+):
+    # A fake pool that records its size and maps in this process: a real
+    # pool starts every worker at once.
+    started = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(evaluation, "ProcessPoolExecutor", SerialPool)
+    args = (small_synthetic_dataset[:12], ["uniform-uniform-none"])
+    kwargs = dict(k=3, max_iterations=5, cell_size=8.0)
+    report = run_experiment(*args, jobs=jobs, **kwargs)
+    assert started == workers
+    assert report_to_dict(report) == report_to_dict(run_experiment(*args, **kwargs))
 
 
 def test_single_iteration_budget_all_fail(small_synthetic_dataset):

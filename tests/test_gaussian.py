@@ -261,6 +261,13 @@ def test_marginal_unknown_label():
 # rasterize_2d
 
 
+@pytest.mark.parametrize("cell", [0.0, 0.999, -1.0, float("nan"), float("-inf")])
+def test_grid_shape_rejects_a_cell_below_one_or_nan(cell):
+    frame = normalize_frame(640, 480)
+    with pytest.raises(InvalidInputError, match="cell_size must be >= 1 scaled pixel, got"):
+        grid_shape(frame, cell)
+
+
 def test_rasterize_point_mass_hits_central_cell():
     frame = normalize_frame(1000, 1000)
     dist = MultivariateGaussian(

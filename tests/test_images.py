@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
+from situsearch.cli import main
 from situsearch.errors import ParseError
 from situsearch.images import read_pnm, write_pgm
 
@@ -55,3 +58,21 @@ def test_truncated_pixels_is_parse_error(tmp_path):
     path.write_bytes(b"P5\n4 4\n255\n\x01\x02")
     with pytest.raises(ParseError):
         read_pnm(path)
+
+
+@pytest.mark.parametrize("maxval", [b"0255", b"00255"])
+def test_binary_payload_starts_after_the_maxval_token_as_written(tmp_path, maxval):
+    path = tmp_path / "padded.pgm"
+    path.write_bytes(b"P5\n2 2\n" + maxval + b"\n" + bytes([10, 20, 30, 40]))
+    np.testing.assert_array_equal(read_pnm(path) * 255, [[10, 20], [30, 40]])
+
+
+@pytest.mark.parametrize("header", [b"2 2\n+255", b"2 2\n2_55", b"+2 2\n255", b"2 -2\n255"])
+def test_header_token_that_is_not_digits_is_parse_error(tmp_path, capsys, header):
+    path = tmp_path / "signed.pgm"
+    path.write_bytes(b"P5\n" + header + b"\n" + bytes(4))
+    message = re.escape(f"{path}: header token ") + ".* is not a number"
+    with pytest.raises(ParseError, match=message):
+        read_pnm(path)
+    assert main(["salience", "--image", str(path), "--out", str(tmp_path / "s.sal")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: header token")

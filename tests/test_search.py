@@ -1116,8 +1116,7 @@ def wide_box_model(model, std: float):
             c: MultivariateGaussian(p.dims, p.mean, np.diag([std**2, std**2]))
             for c, p in model.box_priors.items()
         },
-        box_pair={pair: widen(j) for pair, j in model.box_pair.items()},
-        box_triple=widen(model.box_triple),
+        box_joints={group: widen(j) for group, j in model.box_joints.items()},
     )
 
 
@@ -1172,8 +1171,7 @@ def near_singular_location_model(model, scale: float, rank_one: bool):
 
     return replace(
         model,
-        loc_pair={pair: squeeze(j) for pair, j in model.loc_pair.items()},
-        loc_triple=squeeze(model.loc_triple),
+        loc_joints={group: squeeze(j) for group, j in model.loc_joints.items()},
     )
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import pickle
 import re
@@ -32,13 +33,16 @@ from situsearch.search import MethodConfig, run_image, sample_proposal
 from situsearch.situation_model import (
     CATEGORY_PAIRS,
     DEFAULT_CATEGORIES,
+    JOINT_CATEGORIES,
     CategorySearchDist,
     LogUniformBox,
     box_descriptor,
+    box_dims,
     box_from_descriptor,
     conditioned_distribution,
     learn,
     load_model,
+    loc_dims,
     model_from_dict,
     model_to_dict,
     save_model,
@@ -90,16 +94,17 @@ def test_learn_duplicated_annotation_degenerates():
     frame = normalize_frame(ann.width, ann.height)
     dog = to_normalized(*ann.boxes["dog"], frame)
     alpha, gamma = box_descriptor(dog, frame)
-    idx = model.loc_triple.dims.index("x_dog")
-    assert model.loc_triple.mean[idx] == pytest.approx(dog.cx)
+    idx = model.loc_joints[CATS].dims.index("x_dog")
+    assert model.loc_joints[CATS].mean[idx] == pytest.approx(dog.cx)
     assert model.box_priors["dog"].mean.tolist() == pytest.approx([alpha, gamma])
     # covariance collapses to the ridge
-    assert np.max(np.abs(model.loc_triple.cov - np.diag(np.diag(model.loc_triple.cov)))) < 1e-6
+    cov = model.loc_joints[CATS].cov
+    assert np.max(np.abs(cov - np.diag(np.diag(cov)))) < 1e-6
 
 
 def test_learn_recovers_generator_means(synthetic_model):
     config = default_generator_config(seed=3)
-    rel = np.linalg.norm(synthetic_model.loc_triple.mean - config.location.mean)
+    rel = np.linalg.norm(synthetic_model.loc_joints[CATS].mean - config.location.mean)
     rel /= np.linalg.norm(config.location.mean)
     assert rel < 0.05
 
@@ -130,13 +135,13 @@ def test_walker_area_prior_exceeds_dog(synthetic_model):
 
 
 def test_pairwise_joints_agree_with_triple_marginals(synthetic_model):
-    pair = synthetic_model.loc_pair[("dog_walker", "dog")]
+    pair = synthetic_model.loc_joints[("dog_walker", "dog")]
     idx = [0, 1, 2, 3]  # walker and dog lead the triple's dim order
     np.testing.assert_allclose(
-        pair.mean, synthetic_model.loc_triple.mean[idx], rtol=1e-12
+        pair.mean, synthetic_model.loc_joints[CATS].mean[idx], rtol=1e-12
     )
     np.testing.assert_allclose(
-        pair.cov, synthetic_model.loc_triple.cov[np.ix_(idx, idx)], rtol=1e-6, atol=1e-9
+        pair.cov, synthetic_model.loc_joints[CATS].cov[np.ix_(idx, idx)], rtol=1e-6, atol=1e-9
     )
 
 
@@ -248,16 +253,65 @@ def test_single_detection_matches_manual_pipeline(synthetic_model):
 
     alpha, gamma = box_descriptor(walker_box, frame)
     for cat in ("dog", "leash"):
-        pair = synthetic_model.loc_pair[("dog_walker", cat)]
+        pair = synthetic_model.loc_joints[("dog_walker", cat)]
         loc = condition(pair, {"x_dog_walker": walker_box.cx, "y_dog_walker": walker_box.cy})
         expected_map = rasterize_2d(loc, frame, cell_size=4)
         np.testing.assert_allclose(dists[cat].location.grid, expected_map.grid, atol=1e-9)
-        box_joint = synthetic_model.box_pair[("dog_walker", cat)]
+        box_joint = synthetic_model.box_joints[("dog_walker", cat)]
         expected_box = condition(
             box_joint, {"alpha_dog_walker": alpha, "gamma_dog_walker": gamma}
         )
         np.testing.assert_allclose(dists[cat].alpha_gamma.mean, expected_box.mean)
         np.testing.assert_allclose(dists[cat].alpha_gamma.cov, expected_box.cov)
+
+
+CONDITIONING_CASES = [
+    (target, others)
+    for target in CATS
+    for n in (1, 2)
+    for others in itertools.combinations([c for c in CATS if c != target], n)
+]
+
+
+@pytest.mark.parametrize(
+    "target, others", CONDITIONING_CASES, ids=[f"{t}|{'+'.join(o)}" for t, o in CONDITIONING_CASES]
+)
+def test_conditioning_is_one_lookup_of_the_joint_over_target_and_detected(
+    synthetic_model, target, others
+):
+    frame = normalize_frame(640, 480)
+    ann = scaled_annotation()
+    boxes = {cat: to_normalized(*ann.boxes[cat], frame) for cat in CATS}
+    # the target's own detection is present and ignored
+    detections = {cat: boxes[cat] for cat in (target, *others)}
+    got = conditioned_distribution(synthetic_model, target, detections, frame, 4)
+
+    group = tuple(cat for cat in CATS if cat == target or cat in others)
+    loc_obs, box_obs = {}, {}
+    for cat in others:
+        loc_obs.update({f"x_{cat}": boxes[cat].cx, f"y_{cat}": boxes[cat].cy})
+        alpha, gamma = box_descriptor(boxes[cat], frame)
+        box_obs.update({f"alpha_{cat}": alpha, f"gamma_{cat}": gamma})
+    loc = condition(synthetic_model.loc_joints[group], loc_obs)
+    box = condition(synthetic_model.box_joints[group], box_obs)
+    assert got.location.grid.tobytes() == rasterize_2d(loc, frame, 4).grid.tobytes()
+    assert got.alpha_gamma.dims == box.dims == (f"alpha_{target}", f"gamma_{target}")
+    for name in ("mean", "cov"):
+        assert getattr(got.alpha_gamma, name).tobytes() == getattr(box, name).tobytes()
+
+
+def assert_joint_tables(model):
+    assert list(model.loc_joints) == list(model.box_joints) == list(JOINT_CATEGORIES)
+    for group in JOINT_CATEGORIES:
+        assert model.loc_joints[group].dims == loc_dims(group)
+        assert model.box_joints[group].dims == box_dims(group)
+
+
+def test_learned_and_loaded_tables_hold_one_joint_per_category_set(synthetic_model, tmp_path):
+    assert JOINT_CATEGORIES == (*CATEGORY_PAIRS, CATS)
+    assert_joint_tables(synthetic_model)
+    save_model(synthetic_model, tmp_path / "model.json")
+    assert_joint_tables(load_model(tmp_path / "model.json"))
 
 
 def test_self_detection_leaves_own_distributions_alone(synthetic_model):
@@ -395,9 +449,10 @@ def test_model_save_load_bit_for_bit(synthetic_model, tmp_path):
     save_model(synthetic_model, path)
     loaded = load_model(path)
     assert model_to_dict(loaded) == model_to_dict(synthetic_model)
-    np.testing.assert_array_equal(loaded.loc_triple.mean, synthetic_model.loc_triple.mean)
-    np.testing.assert_array_equal(loaded.loc_triple.cov, synthetic_model.loc_triple.cov)
-    np.testing.assert_array_equal(loaded.box_triple.cov, synthetic_model.box_triple.cov)
+    loc, box = loaded.loc_joints[CATS], loaded.box_joints[CATS]
+    np.testing.assert_array_equal(loc.mean, synthetic_model.loc_joints[CATS].mean)
+    np.testing.assert_array_equal(loc.cov, synthetic_model.loc_joints[CATS].cov)
+    np.testing.assert_array_equal(box.cov, synthetic_model.box_joints[CATS].cov)
     path2 = tmp_path / "model2.json"
     save_model(loaded, path2)
     assert path.read_bytes() == path2.read_bytes()
@@ -546,7 +601,7 @@ def test_model_section_keys_are_checked_but_a_joint_may_omit_its_ridge(synthetic
         model_from_dict(doc)
     doc = model_to_dict(synthetic_model)
     del doc["box_pair"]["dog|leash"]["epsilon"]
-    assert model_from_dict(doc).box_pair["dog", "leash"].epsilon == 0.0
+    assert model_from_dict(doc).box_joints["dog", "leash"].epsilon == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -597,7 +652,7 @@ def test_a_model_pickled_after_conditioning_round_trips(synthetic_model):
 
 
 def model_joints(model):
-    return [*model.loc_pair.values(), model.loc_triple, *model.box_pair.values(), model.box_triple]
+    return [*model.loc_joints.values(), *model.box_joints.values()]
 
 
 def test_arrays_stay_read_only_in_a_worker_process(synthetic_model):
