@@ -16,7 +16,6 @@ import contextlib
 import itertools
 import json
 import math
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -87,12 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--folds", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="report output directory")
-    p.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="parallel worker processes (default: SITUATE_JOBS or 1)",
-    )
+    p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
     _add_common_run_flags(p)
     p.set_defaults(func=cmd_bench)
 
@@ -188,13 +182,6 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    jobs = args.jobs
-    if jobs is None:
-        raw = os.environ.get("SITUATE_JOBS", "1")
-        try:
-            jobs = int(raw)
-        except ValueError:
-            raise ParseError(f"SITUATE_JOBS must be an integer, got {raw!r}") from None
     tokens = evaluation.expand_method_spec(args.methods)
     dataset = load_dataset(args.data)
 
@@ -207,7 +194,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         tokens,
         k=args.folds,
         master_seed=args.seed,
-        jobs=jobs,
+        jobs=args.jobs,
         max_iterations=args.max_iter,
         cell_size=args.cell_size,
         progress=progress,

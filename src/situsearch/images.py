@@ -3,7 +3,7 @@
 Netpbm is the one image format the toolchain speaks: it is trivially
 parseable, dependency-free, and enough to feed the salience computation.
 Pixel values are exposed as floats in [0, 1]; RGB images come back as
-(height, width, 3).
+(height, width, 3); a sample above maxval is rejected.
 """
 
 from __future__ import annotations
@@ -33,6 +33,13 @@ def _tokens(data: bytes):
             yield start, data[start:i]
 
 
+def _number(path: Path, what: str, tok: bytes) -> int:
+    """A token of decimal digits as an int; int() would also take a sign or an underscore."""
+    if not tok.isdigit():
+        raise ParseError(f"{path}: {what} {tok.decode('latin-1')!r} is not a number")
+    return int(tok)
+
+
 def read_pnm(path: str | Path) -> np.ndarray:
     """Read a PGM (P2/P5) or PPM (P3/P6) file as floats in [0, 1]."""
     path = Path(path)
@@ -46,9 +53,7 @@ def read_pnm(path: str | Path) -> np.ndarray:
         header = []
         while len(header) < 3:
             start, tok = next(toks)
-            if not tok.isdigit():  # int() would also take a sign or an underscore
-                raise ParseError(f"{path}: header token {tok.decode('latin-1')!r} is not a number")
-            header.append(int(tok))
+            header.append(_number(path, "header token", tok))
         width, height, maxval = header
         if width < 1 or height < 1 or maxval < 1 or maxval > 65535:
             raise ParseError(f"{path}: bad header {width}x{height} maxval {maxval}")
@@ -57,7 +62,8 @@ def read_pnm(path: str | Path) -> np.ndarray:
         if magic in ("P2", "P3"):
             values = []
             for _, tok in toks:
-                values.append(int(tok))
+                # Capped, a sample too large for a float is rejected with the rest below.
+                values.append(min(_number(path, "sample", tok), maxval + 1))
                 if len(values) == count:
                     break
             if len(values) != count:
@@ -72,6 +78,8 @@ def read_pnm(path: str | Path) -> np.ndarray:
                 raise ParseError(f"{path}: truncated pixel data")
     except (StopIteration, ValueError) as exc:
         raise ParseError(f"{path}: malformed netpbm header ({exc})") from exc
+    if raw.max() > maxval:
+        raise ParseError(f"{path}: a sample exceeds maxval {maxval}")
     img = raw / maxval
     if channels == 3:
         return img.reshape(height, width, 3)

@@ -23,14 +23,12 @@ change that supersedes it, so it never holds memory beside its successor.
 A context-free run (situation model ``none``) with no scoring or observing
 hook is drawn and scored BLOCK_SIZE proposals at a time. A block reads the
 generator's raw 64-bit PCG64 words and decodes them as the per-proposal
-loop's random calls would, then scores the proposals with the loop's
+loop's random calls would, then scores every draw with the loop's
 floating-point arithmetic, so it gives the same result and leaves the
-generator where the loop would. A block stops at its first final, its
-first pick numpy rejects, or its first proposal the arrays cannot score.
-After a final the next block goes on; after any other stop the
-per-proposal loop finishes the run. A run on a bit generator other than
-PCG64, or with box priors neither all log-uniform nor all diagonal
-Gaussians, goes one proposal at a time from the start.
+generator where the loop would. A block stops at its first final, after
+which the next block goes on, or at its first pick numpy rejects, after
+which the per-proposal loop finishes the run. On a bit generator other
+than PCG64 the loop makes the whole run.
 """
 
 from __future__ import annotations
@@ -42,7 +40,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import InvalidInputError
-from .gaussian import LocationMap, MultivariateGaussian, grid_shape, uniform_map
+from .gaussian import LocationMap, grid_shape, uniform_map
 from .geometry import BoundingBox, ImageFrame, crop_to_frame, iou, normalize_frame, to_normalized
 from .salience import combine  # unused here; the benchmark tracer patches this module attribute
 from .situation_model import (
@@ -74,9 +72,6 @@ DEFAULT_MAX_ITERATIONS = 1000
 
 # Proposals a context-free run draws and scores at once.
 BLOCK_SIZE = 64
-# A block leaves a descriptor beyond this size, or not finite, to the
-# per-proposal step, so that its arithmetic never overflows.
-_BLOCK_DESCRIPTOR_LIMIT = 1e300
 # A PCG64 word's low 32-bit half, and the scale of its top 53 bits to a
 # uniform in [0, 1).
 _LOW_HALF = 0xFFFFFFFF
@@ -174,6 +169,8 @@ class MethodConfig:
             raise InvalidInputError(f"unknown situation model mode {self.situation_model!r}")
         if self.max_iterations < 1:
             raise InvalidInputError(f"max_iterations must be >= 1, got {self.max_iterations}")
+        if not 1 <= self.cell_size < math.inf:  # NaN too
+            raise InvalidInputError(f"cell_size must be finite and >= 1, got {self.cell_size}")
 
     @property
     def needs_salience(self) -> bool:
@@ -414,10 +411,11 @@ def _score_block(
     category. Each step of ``sample_point``, ``box_from_descriptor``,
     ``crop_to_frame`` and ``iou`` is done on arrays by the same IEEE
     operations in the same order, and each exponential by ``math.exp``, so
-    every bit agrees. Returns the (cx, cy, w, h) rows of the cropped boxes,
-    the scores, and where the arithmetic holds: False for a descriptor over
-    _BLOCK_DESCRIPTOR_LIMIT or not finite, or a crop without area, which
-    the per-proposal step must decide.
+    every bit agrees; a log-side that overflows is infinite and clamps as
+    the Python floats do. Every crop has area: each centre lies in the
+    frame, whose half-sides are at most 125,000, and each side is at least
+    MIN_BOX_SIDE, far above the spacing of floats there. Returns the
+    (cx, cy, w, h) rows of the cropped boxes and the scores.
     """
     cdf = location._cdf
     cells = np.minimum(cdf.searchsorted(uniforms[:, 0] * cdf[-1], "right"), cdf.size - 1)
@@ -427,24 +425,19 @@ def _score_block(
     cx = np.minimum(-hx + (col + uniforms[:, 1]) * location.cell_size, hx)
     cy = np.minimum(-hy + (row + uniforms[:, 2]) * location.cell_size, hy)
 
-    plain = (np.abs(descriptors) <= _BLOCK_DESCRIPTOR_LIMIT).all(axis=1)
-    alpha, gamma = np.where(plain[:, None], descriptors, 0.0).T
-    root_area = math.sqrt(frame.area)
-    sides = []
-    for log_side, ceiling in (
-        ((alpha + gamma) / 2, 2 * frame.norm_width),
-        ((alpha - gamma) / 2, 2 * frame.norm_height),
-    ):
-        grown = np.array(list(map(math.exp, np.minimum(log_side, MAX_LOG_SIDE).tolist())))
-        side = np.where(log_side > MAX_LOG_SIDE, ceiling, root_area * grown)
-        sides.append(np.minimum(np.maximum(side, MIN_BOX_SIDE), ceiling))
-    w, h = sides
+    alpha, gamma = descriptors.T
+    with np.errstate(over="ignore"):
+        log_sides = np.stack([alpha + gamma, alpha - gamma]) / 2
+    ceilings = np.array([[2 * frame.norm_width], [2 * frame.norm_height]])
+    capped = np.minimum(log_sides, MAX_LOG_SIDE)
+    grown = np.reshape(list(map(math.exp, capped.ravel().tolist())), capped.shape)
+    sides = np.where(log_sides > MAX_LOG_SIDE, ceilings, math.sqrt(frame.area) * grown)
+    w, h = np.minimum(np.maximum(sides, MIN_BOX_SIDE), ceilings)
 
     x0 = np.maximum(cx - w / 2, -hx)
     x1 = np.minimum(cx + w / 2, hx)
     y0 = np.maximum(cy - h / 2, -hy)
     y1 = np.minimum(cy + h / 2, hy)
-    ok = plain & (x1 > x0) & (y1 > y0)
     acx, acy, aw, ah = (x0 + x1) / 2, (y0 + y1) / 2, x1 - x0, y1 - y0
 
     bcx, bcy, bw, bh = truths.T
@@ -452,8 +445,8 @@ def _score_block(
     iy = np.minimum(acy + ah / 2, bcy + bh / 2) - np.maximum(acy - ah / 2, bcy - bh / 2)
     inter = ix * iy
     union = aw * ah + bw * bh - inter
-    scores = np.divide(inter, union, out=np.zeros(len(inter)), where=ok & (ix > 0) & (iy > 0))
-    return np.stack([acx, acy, aw, ah], axis=1), scores, ok
+    scores = np.divide(inter, union, out=np.zeros(len(inter)), where=(ix > 0) & (iy > 0))
+    return np.stack([acx, acy, aw, ah], axis=1), scores
 
 
 def _search_in_blocks(
@@ -471,38 +464,29 @@ def _search_in_blocks(
     only at a final detection. So a block reads the raw PCG64 words of the
     loop's random calls and decodes them as those calls would (``_draw``),
     scores the proposals as arrays, and files in order those that can change
-    the Workspace. A block stops at its first final, its first pick numpy
-    rejects, or its first proposal the arrays cannot score; there it rewinds
-    the generator and redraws the block up to the stop. After a final the
-    next block starts where the loop would; at any other stop the loop takes
-    the rest of the run. Returns the iterations made: all of the run, those
-    up to the hand-off, or 0 where the words cannot be decoded (another bit
-    generator, or box priors neither all log-uniform nor all diagonal).
+    the Workspace. A block stops at its first final or its first pick numpy
+    rejects; there it rewinds the generator and redraws the block up to the
+    stop. After a final the next block starts where the loop would; at a
+    rejected pick the loop takes the rest of the run. Returns the iterations
+    made: all of the run, those up to the rejected pick, or 0 on a bit
+    generator other than PCG64, whose words the blocks cannot decode.
     """
-    priors = [dist.alpha_gamma for dist in dists.values()]
-    if type(rng.bit_generator) is not np.random.PCG64 or not (
-        all(isinstance(box, LogUniformBox) for box in priors)
-        or all(isinstance(box, MultivariateGaussian) and box._chol[1, 0] == 0 for box in priors)
-    ):
+    if type(rng.bit_generator) is not np.random.PCG64:
         return 0
     iterations = 0
     remaining = workspace.remaining()
     while remaining and iterations < config.max_iterations:
         searched = [dists[c] for c in remaining]
-        # Every category of a context-free run draws from the one prior map.
-        location = searched[0].location
         size = min(BLOCK_SIZE, config.max_iterations - iterations)
         start = rng.bit_generator.state
-        (picks, uniforms, descriptors), rejected = _draw(rng, searched, size)
+        draws, rejected = _draw(rng, searched, size)
         drawn = size if rejected is None else rejected
-        truths = np.array([[gt[c].cx, gt[c].cy, gt[c].w, gt[c].h] for c in remaining])
-        boxes, scores, ok = _score_block(
-            location, frame, truths[picks[:drawn]], uniforms[:drawn], descriptors[:drawn]
-        )
-        stops = np.flatnonzero(~ok | (scores >= FINAL_THRESHOLD))
-        end = int(stops[0]) if stops.size else drawn
-        final = bool(end < drawn and ok[end])
-        kept = end + final
+        picks, uniforms, descriptors = (a[:drawn] for a in draws)
+        truths = np.array([[gt[c].cx, gt[c].cy, gt[c].w, gt[c].h] for c in remaining])[picks]
+        # Every category of a context-free run draws from the one prior map.
+        boxes, scores = _score_block(searched[0].location, frame, truths, uniforms, descriptors)
+        finals = np.flatnonzero(scores >= FINAL_THRESHOLD)
+        kept = int(finals[0]) + 1 if finals.size else drawn
         # A proposal scoring under the provisional threshold leaves the
         # Workspace as it is.
         for i in np.flatnonzero(scores[:kept] >= PROVISIONAL_THRESHOLD).tolist():
@@ -517,7 +501,7 @@ def _search_in_blocks(
         if kept < size:
             rng.bit_generator.state = start
             _draw(rng, searched, kept)
-            if not final:
+            if not finals.size:
                 return iterations
         remaining = workspace.remaining()
     return iterations

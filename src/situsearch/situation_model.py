@@ -86,14 +86,27 @@ class SituationModel:
     """All learned distributions over the situation's categories.
 
     ``box_priors`` holds each category's diagonal 2-d Gaussian over
-    (alpha_c, gamma_c). ``loc_joints`` and ``box_joints`` map each category
-    set of ``JOINT_CATEGORIES`` to its joint, with dims ``loc_dims`` and
-    ``box_dims`` of the set.
+    (alpha_c, gamma_c), which construction checks: context-free search
+    scores draws from these in blocks. ``loc_joints`` and ``box_joints`` map
+    each category set of ``JOINT_CATEGORIES`` to its joint, with dims
+    ``loc_dims`` and ``box_dims`` of the set.
     """
 
     box_priors: dict[str, MultivariateGaussian]
     loc_joints: dict[tuple[str, ...], MultivariateGaussian]
     box_joints: dict[tuple[str, ...], MultivariateGaussian]
+
+    def __post_init__(self) -> None:
+        for cat, prior in self.box_priors.items():
+            dims = box_dims((cat,))
+            if not (
+                isinstance(prior, MultivariateGaussian)
+                and prior.dims == dims
+                and prior.cov[0, 1] == 0
+            ):
+                raise InvalidInputError(
+                    f"box prior of {cat!r} must be a diagonal 2-d Gaussian over {list(dims)}"
+                )
 
 
 @dataclass(eq=False)

@@ -8,7 +8,7 @@ import weakref
 import numpy as np
 import pytest
 
-from situsearch import charts
+from situsearch import charts, evaluation
 from situsearch.cli import build_parser, main
 from situsearch.datagen import load_generator_config, save_annotation
 from situsearch.errors import InvalidInputError
@@ -391,18 +391,6 @@ def test_run_broken_joint_exits_one_naming_section_and_file(
     assert f"error: {bad}: {message}" in capsys.readouterr().err
 
 
-def test_malformed_situate_jobs_fails_only_bench(dataset_dir, tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("SITUATE_JOBS", "abc")
-    with pytest.raises(SystemExit) as exc:
-        main(["learn", "--help"])
-    assert exc.value.code == 0
-    out = tmp_path / "model.json"
-    assert main(["learn", "--data", str(dataset_dir), "--out", str(out)]) == 0
-    assert main(["bench", "--data", str(dataset_dir), "--out", str(tmp_path / "r")]) == 2
-    err = capsys.readouterr().err
-    assert "SITUATE_JOBS" in err and "'abc'" in err and "--jobs" not in err
-
-
 def test_bench_writes_reports_and_is_deterministic(dataset_dir, tmp_path, capsys):
     args = [
         "bench",
@@ -492,12 +480,26 @@ def test_run_lists_only_the_method_tokens(dataset_dir, model_path, capsys):
     assert "all," not in err
 
 
-@pytest.mark.parametrize("jobs, env", [(["--jobs", "-4"], "1"), ([], "0")], ids=["flag", "env"])
-def test_bench_rejects_fewer_than_one_job(dataset_dir, tmp_path, monkeypatch, capsys, jobs, env):
-    monkeypatch.setenv("SITUATE_JOBS", env)
-    args = ["bench", "--data", str(dataset_dir), "--out", str(tmp_path / "r"), *jobs]
+def test_bench_rejects_fewer_than_one_job(dataset_dir, tmp_path, capsys):
+    args = ["bench", "--data", str(dataset_dir), "--out", str(tmp_path / "r"), "--jobs", "-4"]
     assert main(args) == 1
-    assert f"jobs must be >= 1, got {jobs[-1] if jobs else env}" in capsys.readouterr().err
+    assert "jobs must be >= 1, got -4" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("cell_size", ["nan", "inf", "0", "0.5"])
+def test_bench_rejects_a_bad_cell_size_before_learning(
+    dataset_dir, tmp_path, monkeypatch, capsys, cell_size, jobs
+):
+    def no_learning(training):
+        raise AssertionError("a model was learned for a method that cannot run")
+
+    monkeypatch.setattr(evaluation, "learn", no_learning)
+    args = ["bench", "--data", str(dataset_dir), "--out", str(tmp_path / "r")]
+    assert main([*args, "--cell-size", cell_size, "--jobs", jobs]) == 1
+    err = capsys.readouterr().err
+    assert f"error: cell_size must be finite and >= 1, got {float(cell_size)}" in err
     assert not (tmp_path / "r").exists()
 
 
@@ -598,9 +600,8 @@ NUMERIC_OPTIONS = numeric_options()
     "command, option", NUMERIC_OPTIONS, ids=[" ".join(o) for o in NUMERIC_OPTIONS]
 )
 def test_numeric_option_never_ends_in_a_traceback(
-    dataset_dir, model_path, tmp_path, monkeypatch, capsys, command, option, value
+    dataset_dir, model_path, tmp_path, capsys, command, option, value
 ):
-    monkeypatch.delenv("SITUATE_JOBS", raising=False)
     ann = annotation_files(dataset_dir)[0]
     image = tmp_path / "image.pgm"
     write_pgm(image, np.random.default_rng(0).random((48, 64)))

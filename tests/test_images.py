@@ -76,3 +76,41 @@ def test_header_token_that_is_not_digits_is_parse_error(tmp_path, capsys, header
         read_pnm(path)
     assert main(["salience", "--image", str(path), "--out", str(tmp_path / "s.sal")]) == 2
     assert capsys.readouterr().err.startswith(f"error: {path}: header token")
+
+
+@pytest.mark.parametrize("sample", [b"-5", b"+3", b"1_0", b"0x1f", b"2.5"])
+def test_ascii_sample_that_is_not_digits_is_parse_error(tmp_path, capsys, sample):
+    path = tmp_path / "signed.pgm"
+    path.write_bytes(b"P2\n2 2\n255\n20 " + sample + b" 10 20\n")
+    message = re.escape(f"{path}: sample {sample.decode()!r} is not a number")
+    with pytest.raises(ParseError, match=message):
+        read_pnm(path)
+    assert main(["salience", "--image", str(path), "--out", str(tmp_path / "s.sal")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: sample")
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        b"P2\n2 2\n255\n0 0 300 20\n",
+        b"P2\n1 1\n7\n" + b"9" * 400 + b"\n",
+        b"P3\n1 1\n100\n100 100 101\n",
+        b"P5\n1 1\n100\n" + bytes([255]),
+        b"P6\n1 1\n254\n" + bytes([0, 255, 0]),
+        b"P5\n1 1\n1000\n" + (1001).to_bytes(2, "big"),
+    ],
+    ids=["P2", "P2-beyond-float", "P3", "P5", "P6", "P5-16-bit"],
+)
+def test_sample_above_maxval_is_parse_error(tmp_path, capsys, data):
+    path = tmp_path / "bright.pnm"
+    path.write_bytes(data)
+    with pytest.raises(ParseError, match=re.escape(f"{path}: a sample exceeds maxval")):
+        read_pnm(path)
+    assert main(["salience", "--image", str(path), "--out", str(tmp_path / "s.sal")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: a sample exceeds maxval")
+
+
+def test_samples_at_maxval_read_as_one(tmp_path):
+    path = tmp_path / "full.pgm"
+    path.write_bytes(b"P5\n2 1\n100\n" + bytes([100, 0]))
+    np.testing.assert_array_equal(read_pnm(path), [[1.0, 0.0]])

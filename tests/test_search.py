@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import math
+import re
 from collections import defaultdict, namedtuple
 from dataclasses import replace
 
@@ -53,6 +54,8 @@ from situsearch.situation_model import (
     box_from_descriptor,
     conditioned_distribution,
     learn,
+    model_from_dict,
+    model_to_dict,
 )
 
 CATS = ("dog_walker", "dog", "leash")
@@ -178,6 +181,11 @@ def test_method_config_validates_fields():
         MethodConfig(situation_model="psychic")
     with pytest.raises(InvalidInputError):
         MethodConfig(max_iterations=0)
+    for cell_size in (math.nan, math.inf, -math.inf, 0.0, -1.0, 0.999):
+        message = f"cell_size must be finite and >= 1, got {cell_size}"
+        with pytest.raises(InvalidInputError, match=re.escape(message)):
+            MethodConfig(cell_size=cell_size)
+    assert MethodConfig(cell_size=1.0).cell_size == 1.0
 
 
 def test_method_config_salience_follows_the_location_prior():
@@ -914,77 +922,35 @@ def no_draws(*args):
     raise AssertionError("a block decoded words the per-proposal loop must draw")
 
 
-def test_block_scoring_matches_the_loop_with_a_correlated_box_prior(held_out, monkeypatch):
-    # Blocks decode only diagonal Gaussians, whose off-diagonal products in
-    # mean + chol @ z are exact zeros; a correlated prior goes one proposal
-    # at a time.
-    monkeypatch.setattr(search, "_draw", no_draws)
+@pytest.mark.parametrize(
+    "mean", [(1.7e308, 1.7e308), (1.7e308, -1.7e308), (-1.7e308, -1.7e308)]
+)
+def test_block_scoring_matches_the_loop_on_an_overflowing_descriptor(
+    held_out, mean, monkeypatch
+):
+    # A model file may give a box prior any finite mean. Every leash draw's
+    # alpha + gamma or alpha - gamma overflows to an infinite log-side, which
+    # clamps to the ceiling or to MIN_BOX_SIDE in the arrays as in the
+    # per-proposal step, so blocks score the whole run.
     model, annotations = held_out
-
-    def correlated(prior):
-        sd = np.sqrt(np.diag(prior.cov))
-        return MultivariateGaussian(prior.dims, prior.mean, prior.cov + 0.6 * np.outer(sd, sd))
-
-    priors = {c: correlated(p) for c, p in model.box_priors.items()}
-    assert all(p._chol[1, 0] != 0 for p in priors.values())
-    model = replace(model, box_priors=priors)
+    doc = model_to_dict(model)
+    doc["box_priors"]["leash"] = {
+        name: {"mean": m, "std": 0.5} for name, m in zip(("alpha", "gamma"), mean)
+    }
+    model = model_from_dict(doc)
     config = replace(config_for_token("uniform-learned-none"), cell_size=8.0)
-    for ann in annotations:
-        assert_blocks_match_the_loop(model, config, ann, seeds=[0, 1])
+    search_in_blocks, runs = search._search_in_blocks, []
 
-
-class SometimesNanSide:
-    """A box prior whose gamma is NaN whenever its alpha draw exceeds ``above``."""
-
-    def __init__(self, prior: MultivariateGaussian, above: float):
-        self.prior, self.above = prior, above
-
-    def sample(self, rng):
-        alpha, gamma = self.prior.sample(rng)
-        return np.array([alpha, gamma if alpha <= self.above else math.nan])
-
-
-def test_block_scoring_raises_where_the_loop_raises_on_a_nan_side(held_out, monkeypatch):
-    # A box distribution other than the two shipped ones goes one proposal at a time.
-    monkeypatch.setattr(search, "_draw", no_draws)
-    model, annotations = held_out
-    prior = model.box_priors["leash"]
-    above = float(prior.mean[0] + 1.5 * math.sqrt(prior.cov[0, 0]))
-    model = replace(model, box_priors={**model.box_priors, "leash": SometimesNanSide(prior, above)})
-    config = replace(config_for_token("uniform-learned-none"), cell_size=8.0)
-    raised = []
-    for i, ann in enumerate(annotations):
-        blocks, loop = np.random.default_rng(i), np.random.default_rng(i)
-        with pytest.raises(InvalidInputError) as got:
-            run_image(model, None, config, ann, blocks)
-        with pytest.raises(InvalidInputError) as want:
-            run_image(model, None, config, ann, loop, oracle_scorer(ann))
-        assert str(got.value) == str(want.value)
-        assert "w=nan" in str(got.value) or "h=nan" in str(got.value)
-        assert blocks.bit_generator.state == loop.bit_generator.state
-        raised.append(str(got.value))
-    assert raised
-
-
-def test_block_scoring_hands_an_unscorable_descriptor_to_the_loop(held_out, monkeypatch):
-    # Every leash draw has an alpha near 1e301, beyond what a block's
-    # arithmetic takes, so a block hands the run to the per-proposal loop
-    # at its first leash pick, which the loop crops to the frame.
-    model, annotations = held_out
-    leash = MultivariateGaussian(("alpha", "gamma"), [1e301, 0.0], np.diag([0.3, 0.3]))
-    model = replace(model, box_priors={**model.box_priors, "leash": leash})
-    config = replace(config_for_token("uniform-learned-none"), cell_size=8.0)
-    search_in_blocks, handoffs = search._search_in_blocks, []
-
-    def recording_search_in_blocks(*args):
-        handoffs.append(search_in_blocks(*args))
-        return handoffs[-1]
+    def recording_search_in_blocks(workspace, *args):
+        iterations = search_in_blocks(workspace, *args)
+        runs.append((iterations, workspace.remaining()))
+        return iterations
 
     monkeypatch.setattr(search, "_search_in_blocks", recording_search_in_blocks)
     for ann in annotations:
         assert_blocks_match_the_loop(model, config, ann, seeds=[0, 1])
-    assert all(t < config.max_iterations for t in handoffs)
-    assert any(t % search.BLOCK_SIZE for t in handoffs)
+    assert len(runs) == 2 * len(annotations)
+    assert all(t == config.max_iterations or not remaining for t, remaining in runs)
 
 
 def buffered_rng(seed: int, has_uint32: int, uinteger: int, zero_word: int | None = None):

@@ -540,6 +540,32 @@ def test_model_missing_box_prior_names_category(synthetic_model):
         model_from_dict(doc)
 
 
+@pytest.mark.parametrize("category", CATS)
+def test_model_rejects_a_box_prior_not_diagonal_gaussian_over_its_dims(
+    synthetic_model, category
+):
+    # Context-free search scores draws from the box priors in blocks, which
+    # decode diagonal 2-d Gaussians only.
+    prior = synthetic_model.box_priors[category]
+    sd = np.sqrt(np.diag(prior.cov))
+    alpha, gamma = box_dims((category,))
+    other = next(c for c in CATS if c != category)
+    for bad in (
+        MultivariateGaussian(prior.dims, prior.mean, prior.cov + 0.6 * np.outer(sd, sd)),
+        MultivariateGaussian(prior.dims, prior.mean, prior.cov - 0.3 * np.outer(sd, sd)),
+        LogUniformBox(),
+        MultivariateGaussian(("alpha", "gamma"), prior.mean, prior.cov),
+        MultivariateGaussian((gamma, alpha), prior.mean, prior.cov),
+        MultivariateGaussian(box_dims((other,)), prior.mean, prior.cov),
+        MultivariateGaussian((alpha,), prior.mean[:1], prior.cov[:1, :1]),
+    ):
+        with pytest.raises(
+            InvalidInputError,
+            match=re.escape(f"box prior of {category!r} must be a diagonal 2-d Gaussian"),
+        ):
+            replace(synthetic_model, box_priors={**synthetic_model.box_priors, category: bad})
+
+
 def test_model_pair_keys_must_match_category_pairs(synthetic_model):
     doc = model_to_dict(synthetic_model)
     doc["loc_pair"]["dog|dog_walker"] = doc["loc_pair"].pop("dog_walker|dog")

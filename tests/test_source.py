@@ -39,3 +39,24 @@ def test_no_module_imports_a_name_it_never_uses():
         for name in unused_imports(path.read_text())
     }
     assert found == TRACER_ONLY_IMPORTS
+
+
+ENVIRONMENT_READERS = {"environ", "environb", "getenv", "getenvb"}
+
+
+def reads_the_environment(source: str) -> bool:
+    """Whether a module reads ``os.environ`` or ``os.getenv``, or imports either from os."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT_READERS:
+            return True
+        if isinstance(node, ast.ImportFrom) and node.module == "os":
+            if any(alias.name in ENVIRONMENT_READERS for alias in node.names):
+                return True
+    return False
+
+
+def test_no_module_reads_the_environment():
+    # Every setting is a command-line option or a parameter, so none can come
+    # back as an environment variable.
+    found = [path.name for path in PACKAGE.glob("*.py") if reads_the_environment(path.read_text())]
+    assert found == []
