@@ -342,7 +342,9 @@ def render_annotation_image(ann: SituationAnnotation) -> np.ndarray:
     comes from seeding with the image id alone.
     """
     rng = rng_for("render", ann.image_id)
-    img = 0.25 + 0.03 * rng.standard_normal((ann.height, ann.width))
+    img = rng.standard_normal((ann.height, ann.width))
+    img *= 0.03
+    img += 0.25
     for _ in range(CLUTTER_RECTANGLES):
         w = int(ann.width * rng.uniform(0.08, 0.30))
         h = int(ann.height * rng.uniform(0.08, 0.30))
@@ -355,7 +357,7 @@ def render_annotation_image(ann: SituationAnnotation) -> np.ndarray:
         x1 = min(ann.width, int(round(x + w)))
         y1 = min(ann.height, int(round(y + h)))
         img[y0:y1, x0:x1] = brightness[cat]
-    return np.clip(img, 0.0, 1.0)
+    return np.clip(img, 0.0, 1.0, out=img)
 
 
 def split_folds(

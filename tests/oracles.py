@@ -7,6 +7,7 @@ cannot stop another from being collected.
 from __future__ import annotations
 
 import numpy as np
+from scipy import ndimage
 
 from situsearch.errors import InvalidInputError
 from situsearch.gaussian import MultivariateGaussian
@@ -74,3 +75,20 @@ def half_words_taken(before: dict, after: dict) -> int:
             return 2 * words + before["has_uint32"] - after["has_uint32"]
         probe.random_raw()
     raise AssertionError("the generator read more than 15 words for one pick")
+
+
+def gaussian_filter(grid: np.ndarray, sigma: float) -> np.ndarray:
+    """scipy's reflecting Gaussian filter: the oracle of ``salience.smooth_grid``."""
+    return ndimage.gaussian_filter(np.asarray(grid, dtype=float), sigma=sigma, mode="reflect")
+
+
+def zoom(grid: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """scipy's bilinear zoom of ``grid`` to ``shape``: the oracle of ``salience._resize``.
+
+    scipy rounds ``n * (m / n)`` to get each output side, which is ``m``
+    for every pair of sides the grids here can have.
+    """
+    factors = (shape[0] / grid.shape[0], shape[1] / grid.shape[1])
+    out = ndimage.zoom(grid, factors, order=1, mode="nearest", grid_mode=True)
+    assert out.shape == shape
+    return out

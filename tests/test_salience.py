@@ -5,16 +5,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
+from situsearch import salience
+from situsearch.datagen import default_generator_config, generate_synthetic, render_annotation_image
 from situsearch.errors import InvalidInputError
-from situsearch.gaussian import LocationMap, MultivariateGaussian, rasterize_2d, uniform_map
+from situsearch.gaussian import (
+    LocationMap,
+    MultivariateGaussian,
+    grid_shape,
+    rasterize_2d,
+    uniform_map,
+)
 from situsearch.geometry import normalize_frame
 from situsearch.salience import (
+    CENTER_SIGMAS,
+    SMOOTHING_FRACTION,
+    SURROUND_FACTOR,
+    WORKING_CELL,
+    _resize,
     combine,
     compute_salience,
     default_epsilon,
     save_salience,
     smooth_grid,
 )
+from strategies import extreme_annotations
 
 FRAME_64 = normalize_frame(64, 64)
 CELL = 10.0  # 50x50 grid on the 500x500 normalized frame
@@ -113,6 +128,128 @@ def test_smoothing_preserves_mass():
     for sigma in (0.8, 3.0, 12.0):
         smoothed = smooth_grid(grid, sigma)
         assert smoothed.sum() == pytest.approx(grid.sum(), abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# the two kernels, bit for bit against scipy
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+SALIENCE_CELLS = (1.0, 2.0, 4.0, 5.5)
+
+
+def shipped_sigmas() -> list[float]:
+    """Every sigma compute_salience smooths with, for 640×480 images at the tested cell sizes."""
+    sigmas = set()
+    for cell in SALIENCE_CELLS:
+        working = max(cell, WORKING_CELL)
+        per_working = working / cell
+        for center in CENTER_SIGMAS:
+            sigmas |= {center / per_working, center / per_working * SURROUND_FACTOR}
+        sigmas.add(2.0 / per_working)
+        sigmas.add(SMOOTHING_FRACTION * normalize_frame(640, 480).norm_width / working)
+    return sorted(sigmas)
+
+
+@st.composite
+def grids(draw) -> np.ndarray:
+    """Signed grids up to 130×170, 1×N and N×1 among them, some strided like an RGB channel.
+
+    Some hold negative zeros, whose sign scipy's sums from zero drop.
+    """
+    rows = draw(st.one_of(st.just(1), st.integers(1, 130)))
+    cols = draw(st.one_of(st.just(1), st.integers(1, 170)))
+    scale = draw(st.sampled_from([1.0, 1e-3, 1e3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rgb = rng.standard_normal((rows, cols, 3)) * scale
+    if draw(st.booleans()):
+        rgb[rng.random(rgb.shape) < 0.5] = -0.0
+    channel = rgb[:, :, draw(st.integers(0, 2))]
+    return channel if draw(st.booleans()) else np.ascontiguousarray(channel)
+
+
+# Copies (sigma <= 1e-15), radius-0 kernels, and radii at 4 sigma + 0.5 = 1, 3.0 and 5.0 exactly.
+EDGE_SIGMAS = [0.0, 1e-300, 1e-15, 1e-3, 0.1, 0.12, 0.125, 0.625, 1.125]
+SIGMAS = st.one_of(
+    st.sampled_from(shipped_sigmas() + EDGE_SIGMAS),
+    st.floats(1e-3, 40.0),  # radii up to 160: longer than the line, reflected repeatedly
+)
+
+
+@pytest.mark.parametrize("sigma", shipped_sigmas() + EDGE_SIGMAS + [40.0])
+@pytest.mark.parametrize("shape", [(1, 1), (1, 9), (7, 1), (13, 17)])
+def test_smooth_grid_matches_scipy_at_every_shipped_and_edge_sigma(sigma, shape):
+    grid = np.random.default_rng(8).standard_normal(shape)
+    assert same_bits(smooth_grid(grid, sigma), oracles.gaussian_filter(grid, sigma))
+
+
+@settings(max_examples=300, deadline=None)
+@given(grid=grids(), sigma=SIGMAS)
+def test_smooth_grid_is_scipys_gaussian_filter_bit_for_bit(grid, sigma):
+    smoothed = smooth_grid(grid, sigma)
+    assert smoothed.flags.c_contiguous
+    assert same_bits(smoothed, oracles.gaussian_filter(grid, sigma))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    grid=grids(),
+    shape=st.tuples(
+        st.one_of(st.just(1), st.integers(1, 130)), st.one_of(st.just(1), st.integers(1, 170))
+    ),
+    block=st.sampled_from([1, 300, salience._RESIZE_BLOCK]),  # rows resized at a time
+)
+def test_resize_is_scipys_zoom_bit_for_bit(grid, shape, block):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(salience, "_RESIZE_BLOCK", block)
+        resized = _resize(grid, shape)
+    if shape == grid.shape:
+        assert resized is grid
+        return
+    assert resized.flags.c_contiguous
+    assert same_bits(resized, oracles.zoom(grid, shape))
+
+
+def test_resize_matches_scipy_on_the_shipped_grids():
+    frame = normalize_frame(640, 480)
+    image = np.random.default_rng(6).uniform(0, 1, size=(480, 640, 3))
+    work = grid_shape(frame, WORKING_CELL)
+    channel = _resize(image[:, :, 2], work)
+    assert same_bits(channel, oracles.zoom(image[:, :, 2], work))
+    final = grid_shape(frame, 1.0)
+    assert same_bits(_resize(channel, final), oracles.zoom(channel, final))
+
+
+def salience_through_scipy(image: np.ndarray, frame, cell_size: float) -> LocationMap:
+    """compute_salience with scipy's filter and zoom in place of the two kernels."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(salience, "smooth_grid", oracles.gaussian_filter)
+        patch.setattr(
+            salience, "_resize", lambda g, shape: g if g.shape == shape else oracles.zoom(g, shape)
+        )
+        return compute_salience(image, frame, cell_size)
+
+
+SCENES = generate_synthetic(default_generator_config(), 3)
+
+
+@pytest.mark.parametrize("cell_size", SALIENCE_CELLS)
+@settings(max_examples=12, deadline=None)
+@given(data=st.data(), rgb=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_compute_salience_is_the_scipy_path_bit_for_bit(cell_size, data, rgb, seed):
+    # Salience works on cells of at least WORKING_CELL, so the extreme frames are extreme for those.
+    extreme = extreme_annotations(max(cell_size, WORKING_CELL))
+    ann = data.draw(st.one_of(st.sampled_from(SCENES), extreme))
+    frame = normalize_frame(ann.width, ann.height)
+    image = render_annotation_image(ann)
+    if rgb:
+        tint = np.random.default_rng(seed).uniform(0.5, 1.0, size=3)
+        image = np.clip(image[:, :, None] * tint, 0.0, 1.0)
+    got = compute_salience(image, frame, cell_size).grid
+    assert same_bits(got, salience_through_scipy(image, frame, cell_size).grid)
 
 
 # ---------------------------------------------------------------------------

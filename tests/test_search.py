@@ -14,6 +14,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from strategies import extreme_annotations
 from situsearch import search
 from situsearch.datagen import SituationAnnotation, default_generator_config, generate_synthetic
 from situsearch.errors import InvalidInputError
@@ -30,7 +31,6 @@ from situsearch.gaussian import (
     uniform_map,
 )
 from situsearch.geometry import (
-    TARGET_AREA,
     BoundingBox,
     crop_to_frame,
     normalize_frame,
@@ -1139,26 +1139,6 @@ def near_singular_location_model(model, scale: float, rank_one: bool):
         model,
         loc_joints={group: squeeze(j) for group, j in model.loc_joints.items()},
     )
-
-
-@st.composite
-def extreme_annotations(draw, cell_size: float) -> SituationAnnotation:
-    """1×N and N×1 images, and images whose short side is just above one cell."""
-    short = draw(st.integers(1, 3))
-    # the normalized short side over the cell size
-    ratio = draw(st.one_of(st.sampled_from([1.0, 1.0 + 1e-6, 1.01]), st.floats(1.0, 4.0)))
-    long = int(TARGET_AREA * short / (ratio * cell_size) ** 2)
-    assume(long >= short)
-    width, height = (long, short) if draw(st.booleans()) else (short, long)
-    frame = normalize_frame(width, height)
-    assume(min(frame.norm_width, frame.norm_height) >= cell_size)
-    boxes = {}
-    for cat in CATS:
-        fx, fy = draw(st.floats(0.0, 0.9)), draw(st.floats(0.0, 0.9))
-        fw, fh = draw(st.floats(0.05, 1.0)), draw(st.floats(0.05, 1.0))
-        x, y = fx * width, fy * height
-        boxes[cat] = (x, y, (width - x) * fw, (height - y) * fh)
-    return SituationAnnotation(image_id=f"{width}x{height}", width=width, height=height, boxes=boxes)
 
 
 @pytest.mark.parametrize("token", list(METHOD_TOKENS))

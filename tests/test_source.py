@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import situsearch
@@ -60,3 +63,18 @@ def test_no_module_reads_the_environment():
     # back as an environment variable.
     found = [path.name for path in PACKAGE.glob("*.py") if reads_the_environment(path.read_text())]
     assert found == []
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # Salience is numpy alone; importing scipy.ndimage cost every process
+    # about 0.35 s and 18 MB.
+    probe = "import sys, situsearch.cli; print(*(m for m in sys.modules if m.startswith('scipy')))"
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    loaded = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout.split()
+    assert loaded == []
