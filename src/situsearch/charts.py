@@ -359,7 +359,7 @@ def workspace_snapshot_svg(
         )
         svg.append(
             f'<text x="{x + 2:.1f}" y="{y - 3:.1f}" font-size="10" '
-            f'fill="{colors[category]}">{escape(category)} {slot.proposal.score:.2f} '
+            f'fill="{colors[category]}">{escape(category)} {slot.score:.2f} '
             f"({slot.kind})</text>"
         )
 

@@ -138,12 +138,12 @@ def cmd_run(args: argparse.Namespace) -> int:
     model = load_model(args.model)
     annotation = load_annotation(args.image_annotation)
     config = evaluation.config_for_token(args.method, args.max_iter, args.cell_size)
+    frame = search.image_frame(annotation, config.cell_size)
 
     salience = None
     if config.needs_salience:
         salience = evaluation.salience_for_annotation(annotation, config.cell_size)
 
-    frame = normalize_frame(annotation.width, annotation.height)
     ground_truth = search.ground_truth(annotation, DEFAULT_CATEGORIES, frame)
     observer = None
     if args.snapshots:

@@ -43,6 +43,7 @@ from .search import (
     PROVISIONAL_THRESHOLD,
     MethodConfig,
     RunResult,
+    image_frame,
     run_image,
 )
 from .seeding import stable_seed
@@ -204,10 +205,18 @@ class MethodResult:
 
 @dataclass
 class ExperimentReport:
+    """Every method's runs; a method runs each image once, in its fold, so they count both."""
+
     master_seed: int
-    folds: int
-    num_images: int
     methods: list[MethodResult]
+
+    @property
+    def folds(self) -> int:
+        return len({r.fold for r in self.methods[0].runs}) if self.methods else 0
+
+    @property
+    def num_images(self) -> int:
+        return len(self.methods[0].runs) if self.methods else 0
 
 
 def salience_for_annotation(ann: SituationAnnotation, cell_size: float = 1.0) -> LocationMap:
@@ -264,6 +273,8 @@ def run_experiment(
         raise InvalidInputError(f"duplicate method token in {list(methods)}")
     if not configs:
         raise InvalidInputError("no methods given")
+    for ann in dataset:  # a frame too small for the methods' one cell size fails before learning
+        image_frame(ann, configs[methods[0]].cell_size)
 
     work = []
     for fold_idx, (train_idx, test_idx) in enumerate(split_folds(dataset, k=k, seed=master_seed)):
@@ -280,12 +291,8 @@ def run_experiment(
                 runs[token].append(record)
             if progress is not None:
                 progress(done, len(work))
-    return ExperimentReport(
-        master_seed=master_seed,
-        folds=k,
-        num_images=len(dataset),
-        methods=[MethodResult(config, runs[token]) for token, config in configs.items()],
-    )
+    methods = [MethodResult(config, runs[token]) for token, config in configs.items()]
+    return ExperimentReport(master_seed, methods)
 
 
 # ---------------------------------------------------------------------------

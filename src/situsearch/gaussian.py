@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -370,27 +370,16 @@ def cell_centers(frame: ImageFrame, cell_size: float) -> tuple[np.ndarray, np.nd
     return xs, ys
 
 
-# The map uniform_map built last. Every run of a uniform-prior method on a
-# frame of one size draws from the same map, so its CDF is built once.
-_last_uniform: LocationMap | None = None
-
-
+@lru_cache(maxsize=1)
 def uniform_map(frame: ImageFrame, cell_size: float = 1.0) -> LocationMap:
-    """The uniform map on the frame's grid.
+    """The uniform map on the frame's grid; only the last one built is held.
 
-    The map built last is returned again for the same frame and cell size,
-    and no other is held. Its grid is its one cell value, read-only and
-    broadcast to the grid's shape.
+    Every run of a uniform-prior method on a frame of one size draws from it, so
+    its CDF is built once. Its grid is its one cell value, read-only and broadcast.
     """
-    global _last_uniform
-    held = _last_uniform
-    if held is not None and held.frame == frame and held.cell_size == cell_size:
-        return held
-    _last_uniform = None  # released before its successor is built
     rows, cols = grid_shape(frame, cell_size)
     grid = _normalize(np.full((rows, cols), 1.0 / (rows * cols)))
-    _last_uniform = LocationMap._adopt(frame, cell_size, np.broadcast_to(grid[0, 0], grid.shape))
-    return _last_uniform
+    return LocationMap._adopt(frame, cell_size, np.broadcast_to(grid[0, 0], grid.shape))
 
 
 def default_epsilon(num_cells: int) -> float:

@@ -13,7 +13,7 @@ pixels except when maps are rasterized elsewhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import InvalidInputError, NoOverlapError
 
@@ -22,13 +22,30 @@ TARGET_AREA = 250_000.0
 
 @dataclass(frozen=True)
 class ImageFrame:
-    """An image's original size plus its normalized-frame geometry."""
+    """An image's original size, and the normalized-frame geometry it determines.
+
+    The scale factor is sqrt(TARGET_AREA / (w*h)), applied to both axes, so the
+    normalized area is exactly TARGET_AREA and the aspect ratio is untouched.
+    """
 
     orig_width: float
     orig_height: float
-    scale: float
-    norm_width: float
-    norm_height: float
+    scale: float = field(init=False)
+    norm_width: float = field(init=False)
+    norm_height: float = field(init=False)
+
+    def __post_init__(self) -> None:
+        w, h = self.orig_width, self.orig_height
+        if w < 1 or h < 1:
+            raise InvalidInputError(f"image dimensions must be >= 1 pixel, got {w}x{h}")
+        if not (math.isfinite(w) and math.isfinite(h)):
+            raise InvalidInputError("image dimensions must be finite")
+        scale = math.sqrt(TARGET_AREA / (w * h))
+        object.__setattr__(self, "orig_width", float(w))
+        object.__setattr__(self, "orig_height", float(h))
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "norm_width", w * scale)
+        object.__setattr__(self, "norm_height", h * scale)
 
     @property
     def area(self) -> float:
@@ -36,25 +53,8 @@ class ImageFrame:
 
 
 def normalize_frame(orig_width: float, orig_height: float) -> ImageFrame:
-    """Build the normalized frame for an image of the given pixel size.
-
-    The scale factor is sqrt(TARGET_AREA / (w*h)), applied to both axes, so the
-    normalized area is exactly TARGET_AREA and the aspect ratio is untouched.
-    """
-    if orig_width < 1 or orig_height < 1:
-        raise InvalidInputError(
-            f"image dimensions must be >= 1 pixel, got {orig_width}x{orig_height}"
-        )
-    if not (math.isfinite(orig_width) and math.isfinite(orig_height)):
-        raise InvalidInputError("image dimensions must be finite")
-    scale = math.sqrt(TARGET_AREA / (orig_width * orig_height))
-    return ImageFrame(
-        orig_width=float(orig_width),
-        orig_height=float(orig_height),
-        scale=scale,
-        norm_width=orig_width * scale,
-        norm_height=orig_height * scale,
-    )
+    """The normalized frame of an image of the given pixel size."""
+    return ImageFrame(orig_width, orig_height)
 
 
 @dataclass(frozen=True, slots=True)

@@ -41,11 +41,14 @@ def _smooth_rows(grid: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """
     radius = len(weights) // 2
     n = grid.shape[0]
-    padded = np.pad(grid, ((radius, radius), (0, 0)), mode="symmetric")
-    out = padded[radius : radius + n] * weights[radius]
+    # Reflected rows repeat every 2n: rows i + j, for all i and any j, are one slice of the
+    # grid, the grid reversed and the grid again, however long the kernel (a thin frame's).
+    period = np.concatenate([grid, grid[::-1], grid])
+    out = period[:n] * weights[radius]
     pair = np.empty_like(out)
     for j in range(radius, 0, -1):
-        np.add(padded[radius - j : radius - j + n], padded[radius + j : radius + j + n], out=pair)
+        below, above = -j % (2 * n), j % (2 * n)
+        np.add(period[below : below + n], period[above : above + n], out=pair)
         pair *= weights[radius - j]
         out += pair
     return out
@@ -139,7 +142,8 @@ def compute_salience(
         )
 
     final_shape = grid_shape(frame, cell_size)
-    working_cell = max(cell_size, WORKING_CELL)
+    # A frame thinner than WORKING_CELL is worked on in cells of its short side.
+    working_cell = max(cell_size, min(WORKING_CELL, frame.norm_width, frame.norm_height))
     work_shape = grid_shape(frame, working_cell)
     cells_per_working = working_cell / cell_size
 

@@ -80,54 +80,51 @@ _WORD_UNIT = 1.0 / 9007199254740992.0
 
 @dataclass(eq=False, slots=True)
 class ObjectProposal:
-    """A candidate detection: category plus box; score filled in when scored."""
+    """A candidate detection: category plus box."""
 
     category: str
     box: BoundingBox
-    score: float | None = None
 
 
 @dataclass(frozen=True)
 class Detection:
+    """A filed proposal, its score and iteration; none is filed under the provisional threshold."""
+
     proposal: ObjectProposal
-    kind: str  # PROVISIONAL or FINAL
+    score: float
     iteration: int
+
+    @property
+    def kind(self) -> str:
+        return FINAL if self.score >= FINAL_THRESHOLD else PROVISIONAL
 
 
 class Workspace:
     """Per-image detection slots: empty, provisional, or final per category.
 
     Finals are absorbing; provisional scores within a slot never decrease.
+    Without ``provisional_enabled`` only finals are filed.
     """
 
-    def __init__(self, categories: Iterable[str]):
+    def __init__(self, categories: Iterable[str], provisional_enabled: bool):
         self.categories = tuple(categories)
+        self.provisional_enabled = provisional_enabled
         self.slots: dict[str, Detection | None] = {c: None for c in self.categories}
 
-    def observe(
-        self,
-        proposal: ObjectProposal,
-        score: float,
-        iteration: int,
-        provisional_enabled: bool = True,
-    ) -> bool:
+    def observe(self, proposal: ObjectProposal, score: float, iteration: int) -> bool:
         """File a scored proposal; True when the Workspace changed."""
         category = proposal.category
         if category not in self.slots:
             raise InvalidInputError(f"unknown category {category!r}")
-        proposal.score = score
         slot = self.slots[category]
         if slot is not None and slot.kind == FINAL:
             return False
-        if score >= FINAL_THRESHOLD:
-            self.slots[category] = Detection(proposal, FINAL, iteration)
-            return True
-        if (
-            provisional_enabled
+        if score >= FINAL_THRESHOLD or (
+            self.provisional_enabled
             and score >= PROVISIONAL_THRESHOLD
-            and (slot is None or score > slot.proposal.score)
+            and (slot is None or score > slot.score)
         ):
-            self.slots[category] = Detection(proposal, PROVISIONAL, iteration)
+            self.slots[category] = Detection(proposal, score, iteration)
             return True
         return False
 
@@ -215,13 +212,13 @@ def score_proposal(ground_truth: Mapping[str, BoundingBox], proposal: ObjectProp
 
 
 def sample_proposal(
-    dist: CategorySearchDist, frame: ImageFrame, rng: np.random.Generator
+    category: str, dist: CategorySearchDist, frame: ImageFrame, rng: np.random.Generator
 ) -> ObjectProposal:
-    """Draw location, area-ratio, and aspect-ratio, then crop to the frame."""
+    """Draw location, area-ratio, and aspect-ratio from the category's dist, then crop."""
     cx, cy = dist.location.sample_point(rng)
     alpha, gamma = dist.sample_alpha_gamma(rng)
     box = crop_to_frame(box_from_descriptor(cx, cy, alpha, gamma, frame), frame)
-    return ObjectProposal(dist.category, box)
+    return ObjectProposal(category, box)
 
 
 def ground_truth(
@@ -236,6 +233,18 @@ def ground_truth(
             )
         gt[cat] = to_normalized(*annotation.boxes[cat], frame)
     return gt
+
+
+def image_frame(annotation, cell_size: float) -> ImageFrame:
+    """The annotated image's normalized frame, which must hold a grid cell of ``cell_size``."""
+    frame = normalize_frame(annotation.width, annotation.height)
+    try:
+        grid_shape(frame, cell_size)
+    except InvalidInputError as exc:
+        raise InvalidInputError(
+            f"annotation {annotation.image_id!r} at cell size {cell_size}: {exc}"
+        ) from exc
+    return frame
 
 
 def run_image(
@@ -258,7 +267,7 @@ def run_image(
     method run with neither hook is scored in blocks where its draws can be
     decoded (``_search_in_blocks``), to the same result.
     """
-    frame = normalize_frame(annotation.width, annotation.height)
+    frame = image_frame(annotation, config.cell_size)
     gt = ground_truth(annotation, DEFAULT_CATEGORIES, frame)
 
     if not config.needs_salience:
@@ -277,10 +286,10 @@ def run_image(
     # A category's entry is None from the change that puts it out of date
     # until it is next drawn from or shown.
     dists: dict[str, CategorySearchDist | None] = {
-        c: CategorySearchDist(category=c, location=prior_location, alpha_gamma=prior_boxes[c])
+        c: CategorySearchDist(location=prior_location, alpha_gamma=prior_boxes[c])
         for c in DEFAULT_CATEGORIES
     }
-    workspace = Workspace(DEFAULT_CATEGORIES)
+    workspace = Workspace(DEFAULT_CATEGORIES, config.provisional_enabled)
     detected: dict[str, BoundingBox] = {}  # the detections at the Workspace's last change
 
     def current(cat: str) -> CategorySearchDist:
@@ -297,15 +306,12 @@ def run_image(
     while remaining and iterations < config.max_iterations:
         iterations = t = iterations + 1
         category = remaining[int(rng.integers(len(remaining)))]
-        proposal = sample_proposal(current(category), frame, rng)
+        proposal = sample_proposal(category, current(category), frame, rng)
         if scorer is None:
             score = score_proposal(gt, proposal)
         else:
             score = float(scorer(proposal))
-        changed = workspace.observe(
-            proposal, score, t, provisional_enabled=config.provisional_enabled
-        )
-        if not changed:
+        if not workspace.observe(proposal, score, t):
             continue
         remaining = workspace.remaining()
         if workspace.slots[category].kind == FINAL:
@@ -491,12 +497,7 @@ def _search_in_blocks(
         # Workspace as it is.
         for i in np.flatnonzero(scores[:kept] >= PROVISIONAL_THRESHOLD).tolist():
             proposal = ObjectProposal(remaining[picks[i]], BoundingBox(*boxes[i].tolist()))
-            workspace.observe(
-                proposal,
-                float(scores[i]),
-                iterations + i + 1,
-                provisional_enabled=config.provisional_enabled,
-            )
+            workspace.observe(proposal, float(scores[i]), iterations + i + 1)
         iterations += kept
         if kept < size:
             rng.bit_generator.state = start

@@ -111,9 +111,8 @@ class SituationModel:
 
 @dataclass(eq=False)
 class CategorySearchDist:
-    """Current search distributions for one category on one image."""
+    """Current search distributions for one category on one image, filed under the category."""
 
-    category: str
     location: LocationMap
     alpha_gamma: MultivariateGaussian | LogUniformBox
 
@@ -243,12 +242,8 @@ def conditioned_distribution(
     boxes = [detections[cat] for cat in others]
     loc_obs = dict(zip(loc_dims(others), [v for box in boxes for v in (box.cx, box.cy)]))
     box_obs = dict(zip(box_dims(others), [v for box in boxes for v in box_descriptor(box, frame)]))
-    loc_cond = condition(model.loc_joints[group], loc_obs)
-    return CategorySearchDist(
-        category=category,
-        location=rasterize_2d(loc_cond, frame, cell_size, salience),
-        alpha_gamma=condition(model.box_joints[group], box_obs),
-    )
+    location = rasterize_2d(condition(model.loc_joints[group], loc_obs), frame, cell_size, salience)
+    return CategorySearchDist(location, condition(model.box_joints[group], box_obs))
 
 
 # ---------------------------------------------------------------------------

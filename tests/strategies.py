@@ -13,6 +13,13 @@ from situsearch.geometry import TARGET_AREA, normalize_frame
 from situsearch.situation_model import DEFAULT_CATEGORIES
 
 
+# The thinnest normalized short side drawn for the salience methods. Salience
+# works a frame thinner than WORKING_CELL in cells of its short side, and the
+# time to smooth a wide one grows as the fourth power of 1/short side: about
+# 1 s at 3 scaled pixels, 5 s at 2 and 16 times that at 1 (2-vCPU host).
+SALIENCE_THINNEST = 3.0
+
+
 @st.composite
 def extreme_annotations(draw, cell_size: float) -> SituationAnnotation:
     """1×N and N×1 images, and images whose short side is just above one cell."""

@@ -294,7 +294,7 @@ def test_criterion_7_loop_protocol_state_machine():
     checks = 0
 
     # Threshold boundaries at exactly 0.25 and 0.5, inclusive.
-    ws = Workspace(("a", "b", "c"))
+    ws = Workspace(("a", "b", "c"), True)
     box = BoundingBox(0, 0, 10, 10)
     assert not ws.observe(ObjectProposal("a", box), 0.2499, 1)
     assert ws.slots["a"] is None
@@ -303,7 +303,7 @@ def test_criterion_7_loop_protocol_state_machine():
     assert ws.observe(ObjectProposal("a", box), 0.499, 3)
     assert ws.slots["a"].kind == PROVISIONAL
     assert not ws.observe(ObjectProposal("a", box), 0.30, 4)  # worse provisional
-    assert ws.slots["a"].proposal.score == 0.499
+    assert ws.slots["a"].score == 0.499
     assert ws.observe(ObjectProposal("a", box), 0.5, 5)
     assert ws.slots["a"].kind == FINAL
     checks += 6
@@ -316,7 +316,7 @@ def test_criterion_7_loop_protocol_state_machine():
     # Monotone provisional replacement under 2000 random streams.
     rng = np.random.default_rng(99)
     for _ in range(2000):
-        ws = Workspace(("a", "b", "c"))
+        ws = Workspace(("a", "b", "c"), True)
         last: dict[str, float] = {}
         for t in range(40):
             cat = ("a", "b", "c")[int(rng.integers(3))]
@@ -325,8 +325,8 @@ def test_criterion_7_loop_protocol_state_machine():
             ws.observe(ObjectProposal(cat, box), score, t)
             slot = ws.slots[cat]
             if slot is not None:
-                assert last.get(cat, -1.0) <= slot.proposal.score
-                last[cat] = slot.proposal.score
+                assert last.get(cat, -1.0) <= slot.score
+                last[cat] = slot.score
                 if was_final:
                     assert slot.kind == FINAL
         checks += 1

@@ -10,7 +10,7 @@ import pytest
 
 from situsearch import charts, evaluation
 from situsearch.cli import build_parser, main
-from situsearch.datagen import load_generator_config, save_annotation
+from situsearch.datagen import SituationAnnotation, load_generator_config, save_annotation
 from situsearch.errors import InvalidInputError
 from situsearch.images import write_pgm
 from situsearch.search import Workspace, ObjectProposal
@@ -162,7 +162,7 @@ def test_run_trace_and_snapshots_counts(dataset_dir, model_path, tmp_path, capsy
 
     # replay the trace through a fresh Workspace: snapshot count == changes
     categories = sorted({l["category"] for l in lines} | set(doc["detections"]))
-    ws = Workspace(categories)
+    ws = Workspace(categories, True)
     changes = 0
     for line in lines:
         box = line["box"]
@@ -501,6 +501,32 @@ def test_bench_rejects_a_bad_cell_size_before_learning(
     err = capsys.readouterr().err
     assert f"error: cell_size must be finite and >= 1, got {float(cell_size)}" in err
     assert not (tmp_path / "r").exists()
+
+
+def test_bench_and_run_name_an_image_too_small_for_the_cell_before_learning(
+    dataset_dir, model_path, tmp_path, monkeypatch, capsys
+):
+    def no_learning(training):
+        raise AssertionError("a fold was learned for an image that cannot be searched")
+
+    monkeypatch.setattr(evaluation, "learn", no_learning)
+    data = tmp_path / "data"
+    data.mkdir()
+    for path in annotation_files(dataset_dir):
+        (data / path.name).write_bytes(path.read_bytes())
+    # Normalized, 10,000 wide and 25 high: narrower than a cell of 30.
+    boxes = {"dog_walker": (100, 0, 400, 10), "dog": (1000, 2, 300, 6), "leash": (2000, 0, 200, 5)}
+    save_annotation(SituationAnnotation("thin", 4000, 10, boxes), data / "thin.json")
+    message = "error: annotation 'thin' at cell size 30.0: frame is smaller than a single grid cell"
+    for jobs in ("1", "2"):
+        args = ["bench", "--data", str(data), "--out", str(tmp_path / "r"), "--jobs", jobs]
+        assert main([*args, "--cell-size", "30"]) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+    for method in ("uniform-learned-learned", "salience-learned-learned"):
+        args = ["run", "--model", str(model_path), "--image-annotation", str(data / "thin.json")]
+        assert main([*args, "--method", method, "--cell-size", "30"]) == 1
+        assert message in capsys.readouterr().err
 
 
 def test_salience_command_constant_image_uniform(tmp_path, capsys):

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from situsearch import evaluation
+from situsearch.datagen import SituationAnnotation
 from situsearch.errors import InvalidInputError
 from situsearch.evaluation import (
     METHOD_TOKENS,
@@ -324,6 +325,41 @@ def test_pool_starts_no_more_workers_than_test_images(
     assert report_to_dict(report) == report_to_dict(run_experiment(*args, **kwargs))
 
 
+@pytest.mark.parametrize("n, k", [(13, 3), (17, 4), (23, 10)])
+def test_report_counts_its_folds_and_images_from_its_runs(small_synthetic_dataset, n, k):
+    # Sizes not divisible by k: the folds differ in size, and none is empty.
+    report = run_experiment(
+        small_synthetic_dataset[:n],
+        ["uniform-uniform-none", "uniform-learned-none"],
+        k=k,
+        max_iterations=5,
+        cell_size=8.0,
+    )
+    assert (report.folds, report.num_images) == (k, n)
+    doc = report_to_dict(report)
+    assert (doc["folds"], doc["num_images"]) == (k, n)
+
+
+def thin_annotation() -> SituationAnnotation:
+    """A 4000×10 image: its normalized frame is 10,000 wide and 25 high."""
+    boxes = {"dog_walker": (100, 0, 400, 10), "dog": (1000, 2, 300, 6), "leash": (2000, 0, 200, 5)}
+    return SituationAnnotation(image_id="thin", width=4000, height=10, boxes=boxes)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_frame_too_small_for_the_cell_is_named_before_any_fold_is_learned(
+    small_synthetic_dataset, monkeypatch, jobs
+):
+    def no_learning(training):
+        raise AssertionError("a fold was learned for an image that cannot be searched")
+
+    monkeypatch.setattr(evaluation, "learn", no_learning)
+    dataset = [*small_synthetic_dataset[:6], thin_annotation(), *small_synthetic_dataset[6:12]]
+    message = "annotation 'thin' at cell size 30.0: frame is smaller than a single grid cell"
+    with pytest.raises(InvalidInputError, match=message):
+        run_experiment(dataset, ["uniform-uniform-none"], k=3, jobs=jobs, cell_size=30.0)
+
+
 def test_single_iteration_budget_all_fail(small_synthetic_dataset):
     report = run_experiment(
         small_synthetic_dataset[:20],
@@ -426,8 +462,9 @@ def test_svgs_are_well_formed_xml(tiny_report, tmp_path):
 
 
 def test_empty_method_list_report_is_valid(tmp_path):
-    report = ExperimentReport(master_seed=0, folds=0, num_images=0, methods=[])
+    report = ExperimentReport(master_seed=0, methods=[])
     emit_report(report, tmp_path)
     doc = json.loads((tmp_path / "report.json").read_text())
     assert doc["methods"] == []
+    assert (doc["folds"], doc["num_images"]) == (0, 0)
     ET.fromstring((tmp_path / "medians_bar.svg").read_text())

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 import pickle
 
 import numpy as np
@@ -10,7 +11,9 @@ from hypothesis import strategies as st
 
 from situsearch.errors import InvalidInputError, NoOverlapError
 from situsearch.geometry import (
+    TARGET_AREA,
     BoundingBox,
+    ImageFrame,
     crop_to_frame,
     iou,
     normalize_frame,
@@ -71,6 +74,37 @@ def test_normalize_frame_invariants(w, h):
 def test_normalize_frame_rejects_bad_dims(w, h):
     with pytest.raises(InvalidInputError):
         normalize_frame(w, h)
+
+
+def first_frame_values(w, h) -> tuple[float, ...]:
+    """normalize_frame's fields as first written: scale from the given sizes, then each side."""
+    scale = math.sqrt(TARGET_AREA / (w * h))
+    return float(w), float(h), scale, w * scale, h * scale
+
+
+FRAME_SIDES = st.one_of(
+    st.sampled_from([1, 1.0, 2, 640, 480, 2**53 + 1, 10**18, 1e300]),
+    st.integers(1, 2**64),
+    st.floats(1.0, 1e300),
+)
+
+
+@settings(max_examples=500)
+@given(w=FRAME_SIDES, h=FRAME_SIDES)
+def test_frame_derives_the_first_formulas_bit_for_bit(w, h):
+    frame = normalize_frame(w, h)
+    got = (frame.orig_width, frame.orig_height, frame.scale, frame.norm_width, frame.norm_height)
+    assert [v.hex() for v in got] == [v.hex() for v in first_frame_values(w, h)]
+    assert frame == ImageFrame(w, h)
+
+
+def test_a_frame_is_built_from_its_size_alone():
+    with pytest.raises(TypeError):
+        ImageFrame(640, 480, scale=1.0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        normalize_frame(640, 480).norm_width = 1.0
+    with pytest.raises(InvalidInputError, match="finite"):
+        ImageFrame(math.inf, 480)
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from situsearch.salience import (
     save_salience,
     smooth_grid,
 )
-from strategies import extreme_annotations
+from strategies import SALIENCE_THINNEST, extreme_annotations
 
 FRAME_64 = normalize_frame(64, 64)
 CELL = 10.0  # 50x50 grid on the 500x500 normalized frame
@@ -240,8 +240,8 @@ SCENES = generate_synthetic(default_generator_config(), 3)
 @settings(max_examples=12, deadline=None)
 @given(data=st.data(), rgb=st.booleans(), seed=st.integers(0, 2**32 - 1))
 def test_compute_salience_is_the_scipy_path_bit_for_bit(cell_size, data, rgb, seed):
-    # Salience works on cells of at least WORKING_CELL, so the extreme frames are extreme for those.
-    extreme = extreme_annotations(max(cell_size, WORKING_CELL))
+    # Below WORKING_CELL these include frames thinner than a working cell.
+    extreme = extreme_annotations(max(cell_size, SALIENCE_THINNEST))
     ann = data.draw(st.one_of(st.sampled_from(SCENES), extreme))
     frame = normalize_frame(ann.width, ann.height)
     image = render_annotation_image(ann)
@@ -250,6 +250,15 @@ def test_compute_salience_is_the_scipy_path_bit_for_bit(cell_size, data, rgb, se
         image = np.clip(image[:, :, None] * tint, 0.0, 1.0)
     got = compute_salience(image, frame, cell_size).grid
     assert same_bits(got, salience_through_scipy(image, frame, cell_size).grid)
+
+
+def test_a_frame_thinner_than_the_working_cell_gets_salience_at_cell_size_one():
+    # Normalized, 70,711 wide and 3.5 high: its working cells are 3.5 across.
+    frame = normalize_frame(40000, 2)
+    image = np.random.default_rng(4).uniform(0, 1, size=(2, 40000))
+    lmap = compute_salience(image, frame, 1.0)
+    assert lmap.grid.shape == grid_shape(frame, 1.0)
+    assert lmap.grid.sum() == pytest.approx(1.0)
 
 
 # ---------------------------------------------------------------------------

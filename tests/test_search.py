@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from strategies import extreme_annotations
+from strategies import SALIENCE_THINNEST, extreme_annotations
 from situsearch import search
 from situsearch.datagen import SituationAnnotation, default_generator_config, generate_synthetic
 from situsearch.errors import InvalidInputError
@@ -39,6 +39,7 @@ from situsearch.geometry import (
 from situsearch.search import (
     FINAL,
     PROVISIONAL,
+    Detection,
     MethodConfig,
     ObjectProposal,
     Workspace,
@@ -81,8 +82,8 @@ def degenerate_model():
     return learn([easy_annotation()] * 20)
 
 
-def proposal(category: str, score: float | None = None) -> ObjectProposal:
-    return ObjectProposal(category, BoundingBox(0, 0, 10, 10), score)
+def proposal(category: str) -> ObjectProposal:
+    return ObjectProposal(category, BoundingBox(0, 0, 10, 10))
 
 
 # ---------------------------------------------------------------------------
@@ -90,58 +91,58 @@ def proposal(category: str, score: float | None = None) -> ObjectProposal:
 
 
 def test_threshold_sequence_prov_replace_final():
-    ws = Workspace(CATS)
+    ws = Workspace(CATS, True)
     assert ws.observe(proposal("dog"), 0.3, 1) is True
     assert ws.slots["dog"].kind == PROVISIONAL
-    assert ws.slots["dog"].proposal.score == 0.3
+    assert ws.slots["dog"].score == 0.3
 
     assert ws.observe(proposal("dog"), 0.4, 2) is True  # better provisional replaces
     assert ws.slots["dog"].kind == PROVISIONAL
-    assert ws.slots["dog"].proposal.score == 0.4
+    assert ws.slots["dog"].score == 0.4
 
     assert ws.observe(proposal("dog"), 0.35, 3) is False  # worse provisional ignored
-    assert ws.slots["dog"].proposal.score == 0.4
+    assert ws.slots["dog"].score == 0.4
 
     assert ws.observe(proposal("dog"), 0.55, 4) is True
     assert ws.slots["dog"].kind == FINAL
 
 
 def test_final_is_absorbing():
-    ws = Workspace(CATS)
+    ws = Workspace(CATS, True)
     ws.observe(proposal("dog"), 0.9, 1)
     assert ws.slots["dog"].kind == FINAL
     assert ws.observe(proposal("dog"), 1.0, 2) is False
-    assert ws.slots["dog"].proposal.score == 0.9
+    assert ws.slots["dog"].score == 0.9
     assert ws.slots["dog"].iteration == 1
 
 
 def test_below_provisional_threshold_ignored():
-    ws = Workspace(CATS)
+    ws = Workspace(CATS, True)
     assert ws.observe(proposal("dog"), 0.2, 1) is False
     assert ws.slots["dog"] is None
 
 
 def test_noprov_mode_only_finals():
-    ws = Workspace(CATS)
-    assert ws.observe(proposal("dog"), 0.45, 1, provisional_enabled=False) is False
+    ws = Workspace(CATS, False)
+    assert ws.observe(proposal("dog"), 0.45, 1) is False
     assert ws.slots["dog"] is None
-    assert ws.observe(proposal("dog"), 0.5, 2, provisional_enabled=False) is True
+    assert ws.observe(proposal("dog"), 0.5, 2) is True
     assert ws.slots["dog"].kind == FINAL
 
 
 def test_slot_scores_never_decrease_under_random_streams():
     rng = np.random.default_rng(12)
     for _ in range(200):
-        ws = Workspace(CATS)
+        ws = Workspace(CATS, True)
         history = defaultdict(list)
         for t in range(60):
             cat = CATS[int(rng.integers(3))]
             score = float(rng.random())
             before = ws.slots[cat]
-            ws.observe(proposal(cat, score), score, t + 1)
+            ws.observe(proposal(cat), score, t + 1)
             after = ws.slots[cat]
             if after is not None:
-                history[cat].append((after.kind, after.proposal.score))
+                history[cat].append((after.kind, after.score))
             if before is not None and before.kind == FINAL:
                 assert after is before  # frozen once final
         for cat, entries in history.items():
@@ -154,14 +155,27 @@ def test_slot_scores_never_decrease_under_random_streams():
                 ) == {FINAL}
 
 
+@given(
+    score=st.one_of(
+        st.sampled_from([0.25, math.nextafter(0.5, 0.0), 0.5, 1.0]), st.floats(0.25, 1.0)
+    )
+)
+def test_detection_kind_is_final_exactly_from_half(score):
+    # The Workspace files nothing under the provisional threshold, 0.25.
+    assert (Detection(proposal("dog"), score, 1).kind == FINAL) is (score >= 0.5)
+    ws = Workspace(CATS, True)
+    assert ws.observe(proposal("dog"), score, 1)
+    assert ws.slots["dog"].kind == (FINAL if score >= 0.5 else PROVISIONAL)
+
+
 def test_workspace_rejects_unknown_category():
-    ws = Workspace(CATS)
+    ws = Workspace(CATS, True)
     with pytest.raises(InvalidInputError):
         ws.observe(proposal("cat"), 0.9, 1)
 
 
 def test_detected_boxes_in_category_order():
-    ws = Workspace(CATS)
+    ws = Workspace(CATS, True)
     ws.observe(proposal("leash"), 0.3, 1)
     ws.observe(proposal("dog_walker"), 0.6, 2)
     assert [c for c, _ in ws.detected_boxes()] == ["dog_walker", "leash"]
@@ -309,7 +323,7 @@ def test_scripted_scores_honor_thresholds(degenerate_model):
 
     def observer(iteration, workspace, dists):
         slot = workspace.slots["dog"]
-        states.append((iteration, slot.kind, slot.proposal.score))
+        states.append((iteration, slot.kind, slot.score))
         dog_dists.append(dists["dog"])
 
     result = run_image(
@@ -463,9 +477,9 @@ def test_every_lazily_built_map_is_drawn_from_before_the_next_change(
         events.append(("built", dist.alpha_gamma))
         return dist
 
-    def counting_sample(dist, frame, rng):
+    def counting_sample(category, dist, frame, rng):
         events.append(("drawn", dist.alpha_gamma))
-        return sample(dist, frame, rng)
+        return sample(category, dist, frame, rng)
 
     def counting_observe(self, *args, **kwargs):
         changed = observe(self, *args, **kwargs)
@@ -507,8 +521,8 @@ def test_every_draw_uses_the_maps_of_the_current_workspace(held_out, token, monk
     drawn_conditioned = 0
 
     class WatchedWorkspace(Workspace):
-        def __init__(self, categories):
-            super().__init__(categories)
+        def __init__(self, categories, provisional_enabled):
+            super().__init__(categories, provisional_enabled)
             workspaces.append(self)
 
     def recording_conditioned(model, category, detected, *args):
@@ -516,23 +530,22 @@ def test_every_draw_uses_the_maps_of_the_current_workspace(held_out, token, monk
         builds[len(workspaces), category].append(others)
         return conditioned(model, category, detected, *args)
 
-    def checked_sample(dist, frame, rng):
+    def checked_sample(category, dist, frame, rng):
         nonlocal drawn_conditioned
         detected = dict(workspaces[-1].detected_boxes())
-        if detected.keys() - {dist.category}:
-            fresh = conditioned(model, dist.category, detected, frame, 8.0, salience)
+        if detected.keys() - {category}:
+            fresh = conditioned(model, category, detected, frame, 8.0, salience)
             drawn_conditioned += 1
         else:  # only its own detection, if any: the method's priors
             fresh = CategorySearchDist(
-                dist.category,
                 salience if config.needs_salience else uniform_map(frame, 8.0),
-                model.box_priors[dist.category],
+                model.box_priors[category],
             )
         for name in ("grid", "_cdf"):
             assert np.array_equal(getattr(dist.location, name), getattr(fresh.location, name))
         for name in ("mean", "cov"):
             assert np.array_equal(getattr(dist.alpha_gamma, name), getattr(fresh.alpha_gamma, name))
-        return sample(dist, frame, rng)
+        return sample(category, dist, frame, rng)
 
     monkeypatch.setattr(search, "Workspace", WatchedWorkspace)
     monkeypatch.setattr(search, "conditioned_distribution", recording_conditioned)
@@ -661,7 +674,9 @@ def reference_box_from_descriptor(cx, cy, alpha, gamma, frame) -> BoundingBox:
     return BoundingBox(cx=cx, cy=cy, w=w, h=h)
 
 
-def reference_sample_proposal(dist: CategorySearchDist, frame, rng) -> ObjectProposal:
+def reference_sample_proposal(
+    category: str, dist: CategorySearchDist, frame, rng
+) -> ObjectProposal:
     cx, cy = reference_sample_point(dist.location, rng)
     if isinstance(dist.alpha_gamma, LogUniformBox):
         alpha, gamma = dist.alpha_gamma.sample(rng)
@@ -669,7 +684,7 @@ def reference_sample_proposal(dist: CategorySearchDist, frame, rng) -> ObjectPro
         a, g = dist.alpha_gamma.sample(rng)
         alpha, gamma = float(a), float(g)
     box = crop_to_frame(reference_box_from_descriptor(cx, cy, alpha, gamma, frame), frame)
-    return ObjectProposal(category=dist.category, box=box)
+    return ObjectProposal(category=category, box=box)
 
 
 def hexes(*values: float) -> tuple[str, ...]:
@@ -773,21 +788,22 @@ def step_dists(held_out):
         frame = normalize_frame(width, height)
         cell = min(8.0, frame.norm_width, frame.norm_height)
         uniform = uniform_map(frame, cell)
-        out.append((frame, CategorySearchDist("dog", uniform, LogUniformBox())))
-        out.append((frame, CategorySearchDist("dog", uniform, model.box_priors["dog"])))
+        out.append((frame, "dog", CategorySearchDist(uniform, LogUniformBox())))
+        out.append((frame, "dog", CategorySearchDist(uniform, model.box_priors["dog"])))
         ann = annotations[0]
         detected = {"dog_walker": to_normalized(*ann.boxes["dog_walker"], frame)}
-        out.append((frame, conditioned_distribution(model, "leash", detected, frame, cell)))
+        leash = conditioned_distribution(model, "leash", detected, frame, cell)
+        out.append((frame, "leash", leash))
     return out
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2**31 + 5])
 def test_sample_proposal_is_bit_identical_to_reference(step_dists, seed):
     rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
-    for frame, dist in step_dists:
+    for frame, category, dist in step_dists:
         for _ in range(200):
-            got = sample_proposal(dist, frame, rng)
-            want = reference_sample_proposal(dist, frame, reference)
+            got = sample_proposal(category, dist, frame, rng)
+            want = reference_sample_proposal(category, dist, frame, reference)
             assert got.category == want.category
             assert box_hexes(got.box) == box_hexes(want.box)
             assert rng.bit_generator.state == reference.bit_generator.state
@@ -833,8 +849,8 @@ def run_logging_changes(*args):
     changes = []
 
     class LoggingWorkspace(Workspace):
-        def observe(self, proposal, score, iteration, provisional_enabled=True):
-            changed = super().observe(proposal, score, iteration, provisional_enabled)
+        def observe(self, proposal, score, iteration):
+            changed = super().observe(proposal, score, iteration)
             if changed:
                 slot = self.slots[proposal.category]
                 box = box_hexes(slot.proposal.box)
@@ -997,9 +1013,7 @@ def test_block_draws_decode_the_per_call_draws(
     seed, has_uint32, uinteger, n, size, kind, zero_word
 ):
     location = uniform_map(normalize_frame(640, 480), 8.0)
-    searched = [
-        CategorySearchDist(cat, location, box) for cat, box in zip(CATS, box_priors(kind, n))
-    ]
+    searched = [CategorySearchDist(location, box) for box in box_priors(kind, n)]
     blocks = buffered_rng(seed, has_uint32, uinteger, zero_word)
     calls = buffered_rng(seed, has_uint32, uinteger, zero_word)
     got, rejected = search._draw(blocks, searched, size)
@@ -1147,7 +1161,7 @@ def near_singular_location_model(model, scale: float, rank_one: bool):
 )
 @given(
     data=st.data(),
-    cell_size=st.sampled_from([4.0, 8.0]),
+    cell_size=st.sampled_from([1.0, 4.0, 8.0]),
     scale=st.one_of(st.sampled_from([1e-150, 1e-8, 1.0]), st.floats(1e-6, 10.0)),
     rank_one=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
@@ -1156,9 +1170,11 @@ def near_singular_location_model(model, scale: float, rank_one: bool):
 def test_run_image_never_raises_on_extreme_frames_and_near_singular_joints(
     held_out, token, data, cell_size, scale, rank_one, seed, scripted
 ):
-    ann = data.draw(extreme_annotations(cell_size))
     model = near_singular_location_model(held_out[0], scale, rank_one)
     config = replace(config_for_token(token), cell_size=cell_size, max_iterations=120)
+    # At cell size 1, the salience methods' frames include ones thinner than a working cell.
+    thinnest = max(cell_size, SALIENCE_THINNEST) if config.needs_salience else cell_size
+    ann = data.draw(extreme_annotations(thinnest))
     salience = salience_for_annotation(ann, cell_size) if config.needs_salience else None
     scripted_scorer = None
     if scripted:  # a detection every few proposals, so the location joints get conditioned

@@ -365,7 +365,6 @@ def test_point_mass_distributions_give_deterministic_box(synthetic_model):
     grid[5, 5] = 1.0
     loc = uniform_map(frame, cell_size=50)
     dist = CategorySearchDist(
-        category="dog",
         location=type(loc)(frame=frame, cell_size=50, grid=grid),
         alpha_gamma=MultivariateGaussian(
             dims=("alpha_dog", "gamma_dog"),
@@ -374,7 +373,7 @@ def test_point_mass_distributions_give_deterministic_box(synthetic_model):
         ),
     )
     rng = np.random.default_rng(0)
-    proposals = [sample_proposal(dist, frame, rng) for _ in range(20)]
+    proposals = [sample_proposal("dog", dist, frame, rng) for _ in range(20)]
     for p in proposals:
         assert p.box.w == pytest.approx(250.0, abs=1e-3)
         assert p.box.h == pytest.approx(250.0, abs=1e-3)
@@ -393,7 +392,6 @@ def test_sampled_area_ratio_follows_alpha_marginal():
     grid = np.zeros((20, 20))
     grid[10, 10] = 1.0
     dist = CategorySearchDist(
-        category="dog",
         location=uniform_map(frame, cell_size=25).__class__(
             frame=frame, cell_size=25, grid=grid
         ),
@@ -406,7 +404,7 @@ def test_sampled_area_ratio_follows_alpha_marginal():
     rng = np.random.default_rng(42)
     log_ratios = []
     for _ in range(20_000):
-        p = sample_proposal(dist, frame, rng)
+        p = sample_proposal("dog", dist, frame, rng)
         log_ratios.append(math.log(p.box.area / frame.area))
     result = stats.kstest(log_ratios, cdf=stats.norm(math.log(0.01), 0.2).cdf)
     assert result.pvalue > 0.01
@@ -416,14 +414,14 @@ def test_sampled_proposals_stay_in_frame(synthetic_model):
     frame = normalize_frame(640, 480)
     uniform = uniform_map(frame, cell_size=4)
     dists = {
-        cat: CategorySearchDist(cat, uniform, synthetic_model.box_priors[cat])
+        cat: CategorySearchDist(uniform, synthetic_model.box_priors[cat])
         for cat in CATS
     }
     rng = np.random.default_rng(7)
     hx, hy = frame.norm_width / 2, frame.norm_height / 2
     for _ in range(500):
         for cat in CATS:
-            p = sample_proposal(dists[cat], frame, rng)
+            p = sample_proposal(cat, dists[cat], frame, rng)
             assert p.box.x0 >= -hx - 1e-9 and p.box.x1 <= hx + 1e-9
             assert p.box.y0 >= -hy - 1e-9 and p.box.y1 <= hy + 1e-9
             assert p.box.area > 0

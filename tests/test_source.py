@@ -78,3 +78,14 @@ def test_importing_the_cli_loads_no_scipy():
         check=True,
     ).stdout.split()
     assert loaded == []
+
+
+def has_global_statement(source: str) -> bool:
+    return any(isinstance(node, ast.Global) for node in ast.walk(ast.parse(source)))
+
+
+def test_no_module_rebinds_a_module_global():
+    # Module state held across calls is a cache with an owner, such as
+    # functools.lru_cache, not a name a function rebinds.
+    found = [path.name for path in PACKAGE.glob("*.py") if has_global_statement(path.read_text())]
+    assert found == []
