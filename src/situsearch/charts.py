@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import weakref
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -26,6 +25,11 @@ PALETTE = [
 _FAIL_FILL = "#b8b8b8"
 TICK_COUNT = 5  # roughly this many tick steps span a value axis
 HEAT_COLUMNS = 48  # a snapshot's location panel is at most this many cells wide
+
+
+def escape(text: str) -> str:
+    """``xml.sax.saxutils.escape`` of a string: its three replacements, in its order."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 def _svg_open(width: int, height: int) -> list[str]:

@@ -245,7 +245,10 @@ def cmd_gen(args: argparse.Namespace) -> int:
 def cmd_salience(args: argparse.Namespace) -> int:
     image = read_pnm(args.image)
     frame = normalize_frame(image.shape[1], image.shape[0])
-    salience = compute_salience(image, frame, cell_size=args.cell_size)
+    try:
+        salience = compute_salience(image, frame, cell_size=args.cell_size)
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"{args.image} at cell size {args.cell_size}: {exc}") from exc
     save_salience(salience, args.out)
     print(json.dumps({"out": args.out, "rows": salience.grid.shape[0], "cols": salience.grid.shape[1]}))
     return 0

@@ -17,7 +17,6 @@ import contextlib
 import csv
 import io
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -284,6 +283,8 @@ def run_experiment(
     # Results come back in work order, folds then test images, as they are pooled.
     runs: dict[str, list[RunRecord]] = {token: [] for token in configs}
     workers = min(jobs, len(work))  # a pool starts every worker at once
+    if workers > 1:  # only a pool needs multiprocessing, which is slow to import
+        from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
         results = pool.map(_run_work_item, work, chunksize=4) if pool else map(_run_work_item, work)
         for done, records in enumerate(results, start=1):

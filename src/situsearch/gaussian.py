@@ -137,20 +137,22 @@ class MultivariateGaussian:
         z = rng.standard_normal(self.dim)
         return self.mean + self._chol @ z
 
-    def pdf_grid(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    def pdf_grid(self, xs: np.ndarray, ys: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Unnormalized density of a 2-d Gaussian on the grid ys x xs.
 
-        Row i, column j holds the density at (xs[j], ys[i]). Only valid for
-        2-dimensional distributions; the first dimension is x.
+        Row i, column j holds the density at (xs[j], ys[i]), in ``out`` when
+        given. Only valid for 2-dimensional distributions; the first dimension is x.
         """
         if self.dim != 2:
             raise InvalidInputError(f"pdf_grid needs a 2-d distribution, got {self.dim}-d")
         dx = np.asarray(xs, dtype=float) - self.mean[0]
         dy = np.asarray(ys, dtype=float) - self.mean[1]
+        if out is None:
+            out = np.empty((len(dy), len(dx)))
         det = self.cov[0, 0] * self.cov[1, 1] - self.cov[0, 1] ** 2
         if det <= 0 or not math.isfinite(det):
             # Degenerate: all mass at the cell nearest the mean.
-            out = np.zeros((len(dy), len(dx)))
+            out.fill(0.0)
             out[int(np.argmin(np.abs(dy))), int(np.argmin(np.abs(dx)))] = 1.0
             return out
         ia = self.cov[1, 1] / det
@@ -161,7 +163,7 @@ class MultivariateGaussian:
         # Where q overflows in every cell the density comes out NaN, which
         # rasterize_2d replaces by a point mass, so the overflow is silent.
         with np.errstate(over="ignore", invalid="ignore"):
-            q = np.multiply(2.0 * ib * dy[:, None], dx[None, :])
+            q = np.multiply(2.0 * ib * dy[:, None], dx[None, :], out=out)
             np.add(ia * dx[None, :] ** 2, q, out=q)
             q += ic * dy[:, None] ** 2
             q -= q.min()  # stabilize the exponential; normalization happens downstream
@@ -314,6 +316,7 @@ class LocationMap:
     frame: ImageFrame
     cell_size: float
     grid: np.ndarray = field(repr=False)
+    _cdf_buffer = None  # where the CDF is built: a new array, or half a run's map buffer
 
     def __post_init__(self) -> None:
         self.grid = _frozen(_normalize(np.array(self.grid, dtype=float)))
@@ -331,7 +334,7 @@ class LocationMap:
 
     @cached_property
     def _cdf(self) -> np.ndarray:
-        return _frozen(np.cumsum(self.grid.ravel()))
+        return _frozen(np.cumsum(self.grid.ravel(), out=self._cdf_buffer))
 
     def __setstate__(self, state: dict) -> None:
         _set_frozen_state(self, state, ("grid", "_cdf"))
@@ -402,6 +405,7 @@ def rasterize_2d(
     frame: ImageFrame,
     cell_size: float = 1.0,
     weights: LocationMap | None = None,
+    out: np.ndarray | None = None,
 ) -> LocationMap:
     """Location map with cell mass proportional to the density at cell centers.
 
@@ -410,13 +414,15 @@ def rasterize_2d(
     map on the same grid, such as salience) the normalized density is folded
     with it and renormalized, in the same buffer: the map
     ``salience.combine(rasterize_2d(dist, frame, cell_size), weights)`` gives.
+    With ``out``, a (2, rows, cols) float array, the grid is built in ``out[0]``
+    and the CDF in ``out[1]``: the map holds only until ``out`` is reused.
     """
     if dist.dim != 2:
         raise InvalidInputError(f"rasterize_2d needs a 2-d distribution, got {dist.dim}-d")
     xs, ys = cell_centers(frame, cell_size)
     if weights is not None and weights.grid.shape != (len(ys), len(xs)):
         raise InvalidInputError(f"grid shapes differ: {(len(ys), len(xs))} vs {weights.shape}")
-    grid = dist.pdf_grid(xs, ys)
+    grid = dist.pdf_grid(xs, ys, None if out is None else out[0])
     try:
         _normalize(grid)
     except InvalidInputError:
@@ -430,7 +436,10 @@ def rasterize_2d(
         ] = 1.0
     if weights is not None:
         _normalize(fold(grid, weights.grid, default_epsilon(grid.size)))
-    return LocationMap._adopt(frame, cell_size, grid)
+    lmap = LocationMap._adopt(frame, cell_size, grid)
+    if out is not None:
+        lmap._cdf_buffer = out[1].reshape(-1)
+    return lmap
 
 
 # ---------------------------------------------------------------------------

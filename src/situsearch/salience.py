@@ -176,8 +176,8 @@ def compute_salience(
     total = smooth_grid(total, sigma_smooth)
     total = _resize(total, final_shape)
     # Not in place: freeing the resized grid lifts glibc's mmap threshold past
-    # a grid's size, so the search's own grids then reuse heap pages (in place,
-    # a six-method pass over 20 images took 2.8x the search's page faults).
+    # a grid's size, so the new maps of observed runs then reuse heap pages (in
+    # place, an `inspect` benchmark pass took 409k page faults, not 314k).
     total = np.maximum(total, 0.0)
     total += default_epsilon(total.size) * max(float(total.sum()), 1.0)
     return LocationMap._adopt(frame, cell_size, _normalize(total))

@@ -19,6 +19,9 @@ on the Workspace as it stood at its last change; a map replaced by a later
 change before any draw is never built. Between changes the loop is a tight
 sample/score/file cycle. A category's out-of-date map is released at the
 change that supersedes it, so it never holds memory beside its successor.
+Without an observer, all of a category's maps in a run are built in one
+buffer for grid and CDF, taken from those earlier runs gave back, so their
+pages are touched once per process, not once per map.
 
 A context-free run (situation model ``none``) with no scoring or observing
 hook is drawn and scored BLOCK_SIZE proposals at a time. A block reads the
@@ -35,6 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -247,6 +251,15 @@ def image_frame(annotation, cell_size: float) -> ImageFrame:
     return frame
 
 
+@lru_cache(maxsize=1)
+def _spare_buffers(shape: tuple[int, int]) -> list[np.ndarray]:
+    """The (2, rows, cols) map buffers runs have given back, for the last grid shape asked for.
+
+    A run gives its buffers back when it ends; one that raises keeps them with its maps.
+    """
+    return []
+
+
 def run_image(
     model: SituationModel,
     salience: LocationMap | None,
@@ -270,12 +283,13 @@ def run_image(
     frame = image_frame(annotation, config.cell_size)
     gt = ground_truth(annotation, DEFAULT_CATEGORIES, frame)
 
+    shape = grid_shape(frame, config.cell_size)
     if not config.needs_salience:
         salience = None  # conditioned maps are folded with salience only under its prior
         prior_location: LocationMap = uniform_map(frame, config.cell_size)
     elif salience is None:
         raise InvalidInputError(f"method {config} needs a salience map")
-    elif salience.grid.shape != grid_shape(frame, config.cell_size):
+    elif salience.grid.shape != shape:
         raise InvalidInputError("salience grid does not match the rasterization grid")
     else:
         prior_location = salience
@@ -291,11 +305,19 @@ def run_image(
     }
     workspace = Workspace(DEFAULT_CATEGORIES, config.provisional_enabled)
     detected: dict[str, BoundingBox] = {}  # the detections at the Workspace's last change
+    spare = _spare_buffers(shape)
+    buffers: dict[str, np.ndarray] = {}  # each category's map buffer, held for the run
 
     def current(cat: str) -> CategorySearchDist:
         if dists[cat] is None:
+            # An observer may keep the maps it is shown, so they get new arrays.
+            if observer is None and cat not in buffers:
+                try:
+                    buffers[cat] = spare.pop()
+                except IndexError:
+                    buffers[cat] = np.empty((2, *shape))
             dists[cat] = conditioned_distribution(
-                model, cat, detected, frame, config.cell_size, salience
+                model, cat, detected, frame, config.cell_size, salience, buffers.get(cat)
             )
         return dists[cat]
 
@@ -325,6 +347,7 @@ def run_image(
                     dists[cat] = None
         if observer is not None:
             observer(t, workspace, {c: current(c) if c in remaining else None for c in dists})
+    spare.extend(buffers.values())
 
     finals = {
         c: slot.iteration if slot is not None and slot.kind == FINAL else None

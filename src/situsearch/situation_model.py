@@ -225,13 +225,14 @@ def conditioned_distribution(
     frame: ImageFrame,
     cell_size: float = 1.0,
     salience: LocationMap | None = None,
+    out: np.ndarray | None = None,
 ) -> CategorySearchDist:
     """Search distributions for one category given current detections.
 
     Detections of the category itself are ignored; at least one other
     category must be detected. The joints over the category and the detected
     others are conditioned on the others' boxes. A ``salience`` map is folded
-    into the location map as it is rasterized.
+    into the location map as it is rasterized (in ``out``, see rasterize_2d).
     """
     if category not in DEFAULT_CATEGORIES:
         raise InvalidInputError(f"unknown category {category!r}")
@@ -242,7 +243,8 @@ def conditioned_distribution(
     boxes = [detections[cat] for cat in others]
     loc_obs = dict(zip(loc_dims(others), [v for box in boxes for v in (box.cx, box.cy)]))
     box_obs = dict(zip(box_dims(others), [v for box in boxes for v in box_descriptor(box, frame)]))
-    location = rasterize_2d(condition(model.loc_joints[group], loc_obs), frame, cell_size, salience)
+    loc_dist = condition(model.loc_joints[group], loc_obs)
+    location = rasterize_2d(loc_dist, frame, cell_size, salience, out)
     return CategorySearchDist(location, condition(model.box_joints[group], box_obs))
 
 

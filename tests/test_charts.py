@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from xml.sax.saxutils import escape as sax_escape
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -90,3 +92,8 @@ def test_snapshots_equal_the_per_cell_loop(small_synthetic_dataset, monkeypatch)
                 salience = salience_for_annotation(ann, config.cell_size)
             run_image(model, salience, config, ann, np.random.default_rng(1), observer=observer)
     assert snapshots > 0
+
+
+@given(st.text(alphabet=st.sampled_from("&<>;amplgt# \"'x\u00e9\n")) | st.text())
+def test_escape_is_saxutils_escape(text):
+    assert charts.escape(text) == sax_escape(text)

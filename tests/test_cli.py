@@ -541,6 +541,17 @@ def test_salience_command_constant_image_uniform(tmp_path, capsys):
     assert np.allclose(grid, 1.0 / grid.size, atol=1e-9)
 
 
+def test_salience_command_names_an_image_too_small_for_the_cell(tmp_path, capsys):
+    img_path = tmp_path / "small.pgm"
+    write_pgm(img_path, np.full((48, 64), 0.5))
+    out = tmp_path / "small.sal"
+    args = ["salience", "--image", str(img_path), "--out", str(out)]
+    assert main([*args, "--cell-size", "1000"]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {img_path} at cell size 1000.0: frame is smaller than a single grid cell" in err
+    assert not out.exists()
+
+
 def test_eval_proposals_matches_seeded_shuffle(dataset_dir, tmp_path, capsys):
     ann_path = annotation_files(dataset_dir)[0]
     ann = json.loads(ann_path.read_text())

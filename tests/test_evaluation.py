@@ -317,7 +317,7 @@ def test_pool_starts_no_more_workers_than_test_images(
         def map(self, fn, items, chunksize=1):
             return map(fn, items)
 
-    monkeypatch.setattr(evaluation, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
     args = (small_synthetic_dataset[:12], ["uniform-uniform-none"])
     kwargs = dict(k=3, max_iterations=5, cell_size=8.0)
     report = run_experiment(*args, jobs=jobs, **kwargs)

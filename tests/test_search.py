@@ -559,6 +559,82 @@ def test_every_draw_uses_the_maps_of_the_current_workspace(held_out, token, monk
 
 
 # ---------------------------------------------------------------------------
+# map buffers of runs without an observer
+
+
+def conditioned_run(held_out, ann, seed, scorer=None, observer=None):
+    model, _ = held_out
+    config = replace(config_for_token("uniform-learned-learned"), cell_size=8.0)
+    return run_image(model, None, config, ann, np.random.default_rng(seed), scorer, observer)
+
+
+def spare_buffers(ann) -> list[np.ndarray]:
+    return search._spare_buffers(grid_shape(normalize_frame(ann.width, ann.height), 8.0))
+
+
+def test_a_second_run_builds_its_maps_in_the_first_runs_buffers(held_out, monkeypatch):
+    ann = held_out[1][0]
+    outs = []
+    conditioned = search.conditioned_distribution
+
+    def recording_conditioned(*args):
+        outs.append(args[6])
+        return conditioned(*args)
+
+    monkeypatch.setattr(search, "conditioned_distribution", recording_conditioned)
+    search._spare_buffers.cache_clear()
+    first = conditioned_run(held_out, ann, 3)
+    held = {id(buffer) for buffer in spare_buffers(ann)}
+    assert outs and held == {id(out) for out in outs}
+
+    outs.clear()
+    assert conditioned_run(held_out, ann, 3).to_dict() == first.to_dict()
+    assert outs and {id(out) for out in outs} <= held
+    assert sorted(map(id, spare_buffers(ann))) == sorted(held)
+
+
+def test_maps_an_observer_keeps_hold_their_bits_through_later_runs(held_out):
+    kept = []
+
+    def keeping(iteration, workspace, dists):
+        for dist in filter(None, dists.values()):
+            location = dist.location
+            kept.append((location, location.grid.tobytes(), location._cdf.tobytes()))
+
+    for ann in held_out[1]:
+        conditioned_run(held_out, ann, 3, observer=keeping)
+    for ann in held_out[1]:  # these runs build their maps in reused buffers
+        conditioned_run(held_out, ann, 4)
+    spare = spare_buffers(held_out[1][0])
+    assert kept and spare
+    for location, grid, cdf in kept:
+        assert (location.grid.tobytes(), location._cdf.tobytes()) == (grid, cdf)
+        assert not any(np.shares_memory(location.grid, buffer) for buffer in spare)
+
+
+def test_a_run_whose_scorer_raises_leaves_the_next_runs_unchanged(held_out):
+    def results():
+        return [json.dumps(conditioned_run(held_out, ann, 3).to_dict()) for ann in held_out[1]]
+
+    search._spare_buffers.cache_clear()
+    expected = results()
+    spare = spare_buffers(held_out[1][0])
+    before = len(spare)
+    calls = itertools.count()
+
+    def raising(proposal):
+        call = next(calls)
+        if call == 8:
+            raise RuntimeError("scorer failed")
+        return 0.3 if call == 0 else 0.0  # a provisional first: the others are conditioned
+
+    with pytest.raises(RuntimeError, match="scorer failed"):
+        conditioned_run(held_out, held_out[1][0], 3, scorer=raising)
+    assert len(spare) < before  # the failed run took buffers and kept them
+    assert results() == expected
+
+
+# ---------------------------------------------------------------------------
 # evaluate_proposal_set
 
 

@@ -65,10 +65,25 @@ def test_no_module_reads_the_environment():
     assert found == []
 
 
+# Modules no process needs: salience is numpy alone (importing scipy.ndimage
+# cost every process about 0.35 s and 18 MB), SVG text is escaped without
+# xml.sax (which pulls in urllib, http, email and ssl), and multiprocessing is
+# imported only when a pool starts.
+UNUSED_MODULES = (
+    "scipy",
+    "ssl",
+    "socket",
+    "http.client",
+    "email",
+    "xml.sax",
+    "multiprocessing",
+    "concurrent.futures.process",
+    "subprocess",
+)
+
+
 def test_importing_the_cli_loads_no_scipy():
-    # Salience is numpy alone; importing scipy.ndimage cost every process
-    # about 0.35 s and 18 MB.
-    probe = "import sys, situsearch.cli; print(*(m for m in sys.modules if m.startswith('scipy')))"
+    probe = "import sys, situsearch.cli; print(*sys.modules)"
     path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
     loaded = subprocess.run(
         [sys.executable, "-c", probe],
@@ -77,7 +92,9 @@ def test_importing_the_cli_loads_no_scipy():
         text=True,
         check=True,
     ).stdout.split()
-    assert loaded == []
+    assert "situsearch.cli" in loaded
+    assert [m for m in loaded if m.split(".")[0] == "scipy"] == []
+    assert [m for m in UNUSED_MODULES if m in loaded] == []
 
 
 def has_global_statement(source: str) -> bool:
