@@ -245,6 +245,37 @@ def test_run_trace_matches_pinned_digest(small_synthetic_dataset, tmp_path, meth
     assert len(trace.read_text().splitlines()) == doc["total_iterations"]
 
 
+# SHA-256 of ``run --trace --snapshots`` in TRACE_DIGESTS' setup: the trace,
+# stdout, and every snapshot's name and bytes in name order, each part
+# preceded by its length. The context-free runs are watched proposal by
+# proposal; the conditioned ones draw every shown map.
+WATCHED_RUN_DIGESTS = {
+    "uniform-learned-none": "0eb8e974f08c05384ad604de8c643ac4c62434d3b784cd02b2c31b07b63ca975",
+    "uniform-uniform-none": "2af22b50cb59076b614acb7dbd4b8f4db08139552fbb6fc41d6b6d58a3c443ec",
+    "uniform-learned-learned": "880a1ba6152a4da57c171b5147e9e159bb213cb8da3f9ad533a26af5ec9a27ee",
+    "salience-learned-learned": "cab97d89c8f864cdb905506eca74f59b4d0e57c1757be34c30210052f9bfeef8",
+}
+
+
+@pytest.mark.parametrize("method", list(WATCHED_RUN_DIGESTS))
+def test_watched_run_matches_pinned_digest(small_synthetic_dataset, tmp_path, method, capsys):
+    save_model(learn(small_synthetic_dataset[:50]), tmp_path / "model.json")
+    save_annotation(small_synthetic_dataset[50], tmp_path / "ann.json")
+    trace, snaps = tmp_path / "trace.jsonl", tmp_path / "snaps"
+    args = ["run", "--model", str(tmp_path / "model.json")]
+    args += ["--image-annotation", str(tmp_path / "ann.json"), "--method", method]
+    args += ["--cell-size", "8", "--trace", str(trace), "--snapshots", str(snaps)]
+    assert main(args) == 0
+    parts = [trace.read_bytes(), capsys.readouterr().out.encode()]
+    for path in sorted(snaps.iterdir()):
+        parts += [path.name.encode(), path.read_bytes()]
+    digest = hashlib.sha256()
+    for part in parts:
+        digest.update(len(part).to_bytes(8, "little") + part)
+    assert len(parts) > 4
+    assert digest.hexdigest() == WATCHED_RUN_DIGESTS[method]
+
+
 def test_run_with_salience_method(dataset_dir, model_path, capsys):
     ann = annotation_files(dataset_dir)[2]
     code = main(
