@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import itertools
 import json
 import math
 import sys
@@ -145,38 +144,30 @@ def cmd_run(args: argparse.Namespace) -> int:
         salience = evaluation.salience_for_annotation(annotation, config.cell_size)
 
     ground_truth = search.ground_truth(annotation, DEFAULT_CATEGORIES, frame)
-    observer = None
-    if args.snapshots:
-        snap_dir = Path(args.snapshots)
+    snap_dir = Path(args.snapshots) if args.snapshots else None
+    if snap_dir is not None:
         snap_dir.mkdir(parents=True, exist_ok=True)
         from .charts import workspace_snapshot_svg
-
-        count = [0]
-
-        def observer(iteration, workspace, dists):
-            count[0] += 1
-            path = snap_dir / f"snapshot_{count[0]:04d}_iter{iteration:05d}.svg"
-            path.write_text(
-                workspace_snapshot_svg(frame, ground_truth, workspace, dists, iteration)
-            )
+    snapshots = 0
 
     rng = np.random.default_rng(stable_seed(args.seed, "run", annotation.image_id))
     with open(args.trace, "w") if args.trace else contextlib.nullcontext() as trace:
-        scorer = None
-        if trace is not None:
-            iterations = itertools.count(1)
 
-            def scorer(p):
-                # Through the module attribute, which the benchmark tracer patches.
-                score = search.score_proposal(ground_truth, p)
+        def watch(iteration, p, score, workspace, shown):
+            nonlocal snapshots
+            if trace is not None:
                 box = {"cx": p.box.cx, "cy": p.box.cy, "w": p.box.w, "h": p.box.h}
-                line = {"iteration": next(iterations), "category": p.category, "box": box}
+                line = {"iteration": iteration, "category": p.category, "box": box}
                 trace.write(json.dumps({**line, "score": score}) + "\n")
-                return score
+            if snap_dir is not None and shown is not None:
+                snapshots += 1
+                path = snap_dir / f"snapshot_{snapshots:04d}_iter{iteration:05d}.svg"
+                path.write_text(
+                    workspace_snapshot_svg(frame, ground_truth, workspace, shown(), iteration)
+                )
 
-        result = run_image(
-            model, salience, config, annotation, rng, scorer=scorer, observer=observer
-        )
+        watched = trace is not None or snap_dir is not None
+        result = run_image(model, salience, config, annotation, rng, watch if watched else None)
     print(json.dumps(result.to_dict(), sort_keys=True))
     return 0
 

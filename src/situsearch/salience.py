@@ -175,10 +175,7 @@ def compute_salience(
     sigma_smooth = SMOOTHING_FRACTION * frame.norm_width / working_cell
     total = smooth_grid(total, sigma_smooth)
     total = _resize(total, final_shape)
-    # Not in place: freeing the resized grid lifts glibc's mmap threshold past
-    # a grid's size, so the new maps of observed runs then reuse heap pages (in
-    # place, an `inspect` benchmark pass took 409k page faults, not 314k).
-    total = np.maximum(total, 0.0)
+    np.maximum(total, 0.0, out=total)
     total += default_epsilon(total.size) * max(float(total.sum()), 1.0)
     return LocationMap._adopt(frame, cell_size, _normalize(total))
 

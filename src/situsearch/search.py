@@ -14,24 +14,24 @@ salience location prior multiply every conditioned location map by the
 salience map as it is rasterized.
 
 Conditioning draws no random numbers, so a category's conditioned map is
-built only when that category is next drawn from, or shown to an observer,
+built only when that category is next drawn from, or shown to a watch,
 on the Workspace as it stood at its last change; a map replaced by a later
 change before any draw is never built. Between changes the loop is a tight
 sample/score/file cycle. A category's out-of-date map is released at the
 change that supersedes it, so it never holds memory beside its successor.
-Without an observer, all of a category's maps in a run are built in one
-buffer for grid and CDF, taken from those earlier runs gave back, so their
-pages are touched once per process, not once per map.
+All of a category's maps in a run are built in one buffer for grid and
+CDF, taken from those earlier runs gave back, so their pages are touched
+once per process, not once per map.
 
-A context-free run (situation model ``none``) with no scoring or observing
-hook is drawn and scored BLOCK_SIZE proposals at a time. A block reads the
-generator's raw 64-bit PCG64 words and decodes them as the per-proposal
-loop's random calls would, then scores every draw with the loop's
-floating-point arithmetic, so it gives the same result and leaves the
-generator where the loop would. A block stops at its first final, after
-which the next block goes on, or at its first pick numpy rejects, after
-which the per-proposal loop finishes the run. On a bit generator other
-than PCG64 the loop makes the whole run.
+A context-free run (situation model ``none``), watched or not, is drawn
+and scored BLOCK_SIZE proposals at a time. A block reads the generator's
+raw 64-bit PCG64 words and decodes them as the per-proposal loop's random
+calls would, then scores every draw with the loop's floating-point
+arithmetic, so it gives the same result and leaves the generator where
+the loop would. A block stops at its first final, after which the next
+block goes on, or at its first pick numpy rejects, after which the
+per-proposal loop finishes the run. On a bit generator other than PCG64
+the loop makes the whole run.
 """
 
 from __future__ import annotations
@@ -266,19 +266,18 @@ def run_image(
     config: MethodConfig,
     annotation,
     rng: np.random.Generator,
-    scorer: Callable[[ObjectProposal], float] | None = None,
-    observer: Callable[[int, Workspace, dict[str, CategorySearchDist | None]], None] | None = None,
+    watch: Callable[..., None] | None = None,
 ) -> RunResult:
     """Run the full search loop on one annotated image.
 
-    ``scorer`` defaults to the IOU oracle against the annotation's ground
-    truth and is called once per iteration, in order: ``run --trace`` logs
-    each proposal from it, and tests inject scripted scorers to pin down the
-    loop protocol. ``observer`` fires after every Workspace change with the
-    iteration, the Workspace, and the current per-category distributions,
-    where a category with a final detection maps to None. A context-free
-    method run with neither hook is scored in blocks where its draws can be
-    decoded (``_search_in_blocks``), to the same result.
+    ``watch(iteration, proposal, score, workspace, shown)`` is called after
+    every proposal is filed, in iteration order. ``shown`` is None unless
+    that proposal changed the Workspace; then ``shown()`` returns each
+    category's current distributions, None for a category with a final
+    detection, building any out-of-date map only when called. Shown maps
+    live in the run's buffers and are valid until the callback returns. A
+    context-free run is scored in blocks where its draws can be decoded
+    (``_search_in_blocks``), watched or not, to the same result.
     """
     frame = image_frame(annotation, config.cell_size)
     gt = ground_truth(annotation, DEFAULT_CATEGORIES, frame)
@@ -310,43 +309,40 @@ def run_image(
 
     def current(cat: str) -> CategorySearchDist:
         if dists[cat] is None:
-            # An observer may keep the maps it is shown, so they get new arrays.
-            if observer is None and cat not in buffers:
-                try:
-                    buffers[cat] = spare.pop()
-                except IndexError:
-                    buffers[cat] = np.empty((2, *shape))
+            if cat not in buffers:
+                buffers[cat] = spare.pop() if spare else np.empty((2, *shape))
             dists[cat] = conditioned_distribution(
-                model, cat, detected, frame, config.cell_size, salience, buffers.get(cat)
+                model, cat, detected, frame, config.cell_size, salience, buffers[cat]
             )
         return dists[cat]
 
+    def shown() -> dict[str, CategorySearchDist | None]:
+        remaining = workspace.remaining()
+        return {c: current(c) if c in remaining else None for c in dists}
+
     iterations = 0
-    if config.situation_model == MODEL_NONE and scorer is None and observer is None:
-        iterations = _search_in_blocks(workspace, dists, frame, gt, config, rng)
+    if config.situation_model == MODEL_NONE:
+        iterations = _search_in_blocks(workspace, dists, frame, gt, config, rng, watch, shown)
     remaining = workspace.remaining()  # refreshed at each Workspace change
     while remaining and iterations < config.max_iterations:
         iterations = t = iterations + 1
         category = remaining[int(rng.integers(len(remaining)))]
         proposal = sample_proposal(category, current(category), frame, rng)
-        if scorer is None:
-            score = score_proposal(gt, proposal)
-        else:
-            score = float(scorer(proposal))
-        if not workspace.observe(proposal, score, t):
-            continue
-        remaining = workspace.remaining()
-        if workspace.slots[category].kind == FINAL:
-            dists[category] = None  # never drawn from again
-        if config.situation_model != MODEL_NONE:
-            detected = dict(workspace.detected_boxes())
-            # The change is in this category's own slot, which never
-            # conditions its own maps: only the others go out of date.
-            for cat in remaining:
-                if cat != category:
-                    dists[cat] = None
-        if observer is not None:
-            observer(t, workspace, {c: current(c) if c in remaining else None for c in dists})
+        score = score_proposal(gt, proposal)
+        changed = workspace.observe(proposal, score, t)
+        if changed:
+            remaining = workspace.remaining()
+            if workspace.slots[category].kind == FINAL:
+                dists[category] = None  # never drawn from again
+            if config.situation_model != MODEL_NONE:
+                detected = dict(workspace.detected_boxes())
+                # The change is in this category's own slot, which never
+                # conditions its own maps: only the others go out of date.
+                for cat in remaining:
+                    if cat != category:
+                        dists[cat] = None
+        if watch is not None:
+            watch(t, proposal, score, workspace, shown if changed else None)
     spare.extend(buffers.values())
 
     finals = {
@@ -485,6 +481,8 @@ def _search_in_blocks(
     gt: Mapping[str, BoundingBox],
     config: MethodConfig,
     rng: np.random.Generator,
+    watch: Callable[..., None] | None,
+    shown: Callable[[], dict[str, CategorySearchDist | None]],
 ) -> int:
     """The per-proposal loop of a context-free run, BLOCK_SIZE iterations at a time.
 
@@ -492,13 +490,14 @@ def _search_in_blocks(
     scores only through the number of remaining categories, which changes
     only at a final detection. So a block reads the raw PCG64 words of the
     loop's random calls and decodes them as those calls would (``_draw``),
-    scores the proposals as arrays, and files in order those that can change
-    the Workspace. A block stops at its first final or its first pick numpy
-    rejects; there it rewinds the generator and redraws the block up to the
-    stop. After a final the next block starts where the loop would; at a
-    rejected pick the loop takes the rest of the run. Returns the iterations
-    made: all of the run, those up to the rejected pick, or 0 on a bit
-    generator other than PCG64, whose words the blocks cannot decode.
+    scores the proposals as arrays, and files them in order, calling
+    ``watch`` as the loop does; unwatched, only those that can change the
+    Workspace are filed. A block stops at its first final or its first pick
+    numpy rejects; there it rewinds the generator and redraws the block up
+    to the stop. After a final the next block starts where the loop would;
+    at a rejected pick the loop takes the rest of the run. Returns the
+    iterations made: all of the run, those up to the rejected pick, or 0 on
+    a bit generator other than PCG64, whose words the blocks cannot decode.
     """
     if type(rng.bit_generator) is not np.random.PCG64:
         return 0
@@ -516,11 +515,15 @@ def _search_in_blocks(
         boxes, scores = _score_block(searched[0].location, frame, truths, uniforms, descriptors)
         finals = np.flatnonzero(scores >= FINAL_THRESHOLD)
         kept = int(finals[0]) + 1 if finals.size else drawn
-        # A proposal scoring under the provisional threshold leaves the
-        # Workspace as it is.
-        for i in np.flatnonzero(scores[:kept] >= PROVISIONAL_THRESHOLD).tolist():
+        filed = range(kept)
+        if watch is None:  # a proposal under the provisional threshold changes nothing
+            filed = np.flatnonzero(scores[:kept] >= PROVISIONAL_THRESHOLD).tolist()
+        for i in filed:
+            t, score = iterations + i + 1, float(scores[i])
             proposal = ObjectProposal(remaining[picks[i]], BoundingBox(*boxes[i].tolist()))
-            workspace.observe(proposal, float(scores[i]), iterations + i + 1)
+            changed = workspace.observe(proposal, score, t)
+            if watch is not None:
+                watch(t, proposal, score, workspace, shown if changed else None)
         iterations += kept
         if kept < size:
             rng.bit_generator.state = start

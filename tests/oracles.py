@@ -58,6 +58,23 @@ def draw(rng: np.random.Generator, searched, size: int):
     return arrays, rejected
 
 
+class LoopPCG64(np.random.PCG64):
+    """PCG64 under another name: ``search._search_in_blocks`` declines it."""
+
+
+def loop_only(rng: np.random.Generator) -> np.random.Generator:
+    """A generator on ``rng``'s stream whose runs the per-proposal loop makes.
+
+    A PCG64 ``rng``'s state goes to a LoopPCG64; a generator on any other bit
+    generator is returned as it is, since blocks decline it already.
+    """
+    if type(rng.bit_generator) is not np.random.PCG64:
+        return rng
+    bitgen = LoopPCG64()
+    bitgen.state = {**rng.bit_generator.state, "bit_generator": "LoopPCG64"}
+    return np.random.Generator(bitgen)
+
+
 def half_words_taken(before: dict, after: dict) -> int:
     """The 32-bit half-words a PCG64 generator handed out between two of its states.
 

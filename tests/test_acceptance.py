@@ -16,6 +16,7 @@ import time
 import numpy as np
 import pytest
 
+from situsearch import search
 from situsearch.datagen import (
     SituationAnnotation,
     default_generator_config,
@@ -344,9 +345,9 @@ def test_criterion_7_loop_protocol_state_machine():
     )
     model = learn([annotation] * 10)
     config = MethodConfig(max_iterations=64, cell_size=20)
-    result = run_image(
-        model, None, config, annotation, np.random.default_rng(0), scorer=lambda p: 0.0
-    )
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(search, "score_proposal", lambda gt, p: 0.0)
+        result = run_image(model, None, config, annotation, np.random.default_rng(0))
     assert not result.completed
     assert result.total_iterations == 64
     assert all(v is None for v in result.detections.values())
@@ -354,15 +355,21 @@ def test_criterion_7_loop_protocol_state_machine():
 
     # Provisional machinery fully disabled in the ablation.
     states = []
-    result = run_image(
-        model,
-        None,
-        MethodConfig(provisional_enabled=False, max_iterations=64, cell_size=20),
-        annotation,
-        np.random.default_rng(1),
-        scorer=lambda p: 0.45,  # above provisional, below final
-        observer=lambda t, ws, dists: states.append(dict(ws.slots)),
-    )
+
+    def watch(t, proposal, score, workspace, shown):
+        if shown is not None:
+            states.append(dict(workspace.slots))
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(search, "score_proposal", lambda gt, p: 0.45)  # above provisional, below final
+        result = run_image(
+            model,
+            None,
+            MethodConfig(provisional_enabled=False, max_iterations=64, cell_size=20),
+            annotation,
+            np.random.default_rng(1),
+            watch,
+        )
     assert states == []  # no workspace change can happen
     assert not result.completed
     checks += 2

@@ -79,8 +79,11 @@ def test_snapshots_equal_the_per_cell_loop(small_synthetic_dataset, monkeypatch)
             frame = normalize_frame(ann.width, ann.height)
             truth = {c: to_normalized(*box, frame) for c, box in sorted(ann.boxes.items())}
 
-            def observer(iteration, workspace, dists):
+            def watch(iteration, proposal, score, workspace, shown):
                 nonlocal snapshots
+                if shown is None:
+                    return
+                dists = shown()
                 svg = workspace_snapshot_svg(frame, truth, workspace, dists, iteration)
                 with monkeypatch.context() as patched:
                     patched.setattr(charts, "_heat_rects", loop_heat_rects)
@@ -90,7 +93,7 @@ def test_snapshots_equal_the_per_cell_loop(small_synthetic_dataset, monkeypatch)
             salience = None
             if config.needs_salience:
                 salience = salience_for_annotation(ann, config.cell_size)
-            run_image(model, salience, config, ann, np.random.default_rng(1), observer=observer)
+            run_image(model, salience, config, ann, np.random.default_rng(1), watch)
     assert snapshots > 0
 
 

@@ -8,7 +8,7 @@ import weakref
 import numpy as np
 import pytest
 
-from situsearch import charts, evaluation
+from situsearch import charts, evaluation, search
 from situsearch.cli import build_parser, main
 from situsearch.datagen import SituationAnnotation, load_generator_config, save_annotation
 from situsearch.errors import InvalidInputError
@@ -206,6 +206,35 @@ def test_run_snapshots_block_sum_each_map_once(dataset_dir, model_path, tmp_path
             args += ["--method", method, "--cell-size", "8", "--snapshots", str(snaps)]
             assert main(args) == 0
     assert block_sums == distinct < panels
+
+
+def test_run_trace_builds_the_maps_an_unwatched_run_builds(
+    dataset_dir, model_path, tmp_path, monkeypatch, capsys
+):
+    # A trace never asks for maps, so the run keeps the lazy schedule;
+    # snapshots ask for every remaining category's maps at each change.
+    builds = 0
+    conditioned = search.conditioned_distribution
+
+    def counting_conditioned(*args):
+        nonlocal builds
+        builds += 1
+        return conditioned(*args)
+
+    monkeypatch.setattr(search, "conditioned_distribution", counting_conditioned)
+    counts, outputs = [], []
+    for i, watching in enumerate(([], ["--trace"], ["--trace", "--snapshots"])):
+        for ann in annotation_files(dataset_dir)[:4]:
+            args = ["run", "--model", str(model_path), "--image-annotation", str(ann)]
+            for flag in watching:
+                args += [flag, str(tmp_path / f"{i}{flag}{ann.stem}")]
+            assert main([*args, "--cell-size", "8"]) == 0
+            outputs.append(capsys.readouterr().out)
+        counts.append(builds)
+        builds = 0
+    unwatched, traced, snapshotted = counts
+    assert 0 < unwatched == traced < snapshotted
+    assert outputs[:4] == outputs[4:8] == outputs[8:]
 
 
 def test_last_snapshot_of_a_completed_run_shows_every_panel_final(

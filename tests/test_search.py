@@ -253,26 +253,30 @@ def run_config(**kw) -> MethodConfig:
 Scored = namedtuple("Scored", "iteration category box score")
 
 
-def logging_scorer(annotation, scorer=None):
-    """A scorer for run_image that scores with ``scorer``, or with the IOU
-    oracle as run_image does, and logs every proposal it scores."""
-    frame = normalize_frame(annotation.width, annotation.height)
-    gt = {c: to_normalized(*box, frame) for c, box in annotation.boxes.items()}
+def logging_watch(eager: bool = False):
+    """A watch for run_image that logs every proposal it is shown; an
+    ``eager`` one also asks for every category's maps at each change."""
     log: list[Scored] = []
 
-    def score(proposal):
-        value = score_proposal(gt, proposal) if scorer is None else float(scorer(proposal))
-        log.append(Scored(len(log) + 1, proposal.category, proposal.box, value))
-        return value
+    def watch(iteration, proposal, score, workspace, shown):
+        log.append(Scored(iteration, proposal.category, proposal.box, score))
+        if eager and shown is not None:
+            shown()
 
-    return score, log
+    return watch, log
 
 
-def test_impossible_oracle_fails_after_exactly_max_iterations(degenerate_model):
+def script_scores(monkeypatch, scorer) -> None:
+    """Score each proposal of run_image's per-proposal loop with ``scorer``."""
+    monkeypatch.setattr(search, "score_proposal", lambda gt, proposal: float(scorer(proposal)))
+
+
+def test_impossible_oracle_fails_after_exactly_max_iterations(degenerate_model, monkeypatch):
     ann = easy_annotation()
     config = run_config(max_iterations=37)
-    scorer, log = logging_scorer(ann, lambda p: 0.0)
-    result = run_image(degenerate_model, None, config, ann, np.random.default_rng(0), scorer)
+    script_scores(monkeypatch, lambda p: 0.0)
+    watch, log = logging_watch()
+    result = run_image(degenerate_model, None, config, ann, np.random.default_rng(0), watch)
     assert not result.completed
     assert result.total_iterations == 37
     assert all(v is None for v in result.detections.values())
@@ -280,12 +284,13 @@ def test_impossible_oracle_fails_after_exactly_max_iterations(degenerate_model):
     assert len(log) == 37
 
 
-def test_always_perfect_scorer_completes_in_exactly_three(degenerate_model):
+def test_always_perfect_scorer_completes_in_exactly_three(degenerate_model, monkeypatch):
     # Hand simulation: every proposal finalizes its category immediately, so
     # the loop picks each category exactly once: three iterations total.
     ann = easy_annotation()
-    scorer, log = logging_scorer(ann, lambda p: 1.0)
-    result = run_image(degenerate_model, None, run_config(), ann, np.random.default_rng(5), scorer)
+    script_scores(monkeypatch, lambda p: 1.0)
+    watch, log = logging_watch()
+    result = run_image(degenerate_model, None, run_config(), ann, np.random.default_rng(5), watch)
     assert result.completed
     assert result.total_iterations == 3
     assert sorted(result.detections.values()) == [1, 2, 3]
@@ -306,7 +311,7 @@ def test_degenerate_model_completes_quickly_with_real_oracle(degenerate_model):
     assert result.total_iterations <= 60
 
 
-def test_scripted_scores_honor_thresholds(degenerate_model):
+def test_scripted_scores_honor_thresholds(degenerate_model, monkeypatch):
     # Dog proposals score 0.3, 0.4, 0.55 in sequence; everything else 0.
     per_category = defaultdict(int)
     dog_scores = [0.3, 0.4, 0.55]
@@ -321,19 +326,20 @@ def test_scripted_scores_honor_thresholds(degenerate_model):
     states = []
     dog_dists = []
 
-    def observer(iteration, workspace, dists):
-        slot = workspace.slots["dog"]
-        states.append((iteration, slot.kind, slot.score))
-        dog_dists.append(dists["dog"])
+    def watch(iteration, proposal, score, workspace, shown):
+        if shown is not None:
+            slot = workspace.slots["dog"]
+            states.append((iteration, slot.kind, slot.score))
+            dog_dists.append(shown()["dog"])
 
+    script_scores(monkeypatch, scorer)
     result = run_image(
         degenerate_model,
         None,
         run_config(max_iterations=50),
         easy_annotation(),
         np.random.default_rng(3),
-        scorer=scorer,
-        observer=observer,
+        watch,
     )
     kinds = [k for _, k, _ in states]
     scores = [s for _, _, s in states]
@@ -346,9 +352,9 @@ def test_scripted_scores_honor_thresholds(degenerate_model):
 
 def test_never_samples_finalized_categories(degenerate_model):
     ann = easy_annotation()
-    scorer, log = logging_scorer(ann)
+    watch, log = logging_watch()
     config = run_config(max_iterations=120)
-    result = run_image(degenerate_model, None, config, ann, np.random.default_rng(17), scorer)
+    result = run_image(degenerate_model, None, config, ann, np.random.default_rng(17), watch)
     for category, final_at in result.detections.items():
         if final_at is None:
             continue
@@ -359,10 +365,9 @@ def test_never_samples_finalized_categories(degenerate_model):
 def test_noprov_config_never_stores_provisionals(degenerate_model):
     seen_kinds = []
 
-    def observer(iteration, workspace, dists):
-        seen_kinds.extend(
-            slot.kind for slot in workspace.slots.values() if slot is not None
-        )
+    def watch(iteration, proposal, score, workspace, shown):
+        if shown is not None:
+            seen_kinds.extend(slot.kind for slot in workspace.slots.values() if slot is not None)
 
     run_image(
         degenerate_model,
@@ -370,7 +375,7 @@ def test_noprov_config_never_stores_provisionals(degenerate_model):
         run_config(provisional_enabled=False, max_iterations=150),
         easy_annotation(),
         np.random.default_rng(23),
-        observer=observer,
+        watch,
     )
     assert set(seen_kinds) <= {FINAL}
 
@@ -378,25 +383,26 @@ def test_noprov_config_never_stores_provisionals(degenerate_model):
 def test_run_is_deterministic_per_seed(degenerate_model):
     ann = easy_annotation()
     config = run_config(max_iterations=80)
-    (score_a, log_a), (score_b, log_b) = logging_scorer(ann), logging_scorer(ann)
-    a = run_image(degenerate_model, None, config, ann, np.random.default_rng(9), score_a)
-    b = run_image(degenerate_model, None, config, ann, np.random.default_rng(9), score_b)
+    (watch_a, log_a), (watch_b, log_b) = logging_watch(), logging_watch()
+    a = run_image(degenerate_model, None, config, ann, np.random.default_rng(9), watch_a)
+    b = run_image(degenerate_model, None, config, ann, np.random.default_rng(9), watch_b)
     assert a.to_dict() == b.to_dict()
     assert log_a == log_b
 
 
-def test_proposals_always_inside_frame(degenerate_model):
+def test_proposals_always_inside_frame(degenerate_model, monkeypatch):
     ann = easy_annotation()
     frame = normalize_frame(ann.width, ann.height)
     hx, hy = frame.norm_width / 2, frame.norm_height / 2
-    scorer, log = logging_scorer(ann, lambda p: 0.0)
+    script_scores(monkeypatch, lambda p: 0.0)  # scripted, so the loop makes the run
+    watch, log = logging_watch()
     run_image(
         degenerate_model,
         None,
         run_config(box_prior="uniform", situation_model="none", max_iterations=300),
         ann,
-        np.random.default_rng(31),
-        scorer,
+        oracles.loop_only(np.random.default_rng(31)),
+        watch,
     )
     assert len(log) == 300
     for p in log:
@@ -436,24 +442,25 @@ def held_out(small_synthetic_dataset):
     return learn(small_synthetic_dataset[:50]), small_synthetic_dataset[50:56]
 
 
-def held_out_runs(held_out, token, observer=None):
-    """Each held-out image's run result and the log of its scored proposals."""
+def held_out_runs(held_out, token, eager=False):
+    """Each held-out image's run result and the log of its proposals, watched by
+    ``logging_watch(eager)``."""
     model, annotations = held_out
     config = replace(config_for_token(token), cell_size=8.0)
     for ann in annotations:
         salience = salience_for_annotation(ann, config.cell_size) if config.needs_salience else None
-        scorer, log = logging_scorer(ann)
+        watch, log = logging_watch(eager)
         rng = np.random.default_rng(3)
-        yield run_image(model, salience, config, ann, rng, scorer, observer), log
+        yield run_image(model, salience, config, ann, rng, watch), log
 
 
 @pytest.mark.parametrize("token", list(METHOD_TOKENS))
 def test_lazy_conditioning_matches_eager(held_out, token):
-    # An observer must see every remaining category's current maps, so a
-    # no-op one makes run_image build each stale map at every Workspace
-    # change: the eager schedule.
+    # A watch that asks for every category's maps at each change makes
+    # run_image build each stale map at every Workspace change: the eager
+    # schedule.
     lazy = list(held_out_runs(held_out, token))
-    eager = list(held_out_runs(held_out, token, observer=lambda *_: None))
+    eager = list(held_out_runs(held_out, token, eager=True))
     for (a, log_a), (b, log_b) in zip(lazy, eager):
         assert a.to_dict() == b.to_dict()
         assert log_a == log_b
@@ -499,7 +506,7 @@ def test_every_lazily_built_map_is_drawn_from_before_the_next_change(
         assert events[i + 1][0] == "drawn" and events[i + 1][1] is events[i][1]
 
     events.clear()
-    for _ in held_out_runs(held_out, token, observer=lambda *_: None):
+    for _ in held_out_runs(held_out, token, eager=True):
         pass
     eager_built = sum(kind == "built" for kind, _ in events)
     assert len(lazy_built) < eager_built
@@ -559,13 +566,13 @@ def test_every_draw_uses_the_maps_of_the_current_workspace(held_out, token, monk
 
 
 # ---------------------------------------------------------------------------
-# map buffers of runs without an observer
+# map buffers, and the watch
 
 
-def conditioned_run(held_out, ann, seed, scorer=None, observer=None):
+def conditioned_run(held_out, ann, seed, watch=None, token="uniform-learned-learned"):
     model, _ = held_out
-    config = replace(config_for_token("uniform-learned-learned"), cell_size=8.0)
-    return run_image(model, None, config, ann, np.random.default_rng(seed), scorer, observer)
+    config = replace(config_for_token(token), cell_size=8.0)
+    return run_image(model, None, config, ann, np.random.default_rng(seed), watch)
 
 
 def spare_buffers(ann) -> list[np.ndarray]:
@@ -593,28 +600,42 @@ def test_a_second_run_builds_its_maps_in_the_first_runs_buffers(held_out, monkey
     assert sorted(map(id, spare_buffers(ann))) == sorted(held)
 
 
-def test_maps_an_observer_keeps_hold_their_bits_through_later_runs(held_out):
-    kept = []
+def test_shown_maps_live_in_the_runs_buffers(held_out):
+    # Every conditioned map a watch is shown is built in the one buffer of
+    # its category, grid then CDF; only the uniform prior lives elsewhere.
+    ann = held_out[1][0]
+    prior = uniform_map(normalize_frame(ann.width, ann.height), 8.0)
+    shown_maps = []
 
-    def keeping(iteration, workspace, dists):
-        for dist in filter(None, dists.values()):
-            location = dist.location
-            kept.append((location, location.grid.tobytes(), location._cdf.tobytes()))
+    def watch(iteration, proposal, score, workspace, shown):
+        if shown is not None:
+            for cat, dist in shown().items():
+                if dist is not None and dist.location is not prior:
+                    shown_maps.append((cat, dist.location))
 
-    for ann in held_out[1]:
-        conditioned_run(held_out, ann, 3, observer=keeping)
-    for ann in held_out[1]:  # these runs build their maps in reused buffers
-        conditioned_run(held_out, ann, 4)
-    spare = spare_buffers(held_out[1][0])
-    assert kept and spare
-    for location, grid, cdf in kept:
-        assert (location.grid.tobytes(), location._cdf.tobytes()) == (grid, cdf)
-        assert not any(np.shares_memory(location.grid, buffer) for buffer in spare)
+    search._spare_buffers.cache_clear()
+    conditioned_run(held_out, ann, 3, watch)
+    spare = spare_buffers(ann)
+    assert shown_maps and len(spare) <= 3
+    homes = defaultdict(set)
+    for cat, location in shown_maps:
+        (home,) = [i for i, b in enumerate(spare) if np.shares_memory(location.grid, b)]
+        assert np.shares_memory(location._cdf_buffer, spare[home])
+        homes[cat].add(home)
+    assert all(len(h) == 1 for h in homes.values())
 
 
-def test_a_run_whose_scorer_raises_leaves_the_next_runs_unchanged(held_out):
+@pytest.mark.parametrize(
+    "token", ["uniform-learned-learned", "uniform-learned-none"], ids=["loop", "block"]
+)
+def test_a_run_whose_watch_raises_leaves_the_next_runs_unchanged(held_out, token, monkeypatch):
     def results():
-        return [json.dumps(conditioned_run(held_out, ann, 3).to_dict()) for ann in held_out[1]]
+        tokens = ("uniform-learned-learned", "uniform-learned-none")
+        return [
+            json.dumps(conditioned_run(held_out, ann, 3, token=t).to_dict())
+            for t in tokens
+            for ann in held_out[1]
+        ]
 
     search._spare_buffers.cache_clear()
     expected = results()
@@ -622,16 +643,38 @@ def test_a_run_whose_scorer_raises_leaves_the_next_runs_unchanged(held_out):
     before = len(spare)
     calls = itertools.count()
 
-    def raising(proposal):
-        call = next(calls)
-        if call == 8:
-            raise RuntimeError("scorer failed")
-        return 0.3 if call == 0 else 0.0  # a provisional first: the others are conditioned
+    def raising(iteration, proposal, score, workspace, shown):
+        if next(calls) == 7:
+            raise RuntimeError("watch failed")
 
-    with pytest.raises(RuntimeError, match="scorer failed"):
-        conditioned_run(held_out, held_out[1][0], 3, scorer=raising)
-    assert len(spare) < before  # the failed run took buffers and kept them
+    with monkeypatch.context() as patched:
+        if token == "uniform-learned-none":  # raised from inside the first block
+            patched.setattr(search, "sample_proposal", no_draws)
+        else:  # a provisional first: the others are conditioned in buffers
+            first = itertools.count()
+            script_scores(patched, lambda p: 0.3 if next(first) == 0 else 0.0)
+        with pytest.raises(RuntimeError, match="watch failed"):
+            conditioned_run(held_out, held_out[1][0], 3, raising, token)
+    if token == "uniform-learned-learned":
+        assert len(spare) < before  # the failed run took buffers and kept them
+    else:
+        assert len(spare) == before
     assert results() == expected
+
+
+@pytest.mark.parametrize("token", ["uniform-uniform-none", "uniform-learned-none"])
+def test_a_watched_context_free_run_is_scored_in_blocks(held_out, token, monkeypatch):
+    draw, draws = search._draw, []
+
+    def recording_draw(*args):
+        draws.append(args[2])
+        return draw(*args)
+
+    monkeypatch.setattr(search, "_draw", recording_draw)
+    monkeypatch.setattr(search, "sample_proposal", no_draws)
+    for run, log in held_out_runs(held_out, token, eager=True):
+        assert [record.iteration for record in log] == list(range(1, run.total_iterations + 1))
+    assert draws
 
 
 # ---------------------------------------------------------------------------
@@ -913,13 +956,6 @@ def test_proposal_stream_matches_pinned_digest(held_out, token):
 # block scoring of context-free runs
 
 
-def oracle_scorer(annotation):
-    """The IOU oracle as a scorer hook, which keeps run_image on its per-proposal loop."""
-    frame = normalize_frame(annotation.width, annotation.height)
-    gt = {c: to_normalized(*box, frame) for c, box in annotation.boxes.items()}
-    return lambda proposal: score_proposal(gt, proposal)
-
-
 def run_logging_changes(*args):
     """run_image's result, and each Workspace change it made: iteration, slot and box bits."""
     changes = []
@@ -941,24 +977,24 @@ def run_logging_changes(*args):
 def assert_blocks_match_the_loop(
     model, config, annotation, seeds, make_rng=np.random.default_rng
 ):
-    """run_image without hooks makes the changes, result and generator state of the
-    per-proposal loop."""
+    """run_image makes the changes, result and generator state of the per-proposal
+    loop, which makes the run on the same stream through ``oracles.loop_only``."""
     salience = (
         salience_for_annotation(annotation, config.cell_size) if config.needs_salience else None
     )
     for seed in seeds:
-        blocks, loop = make_rng(seed), make_rng(seed)
+        blocks, loop = make_rng(seed), oracles.loop_only(make_rng(seed))
         got = run_logging_changes(model, salience, config, annotation, blocks)
-        want = run_logging_changes(
-            model, salience, config, annotation, loop, oracle_scorer(annotation)
-        )
+        want = run_logging_changes(model, salience, config, annotation, loop)
         assert got == want
         assert generator_state(blocks) == generator_state(loop)
 
 
 def generator_state(rng) -> str:
-    """The bit generator's state, comparable also where it holds arrays (MT19937, Philox)."""
-    return json.dumps(rng.bit_generator.state, default=np.ndarray.tolist)
+    """The bit generator's state but for its class name, comparable also where it
+    holds arrays (MT19937, Philox)."""
+    state = {**rng.bit_generator.state, "bit_generator": None}
+    return json.dumps(state, default=np.ndarray.tolist)
 
 
 CONTEXT_FREE = [
@@ -1033,9 +1069,10 @@ def test_block_scoring_matches_the_loop_on_an_overflowing_descriptor(
     config = replace(config_for_token("uniform-learned-none"), cell_size=8.0)
     search_in_blocks, runs = search._search_in_blocks, []
 
-    def recording_search_in_blocks(workspace, *args):
-        iterations = search_in_blocks(workspace, *args)
-        runs.append((iterations, workspace.remaining()))
+    def recording_search_in_blocks(workspace, dists, frame, gt, config, rng, *args):
+        iterations = search_in_blocks(workspace, dists, frame, gt, config, rng, *args)
+        if not isinstance(rng.bit_generator, oracles.LoopPCG64):
+            runs.append((iterations, workspace.remaining()))
         return iterations
 
     monkeypatch.setattr(search, "_search_in_blocks", recording_search_in_blocks)
@@ -1140,13 +1177,16 @@ def test_block_scoring_matches_the_loop_from_a_rejected_pick(
     )
 
 
-@pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.Philox])
+@pytest.mark.parametrize(
+    "bit_generator", [np.random.MT19937, np.random.Philox, oracles.LoopPCG64]
+)
 @pytest.mark.parametrize("config", CONTEXT_FREE, ids=method_label)
 def test_runs_on_other_bit_generators_keep_the_per_proposal_loop(
     held_out, config, bit_generator, monkeypatch
 ):
     # Blocks decode PCG64's words; MT19937, for one, makes a double from two
-    # 32-bit outputs.
+    # 32-bit outputs. The tests' PCG64 subclass is declined too, which makes
+    # it the loop's side of every block-against-loop check.
     monkeypatch.setattr(search, "_draw", no_draws)
     model, annotations = held_out
     config = replace(config, max_iterations=300, cell_size=8.0)
@@ -1201,13 +1241,14 @@ def test_run_image_never_raises_on_huge_box_variance(held_out, token, std, seed,
     ann = annotations[image]
     config = replace(config_for_token(token), cell_size=8.0, max_iterations=150)
     salience = salience_for_annotation(ann, config.cell_size) if config.needs_salience else None
-    scripted_scorer = None
-    if scripted:  # a detection every few proposals, so the wide joints get conditioned
-        scores = itertools.cycle([0.0] * 6 + [0.3] + [0.0] * 6 + [0.6])
-        scripted_scorer = lambda proposal: next(scores)
-    scorer, log = logging_scorer(ann, scripted_scorer)
+    watch, log = logging_watch()
     rng = np.random.default_rng(seed)
-    run_image(wide_box_model(model, std), salience, config, ann, rng, scorer)
+    with pytest.MonkeyPatch.context() as patch:
+        if scripted:  # a detection every few proposals, so the wide joints get conditioned
+            scores = itertools.cycle([0.0] * 6 + [0.3] + [0.0] * 6 + [0.6])
+            script_scores(patch, lambda proposal: next(scores))
+            rng = oracles.loop_only(rng)
+        run_image(wide_box_model(model, std), salience, config, ann, rng, watch)
     frame = normalize_frame(ann.width, ann.height)
     assert log
     for record in log:
@@ -1252,12 +1293,14 @@ def test_run_image_never_raises_on_extreme_frames_and_near_singular_joints(
     thinnest = max(cell_size, SALIENCE_THINNEST) if config.needs_salience else cell_size
     ann = data.draw(extreme_annotations(thinnest))
     salience = salience_for_annotation(ann, cell_size) if config.needs_salience else None
-    scripted_scorer = None
-    if scripted:  # a detection every few proposals, so the location joints get conditioned
-        scores = itertools.cycle([0.0] * 4 + [0.3] + [0.0] * 4 + [0.6])
-        scripted_scorer = lambda proposal: next(scores)
-    scorer, log = logging_scorer(ann, scripted_scorer)
-    run_image(model, salience, config, ann, np.random.default_rng(seed), scorer)
+    watch, log = logging_watch()
+    rng = np.random.default_rng(seed)
+    with pytest.MonkeyPatch.context() as patch:
+        if scripted:  # a detection every few proposals, so the location joints get conditioned
+            scores = itertools.cycle([0.0] * 4 + [0.3] + [0.0] * 4 + [0.6])
+            script_scores(patch, lambda proposal: next(scores))
+            rng = oracles.loop_only(rng)
+        run_image(model, salience, config, ann, rng, watch)
     frame = normalize_frame(ann.width, ann.height)
     assert log
     for record in log:

@@ -16,6 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+import oracles
+from situsearch import search
 from situsearch.datagen import SituationAnnotation, default_generator_config, generate_synthetic
 from situsearch.errors import DatasetError, InsufficientDataError, InvalidInputError
 from situsearch.gaussian import (
@@ -166,30 +168,40 @@ def scaled_annotation(width=640, height=480):
 def dists_after_first_detection(
     model, config, annotation, score=0.3, category="dog_walker", salience=None
 ):
-    """The distributions run_image hands its observer at its one Workspace change.
+    """The distributions run_image shows its watch at its one Workspace change.
 
-    The scripted scorer gives ``score`` to the first proposal of ``category``
-    and 0 to every other proposal. Returns that proposal's box and the
-    per-category distributions right after it was filed.
+    Scripted scores give ``score`` to the first proposal of ``category`` and
+    0 to every other proposal, on the per-proposal loop. Returns that
+    proposal's box and the per-category distributions right after it was
+    filed, each conditioned map copied out of the run's buffer.
     """
     hits = []
 
-    def scorer(p):
+    def scorer(gt, p):
         if p.category == category and not hits:
             hits.append(p.box)
             return score
         return 0.0
 
+    def kept(dist):
+        if dist is None or dist.location._cdf_buffer is None:  # not in a buffer
+            return dist
+        location = dist.location
+        grid = location.grid.copy()
+        return CategorySearchDist(
+            LocationMap._adopt(location.frame, location.cell_size, grid), dist.alpha_gamma
+        )
+
     changes = []
-    run_image(
-        model,
-        salience,
-        replace(config, max_iterations=50),
-        annotation,
-        np.random.default_rng(0),
-        scorer=scorer,
-        observer=lambda t, ws, dists: changes.append(dict(dists)),
-    )
+
+    def watch(iteration, proposal, score, workspace, shown):
+        if shown is not None:
+            changes.append({c: kept(dist) for c, dist in shown().items()})
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(search, "score_proposal", scorer)
+        rng = oracles.loop_only(np.random.default_rng(0))
+        run_image(model, salience, replace(config, max_iterations=50), annotation, rng, watch)
     assert len(changes) == 1
     return hits[0], changes[0]
 
