@@ -33,7 +33,7 @@ from .datagen import (
     save_annotation,
     save_generator_config,
 )
-from .errors import InvalidInputError, ParseError, SituSearchError
+from .errors import InvalidInputError, ParseError, SituSearchError, json_number
 from .geometry import normalize_frame
 from .images import read_pnm, write_pgm
 from .salience import compute_salience, save_salience
@@ -255,7 +255,7 @@ def cmd_eval_proposals(args: argparse.Namespace) -> int:
                 continue
             try:
                 doc = json.loads(line)
-                box = (float(doc["x"]), float(doc["y"]), float(doc["w"]), float(doc["h"]))
+                box = tuple(json_number(doc[k], k) for k in "xywh")
             except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
                 raise ParseError(f"{args.proposals}:{lineno}: bad proposal line ({exc})") from exc
             if not all(map(math.isfinite, box)) or box[2] <= 0 or box[3] <= 0:

@@ -22,7 +22,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DatasetError, GenerationError, InvalidInputError, ParseError, read_json
+from .errors import DatasetError, GenerationError, InvalidInputError, ParseError
+from .errors import json_integer, json_number, read_json
 from .gaussian import MultivariateGaussian, gaussian_from_dict, gaussian_to_dict
 from .geometry import normalize_frame, to_original
 from .seeding import rng_for, stable_seed
@@ -83,16 +84,11 @@ def annotation_from_dict(doc: dict, source: str = "<memory>") -> SituationAnnota
             category = obj["category"]
             if category in boxes:
                 raise DatasetError(f"duplicate category {category!r}")
-            boxes[category] = (
-                float(obj["x"]),
-                float(obj["y"]),
-                float(obj["w"]),
-                float(obj["h"]),
-            )
+            boxes[category] = tuple(json_number(obj[k], f"objects[{i}].{k}") for k in "xywh")
         return SituationAnnotation(
             image_id=str(doc["image_id"]),
-            width=int(doc["width"]),
-            height=int(doc["height"]),
+            width=json_integer(doc["width"], "width"),
+            height=json_integer(doc["height"], "height"),
             boxes=boxes,
             image_path=doc.get("image"),
         )
@@ -198,11 +194,11 @@ def generator_config_from_dict(doc: dict, source: str = "<memory>") -> Generator
                 f"{list(DEFAULT_CATEGORIES)}"
             )
         config = GeneratorConfig(
-            width=int(doc["width"]),
-            height=int(doc["height"]),
+            width=json_integer(doc["width"], "width"),
+            height=json_integer(doc["height"], "height"),
             location=gaussian_from_dict(doc["location"]),
             box=gaussian_from_dict(doc["box"]),
-            seed=int(doc.get("seed", 0)),
+            seed=json_integer(doc.get("seed", 0), "seed"),
         )
         clamping = doc.get("clamping", "translate")
         if clamping != "translate":

@@ -38,3 +38,20 @@ def read_json(path: str | Path):
         return json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}:{exc.lineno}: invalid JSON ({exc.msg})") from exc
+
+
+def json_number(value, field: str) -> float:
+    """A JSON number as a float; any other value, a bool too, is a ValueError naming ``field``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{field} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an integer beyond the largest double
+        raise ValueError(f"{field} is beyond the largest double") from None
+
+
+def json_integer(value, field: str) -> int:
+    """A JSON number of integral value as an int; any other is a ValueError naming ``field``."""
+    if not json_number(value, field).is_integer():
+        raise ValueError(f"{field} must be an integer, got {value!r}")
+    return int(value)

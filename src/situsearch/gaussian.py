@@ -26,7 +26,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import InsufficientDataError, InvalidInputError
+from .errors import InsufficientDataError, InvalidInputError, json_number
 from .geometry import ImageFrame
 
 # Ridge added to fitted covariances: epsilon = FIT_RIDGE * trace(cov)/d,
@@ -455,12 +455,13 @@ def gaussian_to_dict(dist: MultivariateGaussian) -> dict:
 
 
 def gaussian_from_dict(data: Mapping) -> MultivariateGaussian:
+    """A Gaussian from its document, whose ``mean`` and ``cov`` are lists of JSON numbers."""
     try:
         dims = tuple(data["dims"])
-        d = len(dims)
-        mean = np.array(data["mean"], dtype=float)
-        cov = np.array(data["cov"], dtype=float).reshape(d, d)
-        epsilon = float(data.get("epsilon", 0.0))
+        mean = [json_number(v, f"mean[{i}]") for i, v in enumerate(data["mean"])]
+        cov = [json_number(v, f"cov[{i}]") for i, v in enumerate(data["cov"])]
+        cov = np.reshape(cov, (len(dims), len(dims)))
+        epsilon = json_number(data.get("epsilon", 0.0), "epsilon")
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInputError(f"malformed gaussian document: {exc}") from exc
     return MultivariateGaussian(dims=dims, mean=mean, cov=cov, epsilon=epsilon)

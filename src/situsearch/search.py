@@ -23,15 +23,14 @@ All of a category's maps in a run are built in one buffer for grid and
 CDF, taken from those earlier runs gave back, so their pages are touched
 once per process, not once per map.
 
-A context-free run (situation model ``none``), watched or not, is drawn
-and scored BLOCK_SIZE proposals at a time. A block reads the generator's
-raw 64-bit PCG64 words and decodes them as the per-proposal loop's random
-calls would, then scores every draw with the loop's floating-point
-arithmetic, so it gives the same result and leaves the generator where
-the loop would. A block stops at its first final, after which the next
-block goes on, or at its first pick numpy rejects, after which the
-per-proposal loop finishes the run. On a bit generator other than PCG64
-the loop makes the whole run.
+Each turn of the loop draws one proposal or, in a context-free run
+(situation model ``none``) on PCG64, watched or not, a block of up to
+BLOCK_SIZE, and files what it drew. A block decodes the generator's raw
+64-bit words as single draws' random calls would and scores every draw
+with their floating-point arithmetic, so it gives the same proposals and
+leaves the generator where single draws would. It stops at its first final
+or before its first pick numpy rejects; a pick rejected first in its block
+is drawn alone, and blocks go on after it.
 """
 
 from __future__ import annotations
@@ -275,9 +274,8 @@ def run_image(
     that proposal changed the Workspace; then ``shown()`` returns each
     category's current distributions, None for a category with a final
     detection, building any out-of-date map only when called. Shown maps
-    live in the run's buffers and are valid until the callback returns. A
-    context-free run is scored in blocks where its draws can be decoded
-    (``_search_in_blocks``), watched or not, to the same result.
+    live in the run's buffers and are valid until the callback returns.
+    Watched or not, a context-free run on PCG64 draws in blocks (``_block``).
     """
     frame = image_frame(annotation, config.cell_size)
     gt = ground_truth(annotation, DEFAULT_CATEGORIES, frame)
@@ -320,29 +318,33 @@ def run_image(
         remaining = workspace.remaining()
         return {c: current(c) if c in remaining else None for c in dists}
 
+    blocks = config.situation_model == MODEL_NONE and type(rng.bit_generator) is np.random.PCG64
     iterations = 0
-    if config.situation_model == MODEL_NONE:
-        iterations = _search_in_blocks(workspace, dists, frame, gt, config, rng, watch, shown)
     remaining = workspace.remaining()  # refreshed at each Workspace change
     while remaining and iterations < config.max_iterations:
-        iterations = t = iterations + 1
-        category = remaining[int(rng.integers(len(remaining)))]
-        proposal = sample_proposal(category, current(category), frame, rng)
-        score = score_proposal(gt, proposal)
-        changed = workspace.observe(proposal, score, t)
-        if changed:
-            remaining = workspace.remaining()
-            if workspace.slots[category].kind == FINAL:
-                dists[category] = None  # never drawn from again
-            if config.situation_model != MODEL_NONE:
-                detected = dict(workspace.detected_boxes())
-                # The change is in this category's own slot, which never
-                # conditions its own maps: only the others go out of date.
-                for cat in remaining:
-                    if cat != category:
-                        dists[cat] = None
-        if watch is not None:
-            watch(t, proposal, score, workspace, shown if changed else None)
+        budget = config.max_iterations - iterations
+        made, drawn = _block(dists, remaining, frame, gt, budget, rng, watch) if blocks else (0, ())
+        if not made:
+            category = remaining[int(rng.integers(len(remaining)))]
+            proposal = sample_proposal(category, current(category), frame, rng)
+            made, drawn = 1, [(1, proposal, score_proposal(gt, proposal))]
+        for offset, proposal, score in drawn:
+            t, category = iterations + offset, proposal.category
+            changed = workspace.observe(proposal, score, t)
+            if changed:
+                remaining = workspace.remaining()
+                if workspace.slots[category].kind == FINAL:
+                    dists[category] = None  # never drawn from again
+                if config.situation_model != MODEL_NONE:
+                    detected = dict(workspace.detected_boxes())
+                    # The change is in this category's own slot, which never
+                    # conditions its own maps: only the others go out of date.
+                    for cat in remaining:
+                        if cat != category:
+                            dists[cat] = None
+            if watch is not None:
+                watch(t, proposal, score, workspace, shown if changed else None)
+        iterations += made
     spare.extend(buffers.values())
 
     finals = {
@@ -474,64 +476,47 @@ def _score_block(
     return np.stack([acx, acy, aw, ah], axis=1), scores
 
 
-def _search_in_blocks(
-    workspace: Workspace,
+def _block(
     dists: Mapping[str, CategorySearchDist],
+    remaining: Sequence[str],
     frame: ImageFrame,
     gt: Mapping[str, BoundingBox],
-    config: MethodConfig,
+    budget: int,
     rng: np.random.Generator,
     watch: Callable[..., None] | None,
-    shown: Callable[[], dict[str, CategorySearchDist | None]],
-) -> int:
-    """The per-proposal loop of a context-free run, BLOCK_SIZE iterations at a time.
+) -> tuple[int, list[tuple[int, ObjectProposal, float]]]:
+    """Up to BLOCK_SIZE iterations of a context-free run, drawn and scored at once.
 
     Without conditioning, an iteration's random calls depend on earlier
-    scores only through the number of remaining categories, which changes
-    only at a final detection. So a block reads the raw PCG64 words of the
-    loop's random calls and decodes them as those calls would (``_draw``),
-    scores the proposals as arrays, and files them in order, calling
-    ``watch`` as the loop does; unwatched, only those that can change the
-    Workspace are filed. A block stops at its first final or its first pick
-    numpy rejects; there it rewinds the generator and redraws the block up
-    to the stop. After a final the next block starts where the loop would;
-    at a rejected pick the loop takes the rest of the run. Returns the
-    iterations made: all of the run, those up to the rejected pick, or 0 on
-    a bit generator other than PCG64, whose words the blocks cannot decode.
+    scores only through the remaining categories, which change only at a
+    final. So a block decodes those calls from raw PCG64 words (``_draw``),
+    scores them as arrays, stops at its first final or before its first
+    rejected pick, and rewinds and redraws up to there. Returns the
+    iterations made, 0 if the first pick is rejected, and their (offset from
+    1, proposal, score); unwatched, only those that can change a Workspace.
     """
-    if type(rng.bit_generator) is not np.random.PCG64:
-        return 0
-    iterations = 0
-    remaining = workspace.remaining()
-    while remaining and iterations < config.max_iterations:
-        searched = [dists[c] for c in remaining]
-        size = min(BLOCK_SIZE, config.max_iterations - iterations)
-        start = rng.bit_generator.state
-        draws, rejected = _draw(rng, searched, size)
-        drawn = size if rejected is None else rejected
-        picks, uniforms, descriptors = (a[:drawn] for a in draws)
-        truths = np.array([[gt[c].cx, gt[c].cy, gt[c].w, gt[c].h] for c in remaining])[picks]
-        # Every category of a context-free run draws from the one prior map.
-        boxes, scores = _score_block(searched[0].location, frame, truths, uniforms, descriptors)
-        finals = np.flatnonzero(scores >= FINAL_THRESHOLD)
-        kept = int(finals[0]) + 1 if finals.size else drawn
-        filed = range(kept)
-        if watch is None:  # a proposal under the provisional threshold changes nothing
-            filed = np.flatnonzero(scores[:kept] >= PROVISIONAL_THRESHOLD).tolist()
-        for i in filed:
-            t, score = iterations + i + 1, float(scores[i])
-            proposal = ObjectProposal(remaining[picks[i]], BoundingBox(*boxes[i].tolist()))
-            changed = workspace.observe(proposal, score, t)
-            if watch is not None:
-                watch(t, proposal, score, workspace, shown if changed else None)
-        iterations += kept
-        if kept < size:
-            rng.bit_generator.state = start
-            _draw(rng, searched, kept)
-            if not finals.size:
-                return iterations
-        remaining = workspace.remaining()
-    return iterations
+    searched = [dists[c] for c in remaining]
+    size = min(BLOCK_SIZE, budget)
+    start = rng.bit_generator.state
+    draws, rejected = _draw(rng, searched, size)
+    drawn = size if rejected is None else rejected
+    picks, uniforms, descriptors = (a[:drawn] for a in draws)
+    truths = np.array([[gt[c].cx, gt[c].cy, gt[c].w, gt[c].h] for c in remaining])[picks]
+    # Every category of a context-free run draws from the one prior map.
+    boxes, scores = _score_block(searched[0].location, frame, truths, uniforms, descriptors)
+    finals = np.flatnonzero(scores >= FINAL_THRESHOLD)
+    made = int(finals[0]) + 1 if finals.size else drawn
+    if made < size:
+        rng.bit_generator.state = start
+        _draw(rng, searched, made)
+    kept = range(made)
+    if watch is None:  # a proposal under the provisional threshold changes nothing
+        kept = np.flatnonzero(scores[:made] >= PROVISIONAL_THRESHOLD).tolist()
+    filed = []
+    for i in kept:
+        proposal = ObjectProposal(remaining[picks[i]], BoundingBox(*boxes[i].tolist()))
+        filed.append((i + 1, proposal, float(scores[i])))
+    return made, filed
 
 
 def evaluate_proposal_set(

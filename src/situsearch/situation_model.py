@@ -29,7 +29,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import DatasetError, InsufficientDataError, InvalidInputError, read_json
+from .errors import DatasetError, InsufficientDataError, InvalidInputError, json_number, read_json
 from .gaussian import (
     FIT_RIDGE_FLOOR,
     LocationMap,
@@ -288,7 +288,7 @@ def _box_prior_from_dict(category: str, doc: Mapping) -> MultivariateGaussian:
     for name in ("alpha", "gamma"):
         field = f"{section}.{name}"
         _check_keys(field, doc[name], ("mean", "std"))
-        mean, std = doc[name]["mean"], doc[name]["std"]
+        mean, std = (json_number(doc[name][k], f"{field}.{k}") for k in ("mean", "std"))
         if not math.isfinite(mean):
             raise InvalidInputError(f"{field}.mean must be finite, got {mean}")
         if not lo <= std <= hi:
@@ -314,7 +314,7 @@ def model_from_dict(data: Mapping) -> SituationModel:
     cats = DEFAULT_CATEGORIES
     try:
         version = data["format_version"]
-        if version != MODEL_FORMAT_VERSION:
+        if json_number(version, "format_version") != MODEL_FORMAT_VERSION:
             raise InvalidInputError(f"unsupported model format version {version}")
         categories = list(data["categories"])
         if categories != list(cats):

@@ -59,7 +59,8 @@ def draw(rng: np.random.Generator, searched, size: int):
 
 
 class LoopPCG64(np.random.PCG64):
-    """PCG64 under another name: ``search._search_in_blocks`` declines it."""
+    """PCG64 under another name, on which ``search.run_image`` draws no block:
+    each of its runs' iterations is a single ``sample_proposal`` draw."""
 
 
 def loop_only(rng: np.random.Generator) -> np.random.Generator:

@@ -677,6 +677,26 @@ def test_eval_proposals_malformed_line_exits_two(dataset_dir, tmp_path, capsys):
     assert "bad.jsonl:1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ('{"x": "12.5", "y": 1.0, "w": 2.0, "h": 2.0}', "x must be a number, got '12.5'"),
+        ('{"x": 1.0, "y": 1.0, "w": true, "h": 2.0}', "w must be a number, got True"),
+        ('{"x": 1.0, "y": null, "w": 2.0, "h": 2.0}', "y must be a number, got None"),
+    ],
+    ids=["string", "bool", "null"],
+)
+def test_eval_proposals_reads_only_json_numbers(dataset_dir, tmp_path, capsys, line, message):
+    ann_path = annotation_files(dataset_dir)[0]
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(json.dumps({"x": 1.0, "y": 1.0, "w": 2.0, "h": 2.0}) + "\n" + line + "\n")
+    code = main(
+        ["eval-proposals", "--proposals", str(bad), "--image-annotation", str(ann_path)]
+    )
+    assert code == 2
+    assert f"bad.jsonl:2: bad proposal line ({message})" in capsys.readouterr().err
+
+
 def numeric_options():
     """(subcommand, option) for every option the CLI parses as a number."""
     parser = build_parser()

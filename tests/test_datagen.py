@@ -14,6 +14,7 @@ from situsearch.datagen import (
     annotation_to_dict,
     default_generator_config,
     generate_synthetic,
+    generator_config_to_dict,
     load_annotation,
     load_dataset,
     load_generator_config,
@@ -125,6 +126,46 @@ def test_duplicate_category_rejected():
     }
     with pytest.raises(DatasetError, match="duplicate"):
         annotation_from_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("width", 640.7, "width must be an integer, got 640.7"),
+        ("width", "640", "width must be a number, got '640'"),
+        ("width", True, "width must be a number, got True"),
+        ("height", None, "height must be a number, got None"),
+        ("x", "12.5", "objects[1].x must be a number, got '12.5'"),
+        ("w", True, "objects[1].w must be a number, got True"),
+        ("h", [2.0], "objects[1].h must be a number, got [2.0]"),
+        ("y", 10**400, "objects[1].y is beyond the largest double"),
+    ],
+    ids=["fraction", "string", "bool", "null", "box-string", "box-bool", "box-list", "box-huge"],
+)
+def test_annotation_reads_only_json_numbers_naming_file_and_field(tmp_path, key, value, message):
+    doc = annotation_to_dict(make_annotation("scene_3"))
+    if key in ("width", "height"):
+        doc[key] = value
+    else:
+        doc["objects"][1][key] = value
+    path = tmp_path / "scene_3.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ParseError, match=re.escape(f"{path}: malformed annotation ({message})")):
+        load_annotation(path)
+
+
+def test_an_integral_json_number_reads_as_an_integer(tmp_path):
+    doc = annotation_to_dict(make_annotation("scene_3"))
+    doc["width"], doc["objects"][0]["x"] = 640.0, int(doc["objects"][0]["x"])
+    path = tmp_path / "scene_3.json"
+    path.write_text(json.dumps(doc))
+    assert load_annotation(path) == make_annotation("scene_3")
+    config = tmp_path / "config.json"
+    doc = generator_config_to_dict(default_generator_config())
+    doc["seed"] = 2.0
+    config.write_text(json.dumps(doc))
+    seed = load_generator_config(config).seed
+    assert seed == 2 and type(seed) is int
 
 
 def test_relative_image_path_resolves_against_annotation_dir(tmp_path):
@@ -248,6 +289,43 @@ def test_unknown_clamping_policy_rejected(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(InvalidInputError, match="'shrink'"):
         load_generator_config(path)
+
+
+@pytest.mark.parametrize(
+    "path, value, error, message",
+    [
+        (("seed",), 1.9, ParseError, "generator config (seed must be an integer, got 1.9)"),
+        (("seed",), True, ParseError, "generator config (seed must be a number, got True)"),
+        (("width",), "640", ParseError, "generator config (width must be a number, got '640')"),
+        (
+            ("location", "mean", 1),
+            "0.1",
+            InvalidInputError,
+            "malformed gaussian document: mean[1] must be a number, got '0.1'",
+        ),
+        (
+            ("box", "cov", 0),
+            False,
+            InvalidInputError,
+            "malformed gaussian document: cov[0] must be a number, got False",
+        ),
+    ],
+    ids=["fractional-seed", "bool-seed", "string-width", "string-mean", "bool-cov"],
+)
+def test_generator_config_reads_only_json_numbers_naming_file_and_field(
+    tmp_path, path, value, error, message
+):
+    config = tmp_path / "config.json"
+    save_generator_config(default_generator_config(), config)
+    doc = json.loads(config.read_text())
+    *parents, key = path
+    section = doc
+    for name in parents:
+        section = section[name]
+    section[key] = value
+    config.write_text(json.dumps(doc))
+    with pytest.raises(error, match=re.escape(f"{config}: ") + ".*" + re.escape(message)):
+        load_generator_config(config)
 
 
 def test_negative_generator_seed_is_rejected_naming_value_and_file(tmp_path):

@@ -1050,6 +1050,35 @@ def no_draws(*args):
     raise AssertionError("a block decoded words the per-proposal loop must draw")
 
 
+def record_block_side(monkeypatch) -> list[tuple]:
+    """The draws of runs on a generator other than ``oracles.loop_only``'s, in order:
+    ("draw", first rejected pick) per ``_draw``, ("block", iterations made,
+    proposals returned) per ``_block`` and ("single", category) per
+    ``sample_proposal``."""
+    events = []
+    draw, block, sample = search._draw, search._block, search.sample_proposal
+
+    def recording_draw(*args):
+        draws, rejected = draw(*args)
+        events.append(("draw", rejected))
+        return draws, rejected
+
+    def recording_block(*args):
+        made, filed = block(*args)
+        events.append(("block", made, len(filed)))
+        return made, filed
+
+    def recording_sample(category, dist, frame, rng):
+        if not isinstance(rng.bit_generator, oracles.LoopPCG64):
+            events.append(("single", category))
+        return sample(category, dist, frame, rng)
+
+    monkeypatch.setattr(search, "_draw", recording_draw)
+    monkeypatch.setattr(search, "_block", recording_block)
+    monkeypatch.setattr(search, "sample_proposal", recording_sample)
+    return events
+
+
 @pytest.mark.parametrize(
     "mean", [(1.7e308, 1.7e308), (1.7e308, -1.7e308), (-1.7e308, -1.7e308)]
 )
@@ -1059,7 +1088,7 @@ def test_block_scoring_matches_the_loop_on_an_overflowing_descriptor(
     # A model file may give a box prior any finite mean. Every leash draw's
     # alpha + gamma or alpha - gamma overflows to an infinite log-side, which
     # clamps to the ceiling or to MIN_BOX_SIDE in the arrays as in the
-    # per-proposal step, so blocks score the whole run.
+    # per-proposal step, so blocks make the whole run: no draw is single.
     model, annotations = held_out
     doc = model_to_dict(model)
     doc["box_priors"]["leash"] = {
@@ -1067,19 +1096,11 @@ def test_block_scoring_matches_the_loop_on_an_overflowing_descriptor(
     }
     model = model_from_dict(doc)
     config = replace(config_for_token("uniform-learned-none"), cell_size=8.0)
-    search_in_blocks, runs = search._search_in_blocks, []
-
-    def recording_search_in_blocks(workspace, dists, frame, gt, config, rng, *args):
-        iterations = search_in_blocks(workspace, dists, frame, gt, config, rng, *args)
-        if not isinstance(rng.bit_generator, oracles.LoopPCG64):
-            runs.append((iterations, workspace.remaining()))
-        return iterations
-
-    monkeypatch.setattr(search, "_search_in_blocks", recording_search_in_blocks)
+    events = record_block_side(monkeypatch)
     for ann in annotations:
         assert_blocks_match_the_loop(model, config, ann, seeds=[0, 1])
-    assert len(runs) == 2 * len(annotations)
-    assert all(t == config.max_iterations or not remaining for t, remaining in runs)
+    assert any(kind == "block" for kind, *_ in events)
+    assert all(kind != "single" for kind, *_ in events)
 
 
 def buffered_rng(seed: int, has_uint32: int, uinteger: int, zero_word: int | None = None):
@@ -1140,6 +1161,17 @@ def test_block_draws_decode_the_per_call_draws(
         assert blocks.bit_generator.state == calls.bit_generator.state
 
 
+def single_draws(events: list[tuple]) -> list[int]:
+    """Where a run recorded by ``record_block_side`` drew singly: each index into
+    ``events``, checked to follow a block that made no iteration at a rejected pick."""
+    singles = [i for i, (kind, *_) in enumerate(events) if kind == "single"]
+    for i in singles:
+        blocks = [e for e in events[:i] if e[0] == "block"]
+        draws = [e for e in events[:i] if e[0] == "draw"]
+        assert blocks[-1][1] == 0 and draws[-2][1] == 0
+    return singles
+
+
 @pytest.mark.parametrize(
     "token, zero_word", [("uniform-uniform-none", 441), ("uniform-learned-none", 801)]
 )
@@ -1148,33 +1180,68 @@ def test_block_scoring_matches_the_loop_from_a_rejected_pick(
 ):
     # The planted zero word is read for a pick among three in the middle of a
     # later block: numpy rejects both of its half-words. Blocks file what
-    # came before it, and the per-proposal loop takes the run from the pick.
+    # came before it, the pick's iteration is drawn alone, and blocks go on.
     model, annotations = held_out
     config = replace(config_for_token(token), cell_size=8.0)
-    draw, search_in_blocks = search._draw, search._search_in_blocks
-    rejections, handoffs = [], []
-
-    def recording_draw(*args):
-        draws, rejected = draw(*args)
-        rejections.append(rejected)
-        return draws, rejected
-
-    def recording_search_in_blocks(workspace, *args):
-        iterations = search_in_blocks(workspace, *args)
-        handoffs.append((iterations, len(workspace.detected_boxes())))
-        return iterations
-
-    monkeypatch.setattr(search, "_draw", recording_draw)
-    monkeypatch.setattr(search, "_search_in_blocks", recording_search_in_blocks)
+    events = record_block_side(monkeypatch)
+    handoffs = []
     for ann in annotations:
+        events.clear()
         assert_blocks_match_the_loop(
             model, config, ann, [0], lambda seed: buffered_rng(seed, 0, 0, zero_word)
         )
-    assert any(rejected is not None for rejected in rejections)
+        rejected = any(kind == "draw" and at is not None for kind, at, *_ in events)
+        singles = single_draws(events)
+        assert len(singles) == rejected  # a rejected pick costs one single draw
+        for i in singles:
+            blocks = [e for e in events[:i] if e[0] == "block"]
+            made, filed = sum(e[1] for e in blocks), sum(e[2] for e in blocks)
+            handoffs.append((made, filed, events[i + 1 :]))
     assert any(
         search.BLOCK_SIZE < t < config.max_iterations and t % search.BLOCK_SIZE and filed
-        for t, filed in handoffs
+        for t, filed, _ in handoffs
     )
+    # _draw runs again after the single draw: blocks resume.
+    assert any(after and after[0][0] == "draw" for *_, after in handoffs)
+
+
+@pytest.mark.parametrize("token", ["uniform-uniform-none", "uniform-learned-none"])
+def test_a_block_whose_first_pick_is_rejected_makes_no_iteration(held_out, token, monkeypatch):
+    # The run's first word is zero, so numpy rejects its first pick: the
+    # first block makes no iteration, the pick's iteration is drawn alone,
+    # and every later draw is a block's.
+    model, annotations = held_out
+    config = replace(config_for_token(token), cell_size=8.0)
+    events = record_block_side(monkeypatch)
+    for ann in annotations:
+        events.clear()
+        assert_blocks_match_the_loop(
+            model, config, ann, [0], lambda seed: buffered_rng(seed, 0, 0, zero_word=1)
+        )
+        assert single_draws(events) == [3]
+        assert events[:3] == [("draw", 0), ("draw", None), ("block", 0, 0)]
+        assert events[4][0] == "draw"
+
+
+def test_a_watched_run_sees_every_iteration_across_a_rejected_pick(held_out, monkeypatch):
+    # Watched, a block shows every proposal it makes; the single draw at the
+    # rejected pick fills its iteration, so the watch sees 1..N with no gap,
+    # with the proposals and scores of the per-proposal loop.
+    model, annotations = held_out
+    config = replace(config_for_token("uniform-uniform-none"), cell_size=8.0)
+    events = record_block_side(monkeypatch)
+    drew_singly = 0
+    for ann in annotations:
+        events.clear()
+        logs = []
+        for rng in (buffered_rng(0, 0, 0, 441), oracles.loop_only(buffered_rng(0, 0, 0, 441))):
+            watch, log = logging_watch()
+            run = run_image(model, None, config, ann, rng, watch)
+            assert [record.iteration for record in log] == list(range(1, run.total_iterations + 1))
+            logs.append(log)
+        assert logs[0] == logs[1]
+        drew_singly += len(single_draws(events))
+    assert drew_singly
 
 
 @pytest.mark.parametrize(

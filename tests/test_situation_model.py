@@ -624,6 +624,42 @@ def test_model_key_missing_inside_a_section_names_the_section(
         model_from_dict(doc)
 
 
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        ("box_priors/dog/alpha/std", True, "box_priors['dog'].alpha.std must be a number"),
+        ("box_priors/dog/gamma/mean", True, "box_priors['dog'].gamma.mean must be a number"),
+        ("box_priors/dog/alpha/mean", "0.5", "box_priors['dog'].alpha.mean must be a number"),
+        ("loc_triple/mean/2", "0.1", "loc_triple: malformed gaussian document: mean[2]"),
+        ("box_pair/dog|leash/mean/0", False, "box_pair['dog|leash']: malformed gaussian"),
+        ("loc_pair/dog_walker|dog/cov/5", "1", "loc_pair['dog_walker|dog']: malformed"),
+        ("box_triple/epsilon", "0", "box_triple: malformed gaussian document: epsilon"),
+        ("loc_triple/mean", "0.1", "loc_triple: malformed gaussian document: mean[0]"),
+        ("format_version", True, "format_version must be a number, got True"),
+    ],
+    ids=[
+        "bool-std",
+        "bool-mean",
+        "string-mean",
+        "string-joint-mean",
+        "bool-joint-mean",
+        "string-cov",
+        "string-epsilon",
+        "string-for-list",
+        "bool-version",
+    ],
+)
+def test_model_reads_only_json_numbers_naming_the_section(synthetic_model, path, value, message):
+    doc = model_to_dict(synthetic_model)
+    *parents, key = (int(k) if k.isdigit() else k for k in path.split("/"))
+    section = doc
+    for name in parents:
+        section = section[name]
+    section[key] = value
+    with pytest.raises(InvalidInputError, match=re.escape(message)):
+        model_from_dict(doc)
+
+
 def test_model_section_keys_are_checked_but_a_joint_may_omit_its_ridge(synthetic_model):
     doc = model_to_dict(synthetic_model)
     doc["box_priors"]["leash"]["alpha"]["sd"] = doc["box_priors"]["leash"]["alpha"].pop("std")

@@ -106,3 +106,54 @@ def test_no_module_rebinds_a_module_global():
     # functools.lru_cache, not a name a function rebinds.
     found = [path.name for path in PACKAGE.glob("*.py") if has_global_statement(path.read_text())]
     assert found == []
+
+
+SETTABLE_VALUES = 107
+
+
+def is_dataclass(node: ast.ClassDef) -> bool:
+    for decorator in node.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def is_init_false(value: ast.expr | None) -> bool:
+    """Whether a dataclass field's value is ``field(..., init=False, ...)``."""
+    return (
+        isinstance(value, ast.Call)
+        and getattr(value.func, "id", getattr(value.func, "attr", None)) == "field"
+        and any(k.arg == "init" and getattr(k.value, "value", None) is False for k in value.keywords)
+    )
+
+
+def settable_values(source: str) -> int:
+    """A module's settable values, by its syntax tree: each defaulted parameter,
+    positional or keyword-only, of a function or lambda; each field of a
+    dataclass but those declared ``field(init=False)``; each ``add_argument``
+    call; and each read of the environment."""
+    count = 0
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            count += len(node.args.defaults)
+            count += sum(default is not None for default in node.args.kw_defaults)
+        elif isinstance(node, ast.ClassDef) and is_dataclass(node):
+            count += sum(
+                isinstance(stmt, ast.AnnAssign) and not is_init_false(stmt.value)
+                for stmt in node.body
+            )
+        elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "add_argument":
+            count += 1
+        elif isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT_READERS:
+            count += 1
+    return count
+
+
+def test_settable_values():
+    """The package's settable values, the count ROADMAP aim 2 tracks: the values a
+    caller can set without editing the package, counted as ``settable_values``
+    counts them. A change that adds or removes one updates SETTABLE_VALUES and
+    cites the old and new count."""
+    found = sum(settable_values(path.read_text()) for path in PACKAGE.glob("*.py"))
+    assert found == SETTABLE_VALUES
