@@ -12,6 +12,8 @@ import weakref
 
 import numpy as np
 
+from .gaussian import LocationMap, MultivariateGaussian, cell_centers, cell_masses
+
 PALETTE = [
     "#d94a4a",
     "#4a90d9",
@@ -25,6 +27,7 @@ PALETTE = [
 _FAIL_FILL = "#b8b8b8"
 TICK_COUNT = 5  # roughly this many tick steps span a value axis
 HEAT_COLUMNS = 48  # a snapshot's location panel is at most this many cells wide
+HEAT_SAMPLES = 3  # a location Gaussian's panel samples this many cells per block side
 
 
 def escape(text: str) -> str:
@@ -268,27 +271,82 @@ def grouped_bar_svg(
     return "\n".join(svg)
 
 
+def _heat_factor(cols: int) -> int:
+    """The side of the blocks that bring a grid of ``cols`` columns to at most HEAT_COLUMNS."""
+    return max(1, math.ceil(cols / HEAT_COLUMNS))
+
+
 def _heat_cells(grid: np.ndarray) -> np.ndarray:
     """Block-sum a probability grid down to at most HEAT_COLUMNS columns."""
-    factor = max(1, int(math.ceil(grid.shape[1] / HEAT_COLUMNS)))
-    rows = int(math.ceil(grid.shape[0] / factor))
-    cols = int(math.ceil(grid.shape[1] / factor))
+    factor = _heat_factor(grid.shape[1])
+    rows = math.ceil(grid.shape[0] / factor)
+    cols = math.ceil(grid.shape[1] / factor)
     padded = np.zeros((rows * factor, cols * factor))
     padded[: grid.shape[0], : grid.shape[1]] = grid
     return padded.reshape(rows, factor, cols, factor).sum(axis=(1, 3))
 
 
-# Each location map's block sums, held only as long as the map itself: a
-# run's snapshots show an unchanged map again at every later change.
+def _block_samples(n: int, factor: int) -> tuple[np.ndarray, np.ndarray]:
+    """The cells a panel samples along a grid axis of ``n`` cells cut into blocks of ``factor``.
+
+    Each block samples HEAT_SAMPLES cells, or ``factor`` if fewer, spread
+    evenly over its extent; a partial block at the edge may sample a cell
+    more than once. Returns the sampled cells, block by block, and the
+    number of cells each of a block's samples stands for.
+    """
+    samples = min(HEAT_SAMPLES, factor)
+    starts = np.arange(0, n, factor)
+    extents = np.minimum(factor, n - starts)
+    offsets = (np.arange(samples) + 0.5) * extents[:, None] // samples
+    return (starts[:, None] + offsets.astype(int)).ravel(), extents / samples
+
+
+def _law_cells(
+    location: MultivariateGaussian, frame, cell_size: float, salience: LocationMap | None
+) -> np.ndarray:
+    """``_heat_cells`` of a location Gaussian's map, estimated from a few of each block's cells.
+
+    The map at ``cell_size``, folded with ``salience`` if given, is evaluated
+    only at the cells ``_block_samples`` picks, and each block sums its
+    samples, each weighted by the cells it stands for.
+    """
+    xs, ys = cell_centers(frame, cell_size)
+    factor = _heat_factor(len(xs))
+    rows, row_spans = _block_samples(len(ys), factor)
+    cols, col_spans = _block_samples(len(xs), factor)
+    weights = None if salience is None else salience.grid[np.ix_(rows, cols)]
+    masses = cell_masses(location, xs[cols], ys[rows], weights, None)
+    samples = min(HEAT_SAMPLES, factor)
+    blocks = sum(masses[:, j::samples] for j in range(samples))
+    blocks = sum(blocks[j::samples] for j in range(samples))
+    return blocks * row_spans[:, None] * col_spans
+
+
+# Each location map's or law's heat cells, held only as long as it is: a
+# run's snapshots show an unchanged one again at every later change.
 _coarse_of: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _coarse(location) -> np.ndarray:
-    """_heat_cells of a location map's grid, once per map."""
+def _coarse(
+    location: LocationMap | MultivariateGaussian,
+    frame,
+    cell_size: float,
+    salience: LocationMap | None,
+) -> np.ndarray:
+    """A panel's heat cells, once per location map or location Gaussian.
+
+    A map's are its block sums (``_heat_cells``); a Gaussian's come from
+    its law (``_law_cells``), with the ``cell_size`` and ``salience`` of
+    the run that conditioned it.
+    """
     coarse = _coarse_of.get(location)
     if coarse is None:
-        coarse = _coarse_of[location] = _heat_cells(location.grid)
+        if isinstance(location, LocationMap):
+            coarse = _heat_cells(location.grid)
+        else:
+            coarse = _law_cells(location, frame, cell_size, salience)
         coarse.flags.writeable = False
+        _coarse_of[location] = coarse
     return coarse
 
 
@@ -318,8 +376,16 @@ def workspace_snapshot_svg(
     workspace,
     dists: dict | None,
     iteration: int,
+    cell_size: float,
+    salience: LocationMap | None,
 ) -> str:
-    """One frame of a run: the Workspace plus per-category location heatmaps."""
+    """One frame of a run: the Workspace plus per-category location heatmaps.
+
+    ``dists`` holds each category's law as ``run_image``'s ``shown()`` gives
+    it. A location map's panel block-sums it; a location Gaussian's panel
+    is evaluated at the panel's cells, with the run's ``cell_size`` and the
+    ``salience`` map its conditioned maps are folded with, if any.
+    """
     scale = 320.0 / frame.norm_width
     main_w = frame.norm_width * scale
     main_h = frame.norm_height * scale
@@ -386,7 +452,7 @@ def workspace_snapshot_svg(
                 f'fill="#999" text-anchor="middle">final</text>'
             )
         else:
-            coarse = _coarse(dist.location)
+            coarse = _coarse(dist.location, frame, cell_size, salience)
             peak = float(coarse.max()) or 1.0
             cw = panel_w / coarse.shape[1]
             ch = map_h / coarse.shape[0]

@@ -162,9 +162,10 @@ def cmd_run(args: argparse.Namespace) -> int:
             if snap_dir is not None and shown is not None:
                 snapshots += 1
                 path = snap_dir / f"snapshot_{snapshots:04d}_iter{iteration:05d}.svg"
-                path.write_text(
-                    workspace_snapshot_svg(frame, ground_truth, workspace, shown(), iteration)
+                svg = workspace_snapshot_svg(
+                    frame, ground_truth, workspace, shown(), iteration, config.cell_size, salience
                 )
+                path.write_text(svg)
 
         watched = trace is not None or snap_dir is not None
         result = run_image(model, salience, config, annotation, rng, watch if watched else None)

@@ -422,7 +422,29 @@ def rasterize_2d(
     xs, ys = cell_centers(frame, cell_size)
     if weights is not None and weights.grid.shape != (len(ys), len(xs)):
         raise InvalidInputError(f"grid shapes differ: {(len(ys), len(xs))} vs {weights.shape}")
-    grid = dist.pdf_grid(xs, ys, None if out is None else out[0])
+    grid = cell_masses(
+        dist, xs, ys, None if weights is None else weights.grid, None if out is None else out[0]
+    )
+    lmap = LocationMap._adopt(frame, cell_size, grid)
+    if out is not None:
+        lmap._cdf_buffer = out[1].reshape(-1)
+    return lmap
+
+
+def cell_masses(
+    dist: MultivariateGaussian,
+    xs: np.ndarray,
+    ys: np.ndarray,
+    weights: np.ndarray | None,
+    out: np.ndarray | None,
+) -> np.ndarray:
+    """rasterize_2d's grid for the cells centred on ys x xs, in ``out`` when given.
+
+    Each cell's mass is proportional to the 2-d density at its centre, and
+    the masses sum to 1. With ``weights``, a grid of the same shape, they
+    are folded with it and renormalized.
+    """
+    grid = dist.pdf_grid(xs, ys, out)
     try:
         _normalize(grid)
     except InvalidInputError:
@@ -435,11 +457,8 @@ def rasterize_2d(
             int(np.clip(np.argmin(np.abs(xs - dist.mean[0])), 0, len(xs) - 1)),
         ] = 1.0
     if weights is not None:
-        _normalize(fold(grid, weights.grid, default_epsilon(grid.size)))
-    lmap = LocationMap._adopt(frame, cell_size, grid)
-    if out is not None:
-        lmap._cdf_buffer = out[1].reshape(-1)
-    return lmap
+        _normalize(fold(grid, weights, default_epsilon(grid.size)))
+    return grid
 
 
 # ---------------------------------------------------------------------------

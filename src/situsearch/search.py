@@ -14,11 +14,13 @@ salience location prior multiply every conditioned location map by the
 salience map as it is rasterized.
 
 Conditioning draws no random numbers, so a category's conditioned map is
-built only when that category is next drawn from, or shown to a watch,
-on the Workspace as it stood at its last change; a map replaced by a later
-change before any draw is never built. Between changes the loop is a tight
-sample/score/file cycle. A category's out-of-date map is released at the
-change that supersedes it, so it never holds memory beside its successor.
+built only when that category is next drawn from, on the Workspace as it
+stood at its last change; a map replaced by a later change before any draw
+is never built. A watch is shown each category's law, the conditioned
+Gaussians before any grid, so watching a run builds no map. Between
+changes the loop is a tight sample/score/file cycle. A category's
+out-of-date map is released at the change that supersedes it, so it never
+holds memory beside its successor.
 All of a category's maps in a run are built in one buffer for grid and
 CDF, taken from those earlier runs gave back, so their pages are touched
 once per process, not once per map.
@@ -57,6 +59,7 @@ from .situation_model import (
     SituationModel,
     box_from_descriptor,
     conditioned_distribution,
+    conditioned_law,
 )
 
 LOCATION_UNIFORM = "uniform"
@@ -272,9 +275,10 @@ def run_image(
     ``watch(iteration, proposal, score, workspace, shown)`` is called after
     every proposal is filed, in iteration order. ``shown`` is None unless
     that proposal changed the Workspace; then ``shown()`` returns each
-    category's current distributions, None for a category with a final
-    detection, building any out-of-date map only when called. Shown maps
-    live in the run's buffers and are valid until the callback returns.
+    category's current law, None for a category with a final detection:
+    the method's priors until another category is detected, then the
+    category's ``conditioned_law``, whose location is a Gaussian. It builds
+    no map, so a watched run builds the maps an unwatched one builds.
     Watched or not, a context-free run on PCG64 draws in blocks (``_block``).
     """
     frame = image_frame(annotation, config.cell_size)
@@ -294,12 +298,13 @@ def run_image(
         prior_boxes = model.box_priors
     else:
         prior_boxes = dict.fromkeys(DEFAULT_CATEGORIES, LogUniformBox())
-    # A category's entry is None from the change that puts it out of date
-    # until it is next drawn from or shown.
+    # A category's entries are None from the change that puts them out of
+    # date until it is next drawn from (``dists``) or shown (``laws``).
     dists: dict[str, CategorySearchDist | None] = {
         c: CategorySearchDist(location=prior_location, alpha_gamma=prior_boxes[c])
         for c in DEFAULT_CATEGORIES
     }
+    laws = dict(dists)
     workspace = Workspace(DEFAULT_CATEGORIES, config.provisional_enabled)
     detected: dict[str, BoundingBox] = {}  # the detections at the Workspace's last change
     spare = _spare_buffers(shape)
@@ -314,9 +319,14 @@ def run_image(
             )
         return dists[cat]
 
+    def law(cat: str) -> CategorySearchDist:
+        if laws[cat] is None:
+            laws[cat] = conditioned_law(model, cat, detected, frame)
+        return laws[cat]
+
     def shown() -> dict[str, CategorySearchDist | None]:
         remaining = workspace.remaining()
-        return {c: current(c) if c in remaining else None for c in dists}
+        return {c: law(c) if c in remaining else None for c in dists}
 
     blocks = config.situation_model == MODEL_NONE and type(rng.bit_generator) is np.random.PCG64
     iterations = 0
@@ -341,7 +351,7 @@ def run_image(
                     # conditions its own maps: only the others go out of date.
                     for cat in remaining:
                         if cat != category:
-                            dists[cat] = None
+                            dists[cat] = laws[cat] = None
             if watch is not None:
                 watch(t, proposal, score, workspace, shown if changed else None)
         iterations += made

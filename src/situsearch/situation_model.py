@@ -12,7 +12,9 @@ A situation model holds, for the three categories of DEFAULT_CATEGORIES:
 At search time each category is given a location map plus a box-descriptor
 distribution. Until another category is detected these are the search
 method's priors; after that, the joint over the category and the detected
-others is conditioned on the others' boxes.
+others is conditioned on the others' boxes: a law of two Gaussians
+(``conditioned_law``), whose location Gaussian is rasterized into a map
+only to be drawn from (``conditioned_distribution``).
 A category's own detection never conditions its own distributions, and
 provisional detections condition exactly like final ones.
 """
@@ -111,9 +113,13 @@ class SituationModel:
 
 @dataclass(eq=False)
 class CategorySearchDist:
-    """Current search distributions for one category on one image, filed under the category."""
+    """Current search distributions for one category on one image, filed under the category.
 
-    location: LocationMap
+    ``location`` is the map proposals are drawn from or, in a law that is
+    not yet rasterized (``conditioned_law``), the 2-d location Gaussian.
+    """
+
+    location: LocationMap | MultivariateGaussian
     alpha_gamma: MultivariateGaussian | LogUniformBox
 
     def sample_alpha_gamma(self, rng: np.random.Generator) -> tuple[float, float]:
@@ -218,6 +224,34 @@ def learn(training: Sequence) -> SituationModel:
     return SituationModel(box_priors, loc_joints, box_joints)
 
 
+def conditioned_law(
+    model: SituationModel,
+    category: str,
+    detections: Mapping[str, BoundingBox],
+    frame: ImageFrame,
+) -> CategorySearchDist:
+    """One category's search law given current detections, not rasterized.
+
+    Its location is the conditioned 2-d Gaussian over (x, y), its box the
+    conditioned Gaussian over (alpha, gamma). Detections of the category
+    itself are ignored; at least one other category must be detected. The
+    joints over the category and the detected others are conditioned on the
+    others' boxes.
+    """
+    if category not in DEFAULT_CATEGORIES:
+        raise InvalidInputError(f"unknown category {category!r}")
+    group = tuple(cat for cat in DEFAULT_CATEGORIES if cat == category or cat in detections)
+    others = tuple(cat for cat in group if cat != category)
+    if not others:
+        raise InvalidInputError(f"no detection of another category to condition {category!r} on")
+    boxes = [detections[cat] for cat in others]
+    loc_obs = dict(zip(loc_dims(others), [v for box in boxes for v in (box.cx, box.cy)]))
+    box_obs = dict(zip(box_dims(others), [v for box in boxes for v in box_descriptor(box, frame)]))
+    return CategorySearchDist(
+        condition(model.loc_joints[group], loc_obs), condition(model.box_joints[group], box_obs)
+    )
+
+
 def conditioned_distribution(
     model: SituationModel,
     category: str,
@@ -229,23 +263,13 @@ def conditioned_distribution(
 ) -> CategorySearchDist:
     """Search distributions for one category given current detections.
 
-    Detections of the category itself are ignored; at least one other
-    category must be detected. The joints over the category and the detected
-    others are conditioned on the others' boxes. A ``salience`` map is folded
-    into the location map as it is rasterized (in ``out``, see rasterize_2d).
+    The category's conditioned_law with its location Gaussian rasterized. A
+    ``salience`` map is folded into the location map as it is rasterized (in
+    ``out``, see rasterize_2d).
     """
-    if category not in DEFAULT_CATEGORIES:
-        raise InvalidInputError(f"unknown category {category!r}")
-    group = tuple(cat for cat in DEFAULT_CATEGORIES if cat == category or cat in detections)
-    others = tuple(cat for cat in group if cat != category)
-    if not others:
-        raise InvalidInputError(f"no detection of another category to condition {category!r} on")
-    boxes = [detections[cat] for cat in others]
-    loc_obs = dict(zip(loc_dims(others), [v for box in boxes for v in (box.cx, box.cy)]))
-    box_obs = dict(zip(box_dims(others), [v for box in boxes for v in box_descriptor(box, frame)]))
-    loc_dist = condition(model.loc_joints[group], loc_obs)
-    location = rasterize_2d(loc_dist, frame, cell_size, salience, out)
-    return CategorySearchDist(location, condition(model.box_joints[group], box_obs))
+    law = conditioned_law(model, category, detections, frame)
+    location = rasterize_2d(law.location, frame, cell_size, salience, out)
+    return CategorySearchDist(location, law.alpha_gamma)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from xml.sax.saxutils import escape as sax_escape
 
 import numpy as np
@@ -9,9 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from situsearch import charts
+from situsearch import charts, search
 from situsearch.charts import _heat_rects, workspace_snapshot_svg
 from situsearch.evaluation import config_for_token, salience_for_annotation
+from situsearch.gaussian import LocationMap, rasterize_2d
 from situsearch.geometry import normalize_frame, to_normalized
 from situsearch.search import run_image
 from situsearch.situation_model import learn
@@ -79,22 +81,85 @@ def test_snapshots_equal_the_per_cell_loop(small_synthetic_dataset, monkeypatch)
             frame = normalize_frame(ann.width, ann.height)
             truth = {c: to_normalized(*box, frame) for c, box in sorted(ann.boxes.items())}
 
+            salience = None
+            if config.needs_salience:
+                salience = salience_for_annotation(ann, config.cell_size)
+            drawing = (config.cell_size, salience)
+
             def watch(iteration, proposal, score, workspace, shown):
                 nonlocal snapshots
                 if shown is None:
                     return
                 dists = shown()
-                svg = workspace_snapshot_svg(frame, truth, workspace, dists, iteration)
+                svg = workspace_snapshot_svg(frame, truth, workspace, dists, iteration, *drawing)
                 with monkeypatch.context() as patched:
                     patched.setattr(charts, "_heat_rects", loop_heat_rects)
-                    assert svg == workspace_snapshot_svg(frame, truth, workspace, dists, iteration)
+                    assert svg == workspace_snapshot_svg(
+                        frame, truth, workspace, dists, iteration, *drawing
+                    )
                 snapshots += 1
 
+            run_image(model, salience, config, ann, np.random.default_rng(1), watch)
+    assert snapshots > 0
+
+
+def panel_shades(coarse: np.ndarray) -> np.ndarray:
+    """Each panel cell's shade as _heat_rects draws it; 0 where it draws none."""
+    levels = coarse / (float(coarse.max()) or 1.0)
+    return np.where(levels >= 0.02, (255 * np.minimum(levels, 1.0)).astype(int), 0)
+
+
+def test_conditioned_panels_shade_the_maps_the_run_draws_from(
+    small_synthetic_dataset, monkeypatch
+):
+    # A conditioned panel is drawn from the category's law at heat-cell
+    # resolution. Its shades stay within 10 of 255 of the block sums of the
+    # law's map, and that map is, bit for bit, the one the run builds and
+    # draws from when it next draws the category.
+    model = learn(small_synthetic_dataset[:40])
+    conditioned = search.conditioned_distribution
+    shown_laws, drawn, worst, panels = {}, 0, 0, 0
+
+    def checked_conditioned(model, category, detected, frame, cell_size, salience, out):
+        nonlocal drawn
+        dist = conditioned(model, category, detected, frame, cell_size, salience, out)
+        law = shown_laws[category]
+        expected = rasterize_2d(law.location, frame, cell_size, salience)
+        assert dist.location.grid.tobytes() == expected.grid.tobytes()
+        for name in ("mean", "cov"):
+            got, shown = getattr(dist.alpha_gamma, name), getattr(law.alpha_gamma, name)
+            assert got.tobytes() == shown.tobytes()
+        drawn += 1
+        return dist
+
+    monkeypatch.setattr(search, "conditioned_distribution", checked_conditioned)
+    for token in ("uniform-learned-learned", "salience-learned-learned"):
+        config = replace(config_for_token(token), max_iterations=300)
+        assert config.cell_size == 1.0  # panels of 13 x 13 cells on these frames
+        for ann in small_synthetic_dataset[40:60]:
+            frame = normalize_frame(ann.width, ann.height)
             salience = None
             if config.needs_salience:
                 salience = salience_for_annotation(ann, config.cell_size)
+
+            def watch(iteration, proposal, score, workspace, shown):
+                nonlocal worst, panels
+                if shown is None:
+                    return
+                shown_laws.clear()
+                for category, law in shown().items():
+                    if law is None or isinstance(law.location, LocationMap):
+                        continue
+                    shown_laws[category] = law
+                    cells = charts._law_cells(law.location, frame, config.cell_size, salience)
+                    grid = rasterize_2d(law.location, frame, config.cell_size, salience).grid
+                    difference = panel_shades(cells) - panel_shades(charts._heat_cells(grid))
+                    worst = max(worst, int(np.abs(difference).max()))
+                    panels += 1
+
             run_image(model, salience, config, ann, np.random.default_rng(1), watch)
-    assert snapshots > 0
+    assert panels > drawn > 100
+    assert worst <= 10
 
 
 @given(st.text(alphabet=st.sampled_from("&<>;amplgt# \"'x\u00e9\n")) | st.text())

@@ -12,6 +12,7 @@ from situsearch import charts, evaluation, search
 from situsearch.cli import build_parser, main
 from situsearch.datagen import SituationAnnotation, load_generator_config, save_annotation
 from situsearch.errors import InvalidInputError
+from situsearch.gaussian import LocationMap
 from situsearch.images import write_pgm
 from situsearch.search import Workspace, ObjectProposal
 from situsearch.geometry import BoundingBox
@@ -173,31 +174,42 @@ def test_run_trace_and_snapshots_counts(dataset_dir, model_path, tmp_path, capsy
 
 
 def test_run_snapshots_block_sum_each_map_once(dataset_dir, model_path, tmp_path, monkeypatch):
-    # A map unchanged since the last change is shown again: its heatmap
-    # cells come from the memo, and the SVG is the one drawn without it.
-    heat_cells, snapshot_svg = charts._heat_cells, charts.workspace_snapshot_svg
+    # A map or law unchanged since the last change is shown again: its
+    # heatmap cells come from the memo, and the SVG is the one drawn
+    # without it. Only prior maps are block-summed; conditioned panels are
+    # drawn from their laws.
+    heat_cells, law_cells = charts._heat_cells, charts._law_cells
+    snapshot_svg = charts.workspace_snapshot_svg
     shown = weakref.WeakSet()
-    panels = distinct = block_sums = 0
+    counts = dict.fromkeys(["map panels", "law panels", "maps", "laws", "sums", "law cells"], 0)
 
-    def counting_heat_cells(grid):
-        nonlocal block_sums
-        block_sums += 1
-        return heat_cells(grid)
+    def counting(name, fn):
+        def counted(*args):
+            counts[name] += 1
+            return fn(*args)
 
-    def checked_snapshot_svg(frame, ground_truth, workspace, dists, iteration):
-        nonlocal panels, distinct
-        svg = snapshot_svg(frame, ground_truth, workspace, dists, iteration)
+        return counted
+
+    def uncached(location, frame, cell_size, salience):
+        if isinstance(location, LocationMap):
+            return heat_cells(location.grid)
+        return law_cells(location, frame, cell_size, salience)
+
+    def checked_snapshot_svg(frame, ground_truth, workspace, dists, iteration, *drawing):
+        svg = snapshot_svg(frame, ground_truth, workspace, dists, iteration, *drawing)
         for dist in dists.values():
             if dist is not None:
-                panels += 1
-                distinct += dist.location not in shown
+                kind = "map" if isinstance(dist.location, LocationMap) else "law"
+                counts[f"{kind} panels"] += 1
+                counts[f"{kind}s"] += dist.location not in shown
                 shown.add(dist.location)
         with monkeypatch.context() as patched:
-            patched.setattr(charts, "_coarse", lambda location: heat_cells(location.grid))
-            assert svg == snapshot_svg(frame, ground_truth, workspace, dists, iteration)
+            patched.setattr(charts, "_coarse", uncached)
+            assert svg == snapshot_svg(frame, ground_truth, workspace, dists, iteration, *drawing)
         return svg
 
-    monkeypatch.setattr(charts, "_heat_cells", counting_heat_cells)
+    monkeypatch.setattr(charts, "_heat_cells", counting("sums", heat_cells))
+    monkeypatch.setattr(charts, "_law_cells", counting("law cells", law_cells))
     monkeypatch.setattr(charts, "workspace_snapshot_svg", checked_snapshot_svg)
     for method in ("uniform-learned-learned", "salience-learned-learned"):
         for i, ann in enumerate(annotation_files(dataset_dir)[:4]):
@@ -205,36 +217,39 @@ def test_run_snapshots_block_sum_each_map_once(dataset_dir, model_path, tmp_path
             args = ["run", "--model", str(model_path), "--image-annotation", str(ann)]
             args += ["--method", method, "--cell-size", "8", "--snapshots", str(snaps)]
             assert main(args) == 0
-    assert block_sums == distinct < panels
+    assert counts["sums"] == counts["maps"] < counts["map panels"]
+    assert counts["law cells"] == counts["laws"] < counts["law panels"]
 
 
 def test_run_trace_builds_the_maps_an_unwatched_run_builds(
     dataset_dir, model_path, tmp_path, monkeypatch, capsys
 ):
-    # A trace never asks for maps, so the run keeps the lazy schedule;
-    # snapshots ask for every remaining category's maps at each change.
-    builds = 0
+    # Neither a trace nor snapshots build maps: snapshots are drawn from the
+    # laws, so each watched run builds the maps of the unwatched run, in its
+    # order, from the same detections.
+    builds = []
     conditioned = search.conditioned_distribution
 
-    def counting_conditioned(*args):
-        nonlocal builds
-        builds += 1
+    def recording_conditioned(*args):
+        model, category, detected = args[:3]
+        builds.append((category, sorted(detected.items(), key=lambda item: item[0])))
         return conditioned(*args)
 
-    monkeypatch.setattr(search, "conditioned_distribution", counting_conditioned)
-    counts, outputs = [], []
+    monkeypatch.setattr(search, "conditioned_distribution", recording_conditioned)
+    schedules, outputs = [], []
     for i, watching in enumerate(([], ["--trace"], ["--trace", "--snapshots"])):
         for ann in annotation_files(dataset_dir)[:4]:
-            args = ["run", "--model", str(model_path), "--image-annotation", str(ann)]
-            for flag in watching:
-                args += [flag, str(tmp_path / f"{i}{flag}{ann.stem}")]
-            assert main([*args, "--cell-size", "8"]) == 0
-            outputs.append(capsys.readouterr().out)
-        counts.append(builds)
-        builds = 0
-    unwatched, traced, snapshotted = counts
-    assert 0 < unwatched == traced < snapshotted
-    assert outputs[:4] == outputs[4:8] == outputs[8:]
+            for method in ("uniform-learned-learned", "salience-learned-learned"):
+                args = ["run", "--model", str(model_path), "--image-annotation", str(ann)]
+                for flag in watching:
+                    args += [flag, str(tmp_path / f"{i}{flag}{ann.stem}{method}")]
+                assert main([*args, "--method", method, "--cell-size", "8"]) == 0
+                outputs.append(capsys.readouterr().out)
+        schedules.append(builds)
+        builds = []
+    unwatched, traced, snapshotted = schedules
+    assert unwatched and unwatched == traced == snapshotted
+    assert outputs[:8] == outputs[8:16] == outputs[16:]
 
 
 def test_last_snapshot_of_a_completed_run_shows_every_panel_final(

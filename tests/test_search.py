@@ -255,7 +255,7 @@ Scored = namedtuple("Scored", "iteration category box score")
 
 def logging_watch(eager: bool = False):
     """A watch for run_image that logs every proposal it is shown; an
-    ``eager`` one also asks for every category's maps at each change."""
+    ``eager`` one also asks for every category's law at each change."""
     log: list[Scored] = []
 
     def watch(iteration, proposal, score, workspace, shown):
@@ -456,9 +456,8 @@ def held_out_runs(held_out, token, eager=False):
 
 @pytest.mark.parametrize("token", list(METHOD_TOKENS))
 def test_lazy_conditioning_matches_eager(held_out, token):
-    # A watch that asks for every category's maps at each change makes
-    # run_image build each stale map at every Workspace change: the eager
-    # schedule.
+    # A watch that asks for every category's law at each change conditions
+    # each stale category at every Workspace change, and changes no draw.
     lazy = list(held_out_runs(held_out, token))
     eager = list(held_out_runs(held_out, token, eager=True))
     for (a, log_a), (b, log_b) in zip(lazy, eager):
@@ -505,11 +504,24 @@ def test_every_lazily_built_map_is_drawn_from_before_the_next_change(
     for i in lazy_built:  # drawn from at once, so before any later change
         assert events[i + 1][0] == "drawn" and events[i + 1][1] is events[i][1]
 
+    # A watch shown every law at each change builds no map: the runs build
+    # the same maps in the same order, while more laws are shown than built.
+    def schedule():
+        return [(kind, None if box is None else box.mean.tobytes()) for kind, box in events]
+
+    lazy = schedule()
     events.clear()
+    laws, conditioned_law = [], search.conditioned_law
+
+    def counting_law(*args):
+        laws.append(conditioned_law(*args))
+        return laws[-1]
+
+    monkeypatch.setattr(search, "conditioned_law", counting_law)
     for _ in held_out_runs(held_out, token, eager=True):
         pass
-    eager_built = sum(kind == "built" for kind, _ in events)
-    assert len(lazy_built) < eager_built
+    assert schedule() == lazy
+    assert len(laws) > len(lazy_built)
 
 
 SITUATION_TOKENS = [t for t, c in METHOD_TOKENS.items() if c.situation_model != search.MODEL_NONE]
@@ -600,25 +612,36 @@ def test_a_second_run_builds_its_maps_in_the_first_runs_buffers(held_out, monkey
     assert sorted(map(id, spare_buffers(ann))) == sorted(held)
 
 
-def test_shown_maps_live_in_the_runs_buffers(held_out):
-    # Every conditioned map a watch is shown is built in the one buffer of
-    # its category, grid then CDF; only the uniform prior lives elsewhere.
+def test_drawn_maps_live_in_the_runs_buffers_and_shown_laws_in_none(held_out, monkeypatch):
+    # Every conditioned map the run builds and draws from is built in the
+    # one buffer of its category, grid then CDF; shown() builds none, and
+    # the laws it shows hold no grid.
     ann = held_out[1][0]
-    prior = uniform_map(normalize_frame(ann.width, ann.height), 8.0)
-    shown_maps = []
+    built_maps, laws = [], 0
+    conditioned = search.conditioned_distribution
+
+    def recording_conditioned(*args):
+        dist = conditioned(*args)
+        built_maps.append((args[1], dist.location))
+        return dist
 
     def watch(iteration, proposal, score, workspace, shown):
+        nonlocal laws
         if shown is not None:
-            for cat, dist in shown().items():
-                if dist is not None and dist.location is not prior:
-                    shown_maps.append((cat, dist.location))
+            before = len(built_maps)
+            for dist in shown().values():
+                if dist is not None:
+                    assert isinstance(dist.location, MultivariateGaussian | LocationMap)
+                    laws += isinstance(dist.location, MultivariateGaussian)
+            assert len(built_maps) == before
 
+    monkeypatch.setattr(search, "conditioned_distribution", recording_conditioned)
     search._spare_buffers.cache_clear()
     conditioned_run(held_out, ann, 3, watch)
     spare = spare_buffers(ann)
-    assert shown_maps and len(spare) <= 3
+    assert built_maps and laws and len(spare) <= 3
     homes = defaultdict(set)
-    for cat, location in shown_maps:
+    for cat, location in built_maps:
         (home,) = [i for i, b in enumerate(spare) if np.shares_memory(location.grid, b)]
         assert np.shares_memory(location._cdf_buffer, spare[home])
         homes[cat].add(home)

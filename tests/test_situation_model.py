@@ -168,12 +168,14 @@ def scaled_annotation(width=640, height=480):
 def dists_after_first_detection(
     model, config, annotation, score=0.3, category="dog_walker", salience=None
 ):
-    """The distributions run_image shows its watch at its one Workspace change.
+    """The laws run_image shows its watch at its one Workspace change, and
+    the distributions it draws from after it.
 
     Scripted scores give ``score`` to the first proposal of ``category`` and
     0 to every other proposal, on the per-proposal loop. Returns that
-    proposal's box and the per-category distributions right after it was
-    filed, each conditioned map copied out of the run's buffer.
+    proposal's box, the per-category laws shown right after it was filed,
+    and each remaining category's distributions at its first draw after
+    that, each conditioned map copied out of the run's buffer.
     """
     hits = []
 
@@ -184,7 +186,7 @@ def dists_after_first_detection(
         return 0.0
 
     def kept(dist):
-        if dist is None or dist.location._cdf_buffer is None:  # not in a buffer
+        if dist.location._cdf_buffer is None:  # not in a buffer
             return dist
         location = dist.location
         grid = location.grid.copy()
@@ -192,18 +194,25 @@ def dists_after_first_detection(
             LocationMap._adopt(location.frame, location.cell_size, grid), dist.alpha_gamma
         )
 
-    changes = []
+    changes, drawn = [], {}
 
     def watch(iteration, proposal, score, workspace, shown):
         if shown is not None:
-            changes.append({c: kept(dist) for c, dist in shown().items()})
+            changes.append(shown())
+
+    def recording_sample(cat, dist, frame, rng):
+        if changes and cat not in drawn:
+            drawn[cat] = kept(dist)
+        return sample_proposal(cat, dist, frame, rng)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(search, "score_proposal", scorer)
+        patch.setattr(search, "sample_proposal", recording_sample)
         rng = oracles.loop_only(np.random.default_rng(0))
         run_image(model, salience, replace(config, max_iterations=50), annotation, rng, watch)
     assert len(changes) == 1
-    return hits[0], changes[0]
+    assert drawn.keys() == {c for c, law in changes[0].items() if law is not None}
+    return hits[0], changes[0], drawn
 
 
 def assert_prior(model, dist, category):
@@ -215,15 +224,16 @@ def assert_prior(model, dist, category):
 
 def test_initial_distributions_are_uniform_with_prior_boxes(synthetic_model):
     config = MethodConfig(situation_model="none", cell_size=4)
-    _, dists = dists_after_first_detection(synthetic_model, config, scaled_annotation())
+    _, laws, dists = dists_after_first_detection(synthetic_model, config, scaled_annotation())
     for cat in CATS:
+        assert dists[cat] is laws[cat]
         assert_prior(synthetic_model, dists[cat], cat)
 
 
 def test_initial_distributions_follow_frame_shape(synthetic_model):
     config = MethodConfig(situation_model="none", cell_size=4)
-    _, wide = dists_after_first_detection(synthetic_model, config, scaled_annotation(2000, 500))
-    _, tall = dists_after_first_detection(synthetic_model, config, scaled_annotation(500, 2000))
+    *_, wide = dists_after_first_detection(synthetic_model, config, scaled_annotation(2000, 500))
+    *_, tall = dists_after_first_detection(synthetic_model, config, scaled_annotation(500, 2000))
     w_grid = wide["dog"].location.grid
     t_grid = tall["dog"].location.grid
     assert w_grid.shape != t_grid.shape
@@ -246,33 +256,42 @@ def test_empty_workspace_matches_initial(synthetic_model):
     config = MethodConfig(
         location_prior="salience", situation_model="learned", cell_size=4
     )
-    walker, dists = dists_after_first_detection(
+    walker, laws, dists = dists_after_first_detection(
         synthetic_model, config, scaled_annotation(), salience=salience
     )
-    assert dists["dog_walker"].location is salience
+    assert laws["dog_walker"].location is dists["dog_walker"].location is salience
     for cat in ("dog", "leash"):
         cond = conditioned_distribution(synthetic_model, cat, {"dog_walker": walker}, frame, 4)
         np.testing.assert_array_equal(
             dists[cat].location.grid, combine(cond.location, salience).grid
         )
+        drawn_from_law = rasterize_2d(laws[cat].location, frame, 4, salience)
+        assert dists[cat].location.grid.tobytes() == drawn_from_law.grid.tobytes()
 
 
 def test_single_detection_matches_manual_pipeline(synthetic_model):
-    """The search's conditioning == condition() + rasterize_2d composed by hand."""
+    """The search's conditioning == condition() + rasterize_2d composed by hand:
+    the shown law bit for bit, and the map drawn from."""
     frame = normalize_frame(640, 480)
     config = MethodConfig(cell_size=4)
-    walker_box, dists = dists_after_first_detection(synthetic_model, config, scaled_annotation())
+    walker_box, laws, dists = dists_after_first_detection(
+        synthetic_model, config, scaled_annotation()
+    )
 
     alpha, gamma = box_descriptor(walker_box, frame)
     for cat in ("dog", "leash"):
         pair = synthetic_model.loc_joints[("dog_walker", cat)]
         loc = condition(pair, {"x_dog_walker": walker_box.cx, "y_dog_walker": walker_box.cy})
-        expected_map = rasterize_2d(loc, frame, cell_size=4)
-        np.testing.assert_allclose(dists[cat].location.grid, expected_map.grid, atol=1e-9)
         box_joint = synthetic_model.box_joints[("dog_walker", cat)]
         expected_box = condition(
             box_joint, {"alpha_dog_walker": alpha, "gamma_dog_walker": gamma}
         )
+        for got, expected in ((laws[cat].location, loc), (laws[cat].alpha_gamma, expected_box)):
+            assert got.dims == expected.dims
+            for name in ("mean", "cov"):
+                assert getattr(got, name).tobytes() == getattr(expected, name).tobytes()
+        expected_map = rasterize_2d(loc, frame, cell_size=4)
+        assert dists[cat].location.grid.tobytes() == expected_map.grid.tobytes()
         np.testing.assert_allclose(dists[cat].alpha_gamma.mean, expected_box.mean)
         np.testing.assert_allclose(dists[cat].alpha_gamma.cov, expected_box.cov)
 
@@ -328,7 +347,8 @@ def test_learned_and_loaded_tables_hold_one_joint_per_category_set(synthetic_mod
 
 def test_self_detection_leaves_own_distributions_alone(synthetic_model):
     config = MethodConfig(cell_size=4)
-    _, dists = dists_after_first_detection(synthetic_model, config, scaled_annotation())
+    _, laws, dists = dists_after_first_detection(synthetic_model, config, scaled_annotation())
+    assert laws["dog_walker"] is dists["dog_walker"]
     assert_prior(synthetic_model, dists["dog_walker"], "dog_walker")
     assert not np.allclose(dists["dog"].location.grid, dists["dog_walker"].location.grid)
 
@@ -359,10 +379,18 @@ def test_two_detections_concentrate_leash_map(synthetic_model):
 def test_provisional_and_final_condition_identically(synthetic_model):
     # Scoring draws no randomness, so both runs file the same first box.
     config = MethodConfig(cell_size=8)
-    box_a, a = dists_after_first_detection(synthetic_model, config, scaled_annotation(), 0.3)
-    box_b, b = dists_after_first_detection(synthetic_model, config, scaled_annotation(), 0.9)
+    box_a, laws_a, a = dists_after_first_detection(
+        synthetic_model, config, scaled_annotation(), 0.3
+    )
+    box_b, laws_b, b = dists_after_first_detection(
+        synthetic_model, config, scaled_annotation(), 0.9
+    )
     assert box_a == box_b
     for cat in ("dog", "leash"):
+        for name in ("mean", "cov"):
+            for part in ("location", "alpha_gamma"):
+                law_a, law_b = getattr(laws_a[cat], part), getattr(laws_b[cat], part)
+                assert getattr(law_a, name).tobytes() == getattr(law_b, name).tobytes()
         np.testing.assert_array_equal(a[cat].location.grid, b[cat].location.grid)
         np.testing.assert_array_equal(a[cat].alpha_gamma.mean, b[cat].alpha_gamma.mean)
 
