@@ -85,12 +85,17 @@ def annotation_from_dict(doc: dict, source: str = "<memory>") -> SituationAnnota
             if category in boxes:
                 raise DatasetError(f"duplicate category {category!r}")
             boxes[category] = tuple(json_number(obj[k], f"objects[{i}].{k}") for k in "xywh")
+        image_id, image = doc["image_id"], doc.get("image")
+        if not isinstance(image_id, str):
+            raise ValueError(f"image_id must be a string, got {image_id!r}")
+        if "image" in doc and not isinstance(image, str):
+            raise ValueError(f"image must be a string path, got {image!r}")
         return SituationAnnotation(
-            image_id=str(doc["image_id"]),
+            image_id=image_id,
             width=json_integer(doc["width"], "width"),
             height=json_integer(doc["height"], "height"),
             boxes=boxes,
-            image_path=doc.get("image"),
+            image_path=image,
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{source}: malformed annotation ({exc})") from exc
@@ -184,6 +189,14 @@ def generator_config_to_dict(config: GeneratorConfig) -> dict:
     }
 
 
+def _gaussian_section(section: str, doc: dict) -> MultivariateGaussian:
+    """A generator config's Gaussian; its errors name its section."""
+    try:
+        return gaussian_from_dict(doc[section])
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"{section}: {exc}") from exc
+
+
 def generator_config_from_dict(doc: dict, source: str = "<memory>") -> GeneratorConfig:
     """A config from its JSON document, whose categories, if given, are the shipped ones."""
     try:
@@ -196,8 +209,8 @@ def generator_config_from_dict(doc: dict, source: str = "<memory>") -> Generator
         config = GeneratorConfig(
             width=json_integer(doc["width"], "width"),
             height=json_integer(doc["height"], "height"),
-            location=gaussian_from_dict(doc["location"]),
-            box=gaussian_from_dict(doc["box"]),
+            location=_gaussian_section("location", doc),
+            box=_gaussian_section("box", doc),
             seed=json_integer(doc.get("seed", 0), "seed"),
         )
         clamping = doc.get("clamping", "translate")

@@ -154,6 +154,40 @@ def test_annotation_reads_only_json_numbers_naming_file_and_field(tmp_path, key,
         load_annotation(path)
 
 
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("image_id", None, "image_id must be a string, got None"),
+        ("image_id", ["scene_3"], "image_id must be a string, got ['scene_3']"),
+        ("image_id", 3, "image_id must be a string, got 3"),
+        ("image", 5, "image must be a string path, got 5"),
+        ("image", None, "image must be a string path, got None"),
+        ("image", ["a.pgm"], "image must be a string path, got ['a.pgm']"),
+    ],
+    ids=["id-null", "id-list", "id-number", "image-number", "image-null", "image-list"],
+)
+def test_annotation_reads_only_string_ids_and_paths_naming_file_and_field(
+    tmp_path, key, value, message
+):
+    doc = annotation_to_dict(make_annotation("scene_3"))
+    doc[key] = value
+    path = tmp_path / "scene_3.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ParseError, match=re.escape(f"{path}: malformed annotation ({message})")):
+        load_annotation(path)
+
+
+def test_an_annotation_without_an_image_loads_with_none(tmp_path):
+    doc = annotation_to_dict(make_annotation("scene_3"))
+    assert "image" not in doc
+    path = tmp_path / "scene_3.json"
+    path.write_text(json.dumps(doc))
+    assert load_annotation(path).image_path is None
+    doc["image"] = "scene_3.pgm"
+    path.write_text(json.dumps(doc))
+    assert load_annotation(path).image_path == str(tmp_path / "scene_3.pgm")
+
+
 def test_an_integral_json_number_reads_as_an_integer(tmp_path):
     doc = annotation_to_dict(make_annotation("scene_3"))
     doc["width"], doc["objects"][0]["x"] = 640.0, int(doc["objects"][0]["x"])
@@ -325,6 +359,31 @@ def test_generator_config_reads_only_json_numbers_naming_file_and_field(
     section[key] = value
     config.write_text(json.dumps(doc))
     with pytest.raises(error, match=re.escape(f"{config}: ") + ".*" + re.escape(message)):
+        load_generator_config(config)
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (("box", "cov", 0), -1.0, "box: covariance is not PSD"),
+        (
+            ("location", "mean", 1),
+            "0.1",
+            "location: malformed gaussian document: mean[1] must be a number, got '0.1'",
+        ),
+    ],
+    ids=["negative-box-variance", "string-location-mean"],
+)
+def test_generator_config_gaussian_errors_name_their_section_and_file(
+    tmp_path, path, value, message
+):
+    config = tmp_path / "config.json"
+    save_generator_config(default_generator_config(), config)
+    doc = json.loads(config.read_text())
+    section, name, index = path
+    doc[section][name][index] = value
+    config.write_text(json.dumps(doc))
+    with pytest.raises(InvalidInputError, match=re.escape(f"{config}: {message}")):
         load_generator_config(config)
 
 
