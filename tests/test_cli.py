@@ -292,7 +292,8 @@ def test_run_trace_matches_pinned_digest(small_synthetic_dataset, tmp_path, meth
 # SHA-256 of ``run --trace --snapshots`` in TRACE_DIGESTS' setup: the trace,
 # stdout, and every snapshot's name and bytes in name order, each part
 # preceded by its length. The context-free runs are watched proposal by
-# proposal; the conditioned ones draw every shown map.
+# proposal; the conditioned ones show laws, whose panels at cell size 8
+# sample every cell of their blocks and shade as the drawn maps' block sums.
 WATCHED_RUN_DIGESTS = {
     "uniform-learned-none": "0eb8e974f08c05384ad604de8c643ac4c62434d3b784cd02b2c31b07b63ca975",
     "uniform-uniform-none": "2af22b50cb59076b614acb7dbd4b8f4db08139552fbb6fc41d6b6d58a3c443ec",
