@@ -12,7 +12,8 @@ import weakref
 
 import numpy as np
 
-from .gaussian import LocationMap, MultivariateGaussian, cell_centers, cell_masses
+from .gaussian import LocationMap, MultivariateGaussian, cell_centers, cell_masses, check_grid
+from .gaussian import grid_shape
 
 PALETTE = [
     "#d94a4a",
@@ -43,6 +44,24 @@ def _svg_open(width: int, height: int) -> list[str]:
     ]
 
 
+def _chart_open(width: int, height: int, title: str) -> list[str]:
+    """``_svg_open`` and a report chart's title, centred above the chart."""
+    return [
+        *_svg_open(width, height),
+        f'<text x="{width / 2}" y="26" text-anchor="middle" font-size="16" '
+        f'fill="#333">{escape(title)}</text>',
+    ]
+
+
+def _axis_label(x: float, y: float, label: str, upright: bool) -> str:
+    """An axis's label centred at (x, y); an ``upright`` one is turned to read upward."""
+    turn = f' transform="rotate(-90, {x}, {y})"' if upright else ""
+    return (
+        f'<text x="{x}" y="{y}" text-anchor="middle" font-size="12" '
+        f'fill="#666"{turn}>{escape(label)}</text>'
+    )
+
+
 def _axis_ticks(max_value: float) -> list[float]:
     if max_value <= 0:
         return [0.0]
@@ -69,11 +88,7 @@ def bar_chart_svg(entries: list[tuple[str, int | None]], title: str, value_label
     finite = [v for _, v in entries if v is not None]
     vmax = max(finite) * 1.1 if finite else 1.0
 
-    svg = _svg_open(width, height)
-    svg.append(
-        f'<text x="{width / 2}" y="26" text-anchor="middle" font-size="16" '
-        f'fill="#333">{escape(title)}</text>'
-    )
+    svg = _chart_open(width, height, title)
     for tick in _axis_ticks(vmax):
         x = left + (tick / vmax) * chart_w
         svg.append(
@@ -110,10 +125,7 @@ def bar_chart_svg(entries: list[tuple[str, int | None]], title: str, value_label
                 f'<text x="{left + bar_w + 6:.1f}" y="{y + row_h / 2}" font-size="11" '
                 f'fill="#333">{value:g}</text>'
             )
-    svg.append(
-        f'<text x="{left + chart_w / 2}" y="{height - 6}" text-anchor="middle" '
-        f'font-size="12" fill="#666">{escape(value_label)}</text>'
-    )
+    svg.append(_axis_label(left + chart_w / 2, height - 6, value_label, False))
     svg.append("</svg>")
     return "\n".join(svg)
 
@@ -129,11 +141,7 @@ def line_chart_svg(
     n = max((len(values) for _, values in series), default=1)
     y_max = max(y_max, 1)
 
-    svg = _svg_open(width, height)
-    svg.append(
-        f'<text x="{width / 2}" y="26" text-anchor="middle" font-size="16" '
-        f'fill="#333">{escape(title)}</text>'
-    )
+    svg = _chart_open(width, height, title)
     for tick in _axis_ticks(y_max):
         y = top + chart_h - (tick / y_max) * chart_h
         svg.append(
@@ -181,14 +189,8 @@ def line_chart_svg(
         f'<line x1="{left}" y1="{top + chart_h}" x2="{left + chart_w}" '
         f'y2="{top + chart_h}" stroke="#333"/>'
     )
-    svg.append(
-        f'<text x="{left + chart_w / 2}" y="{height - 12}" text-anchor="middle" '
-        f'font-size="12" fill="#666">{escape(x_label)}</text>'
-    )
-    svg.append(
-        f'<text x="18" y="{top + chart_h / 2}" text-anchor="middle" font-size="12" '
-        f'fill="#666" transform="rotate(-90, 18, {top + chart_h / 2})">{escape(y_label)}</text>'
-    )
+    svg.append(_axis_label(left + chart_w / 2, height - 12, x_label, False))
+    svg.append(_axis_label(18, top + chart_h / 2, y_label, True))
     svg.append("</svg>")
     return "\n".join(svg)
 
@@ -212,11 +214,7 @@ def grouped_bar_svg(
     finite = [v for _, values in groups for v in values if v is not None]
     vmax = max(max(finite) * 1.15 if finite else 1.0, failure_height * 1.05)
 
-    svg = _svg_open(width, height)
-    svg.append(
-        f'<text x="{width / 2}" y="26" text-anchor="middle" font-size="16" '
-        f'fill="#333">{escape(title)}</text>'
-    )
+    svg = _chart_open(width, height, title)
     for tick in _axis_ticks(vmax):
         y = top + chart_h - (tick / vmax) * chart_h
         svg.append(
@@ -263,10 +261,7 @@ def grouped_bar_svg(
         svg.append(
             f'<text x="{x + 16}" y="{top - 12}" font-size="11" fill="#333">{escape(name)}</text>'
         )
-    svg.append(
-        f'<text x="18" y="{top + chart_h / 2}" text-anchor="middle" font-size="12" '
-        f'fill="#666" transform="rotate(-90, 18, {top + chart_h / 2})">{escape(value_label)}</text>'
-    )
+    svg.append(_axis_label(18, top + chart_h / 2, value_label, True))
     svg.append("</svg>")
     return "\n".join(svg)
 
@@ -333,21 +328,22 @@ def _coarse(
     cell_size: float,
     salience: LocationMap | None,
 ) -> np.ndarray:
-    """A panel's heat cells, once per location map or location Gaussian.
+    """A panel's heat cells, once per location map, and per location Gaussian and run grid.
 
     A map's are its block sums (``_heat_cells``); a Gaussian's come from
-    its law (``_law_cells``), with the ``cell_size`` and ``salience`` of
-    the run that conditioned it.
+    its law (``_law_cells``) on ``frame`` at ``cell_size``, folded with
+    ``salience`` if given, and are drawn again when any of those differs.
     """
-    coarse = _coarse_of.get(location)
-    if coarse is None:
-        if isinstance(location, LocationMap):
+    drawn_at = None if isinstance(location, LocationMap) else (frame, cell_size, salience)
+    entry = _coarse_of.get(location)
+    if entry is None or entry[0] != drawn_at:
+        if drawn_at is None:
             coarse = _heat_cells(location.grid)
         else:
             coarse = _law_cells(location, frame, cell_size, salience)
         coarse.flags.writeable = False
-        _coarse_of[location] = coarse
-    return coarse
+        entry = _coarse_of[location] = (drawn_at, coarse)
+    return entry[1]
 
 
 def _heat_rects(
@@ -384,8 +380,10 @@ def workspace_snapshot_svg(
     ``dists`` holds each category's law as ``run_image``'s ``shown()`` gives
     it. A location map's panel block-sums it; a location Gaussian's panel
     is evaluated at the panel's cells, with the run's ``cell_size`` and the
-    ``salience`` map its conditioned maps are folded with, if any.
+    ``salience`` map its conditioned maps are folded with, if any, which
+    must lie on the frame's grid at ``cell_size``.
     """
+    check_grid(grid_shape(frame, cell_size), salience)
     scale = 320.0 / frame.norm_width
     main_w = frame.norm_width * scale
     main_h = frame.norm_height * scale

@@ -196,17 +196,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         "out": args.out,
         "num_images": report.num_images,
         "folds": report.folds,
-        "methods": [
-            {
-                "label": m.label,
-                "median": m.median,
-                "failures": m.failure_count,
-                "t01": m.interval_medians[0],
-                "t12": m.interval_medians[1],
-                "t23": m.interval_medians[2],
-            }
-            for m in report.methods
-        ],
+        "methods": evaluation.summary_rows(report),
     }
     print(json.dumps(summary, sort_keys=True))
     return 0
@@ -275,15 +265,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
+    except (SituSearchError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except SituSearchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 2 if isinstance(exc, (ParseError, OSError)) else 1
 
 
 if __name__ == "__main__":

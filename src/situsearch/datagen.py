@@ -14,7 +14,6 @@ inward (never shrunk), preserving the drawn area and aspect ratios.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -23,8 +22,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DatasetError, GenerationError, InvalidInputError, ParseError
-from .errors import json_integer, json_number, read_json
-from .gaussian import MultivariateGaussian, gaussian_from_dict, gaussian_to_dict
+from .errors import json_document, json_integer, json_number, read_json
+from .gaussian import MultivariateGaussian, gaussian_from_section, gaussian_to_dict
 from .geometry import normalize_frame, to_original
 from .seeding import rng_for, stable_seed
 from .situation_model import DEFAULT_CATEGORIES, box_dims, box_from_descriptor, loc_dims
@@ -104,7 +103,7 @@ def annotation_from_dict(doc: dict, source: str = "<memory>") -> SituationAnnota
 
 
 def save_annotation(ann: SituationAnnotation, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(annotation_to_dict(ann), indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(json_document(annotation_to_dict(ann)))
 
 
 def load_annotation(path: str | Path) -> SituationAnnotation:
@@ -189,14 +188,6 @@ def generator_config_to_dict(config: GeneratorConfig) -> dict:
     }
 
 
-def _gaussian_section(section: str, doc: dict) -> MultivariateGaussian:
-    """A generator config's Gaussian; its errors name its section."""
-    try:
-        return gaussian_from_dict(doc[section])
-    except InvalidInputError as exc:
-        raise InvalidInputError(f"{section}: {exc}") from exc
-
-
 def generator_config_from_dict(doc: dict, source: str = "<memory>") -> GeneratorConfig:
     """A config from its JSON document, whose categories, if given, are the shipped ones."""
     try:
@@ -209,8 +200,8 @@ def generator_config_from_dict(doc: dict, source: str = "<memory>") -> Generator
         config = GeneratorConfig(
             width=json_integer(doc["width"], "width"),
             height=json_integer(doc["height"], "height"),
-            location=_gaussian_section("location", doc),
-            box=_gaussian_section("box", doc),
+            location=gaussian_from_section("location", doc["location"]),
+            box=gaussian_from_section("box", doc["box"]),
             seed=json_integer(doc.get("seed", 0), "seed"),
         )
         clamping = doc.get("clamping", "translate")
@@ -224,9 +215,7 @@ def generator_config_from_dict(doc: dict, source: str = "<memory>") -> Generator
 
 
 def save_generator_config(config: GeneratorConfig, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(generator_config_to_dict(config), indent=2, sort_keys=True) + "\n"
-    )
+    Path(path).write_text(json_document(generator_config_to_dict(config)))
 
 
 def load_generator_config(path: str | Path) -> GeneratorConfig:

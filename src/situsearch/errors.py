@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the JSON file reader that raises them."""
+"""Exception types shared across the package, and the JSON file reader and writer."""
 
 import json
 from pathlib import Path
@@ -38,6 +38,11 @@ def read_json(path: str | Path):
         return json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}:{exc.lineno}: invalid JSON ({exc.msg})") from exc
+
+
+def json_document(doc) -> str:
+    """A JSON file's text as the package writes it: indent 2, sorted keys, final newline."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def json_number(value, field: str) -> float:

@@ -16,7 +16,6 @@ from __future__ import annotations
 import contextlib
 import csv
 import io
-import json
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -26,7 +25,7 @@ import numpy as np
 # workspace_snapshot_svg is unused here; the benchmark tracer patches this module attribute.
 from .charts import bar_chart_svg, grouped_bar_svg, line_chart_svg, workspace_snapshot_svg
 from .datagen import SituationAnnotation, render_annotation_image, split_folds
-from .errors import InvalidInputError
+from .errors import InvalidInputError, json_document
 from .gaussian import LocationMap
 from .geometry import normalize_frame
 from .images import read_pnm
@@ -138,12 +137,7 @@ def detection_interval_stats(results: Sequence) -> tuple[int | None, int | None,
     """Medians of per-image times to first, first-to-second, second-to-third."""
     if not results:
         raise InvalidInputError("interval stats of an empty result list")
-    per_image = [_intervals(r) for r in results]
-    return (
-        median_iterations(t[0] for t in per_image),
-        median_iterations(t[1] for t in per_image),
-        median_iterations(t[2] for t in per_image),
-    )
+    return tuple(median_iterations(t) for t in zip(*(_intervals(r) for r in results)))
 
 
 def cumulative_curve(results: Sequence, max_iterations: int) -> list[int]:
@@ -351,17 +345,24 @@ def report_to_dict(report: ExperimentReport) -> dict:
     }
 
 
-def _fmt(value: int | None) -> str:
-    return "Failure" if value is None else str(value)
+SUMMARY_COLUMNS = ("label", "median", "failures", "t01", "t12", "t23")
+
+
+def summary_rows(report: ExperimentReport) -> list[dict]:
+    """Each method's label, median, failure count and interval medians; None is a Failure."""
+    return [
+        dict(zip(SUMMARY_COLUMNS, (m.label, m.median, m.failure_count, *m.interval_medians)))
+        for m in report.methods
+    ]
 
 
 def summary_csv_text(report: ExperimentReport) -> str:
+    """summary.csv: ``summary_rows`` under a ``method`` column, a None written Failure."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["method", "median", "failures", "t01", "t12", "t23"])
-    for m in report.methods:
-        t01, t12, t23 = m.interval_medians
-        writer.writerow([m.label, _fmt(m.median), m.failure_count, _fmt(t01), _fmt(t12), _fmt(t23)])
+    writer.writerow(["method", *SUMMARY_COLUMNS[1:]])
+    for row in summary_rows(report):
+        writer.writerow(["Failure" if v is None else v for v in row.values()])
     return buf.getvalue()
 
 
@@ -370,7 +371,7 @@ def emit_report(report: ExperimentReport, directory: str | Path) -> list[Path]:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     texts = {
-        "report.json": json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n",
+        "report.json": json_document(report_to_dict(report)),
         "summary.csv": summary_csv_text(report),
         "medians_bar.svg": bar_chart_svg(
             [(m.label, m.median) for m in report.methods],

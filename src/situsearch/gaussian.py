@@ -386,7 +386,12 @@ def uniform_map(frame: ImageFrame, cell_size: float = 1.0) -> LocationMap:
 
 
 def default_epsilon(num_cells: int) -> float:
-    """The floor a fold adds to each cell: 1e-6 spread across the grid."""
+    """The floor a fold adds to each cell, 1e-6 over the grid.
+
+    A product of two normalized maps sums to far less than 1, so once it is
+    renormalized the floor holds about a sixth of a salience-folded map's
+    mass; ROADMAP item 3 makes that share an explicit fraction.
+    """
     return 1e-6 / num_cells
 
 
@@ -420,8 +425,7 @@ def rasterize_2d(
     if dist.dim != 2:
         raise InvalidInputError(f"rasterize_2d needs a 2-d distribution, got {dist.dim}-d")
     xs, ys = cell_centers(frame, cell_size)
-    if weights is not None and weights.grid.shape != (len(ys), len(xs)):
-        raise InvalidInputError(f"grid shapes differ: {(len(ys), len(xs))} vs {weights.shape}")
+    check_grid((len(ys), len(xs)), weights)
     grid = cell_masses(
         dist, xs, ys, None if weights is None else weights.grid, None if out is None else out[0]
     )
@@ -429,6 +433,12 @@ def rasterize_2d(
     if out is not None:
         lmap._cdf_buffer = out[1].reshape(-1)
     return lmap
+
+
+def check_grid(shape: tuple[int, int], weights: LocationMap | None) -> None:
+    """Reject a weights map, such as salience, that is not on a grid of ``shape``."""
+    if weights is not None and weights.shape != shape:
+        raise InvalidInputError(f"grid shapes differ: {shape} vs {weights.shape}")
 
 
 def cell_masses(
@@ -442,7 +452,7 @@ def cell_masses(
 
     Each cell's mass is proportional to the 2-d density at its centre, and
     the masses sum to 1. With ``weights``, a grid of the same shape, they
-    are folded with it and renormalized.
+    are multiplied by it, given ``default_epsilon``'s floor, and renormalized.
     """
     grid = dist.pdf_grid(xs, ys, out)
     try:
@@ -484,3 +494,11 @@ def gaussian_from_dict(data: Mapping) -> MultivariateGaussian:
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInputError(f"malformed gaussian document: {exc}") from exc
     return MultivariateGaussian(dims=dims, mean=mean, cov=cov, epsilon=epsilon)
+
+
+def gaussian_from_section(section: str, doc: Mapping) -> MultivariateGaussian:
+    """``gaussian_from_dict`` of a file's section; its errors name the section."""
+    try:
+        return gaussian_from_dict(doc)
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"{section}: {exc}") from exc

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvalidInputError
-from .gaussian import LocationMap, _normalize, default_epsilon, fold, grid_shape
+from .gaussian import LocationMap, _normalize, check_grid, default_epsilon, fold, grid_shape
 from .geometry import ImageFrame
 
 CENTER_SIGMAS = (2.0, 4.0, 8.0)  # in rasterization cells
@@ -190,14 +190,12 @@ def save_salience(salience: LocationMap, path: str | Path) -> None:
 def combine(location: LocationMap, salience: LocationMap) -> LocationMap:
     """Pointwise product of two maps plus a floor, renormalized.
 
-    The floor, 1e-6 spread across the grid, keeps every cell reachable even
-    where the supports are disjoint. The search folds salience into each
-    conditioned map as it rasterizes it (``rasterize_2d`` with ``weights``),
-    with this same arithmetic.
+    The floor (``default_epsilon``, about a sixth of the result's mass for a
+    conditioned map and salience) keeps every cell reachable even where the
+    supports are disjoint. The search folds salience into each conditioned
+    map as it rasterizes it (``rasterize_2d`` with ``weights``), with this
+    same arithmetic.
     """
-    if location.grid.shape != salience.grid.shape:
-        raise InvalidInputError(
-            f"grid shapes differ: {location.grid.shape} vs {salience.grid.shape}"
-        )
+    check_grid(location.grid.shape, salience)
     product = fold(np.array(location.grid), salience.grid, default_epsilon(location.grid.size))
     return LocationMap._adopt(location.frame, location.cell_size, _normalize(product))

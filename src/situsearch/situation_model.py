@@ -22,7 +22,6 @@ provisional detections condition exactly like final ones.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import sys
 from dataclasses import dataclass
@@ -31,14 +30,15 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import DatasetError, InsufficientDataError, InvalidInputError, json_number, read_json
+from .errors import DatasetError, InsufficientDataError, InvalidInputError
+from .errors import json_document, json_number, read_json
 from .gaussian import (
     FIT_RIDGE_FLOOR,
     LocationMap,
     MultivariateGaussian,
     condition,
     fit,
-    gaussian_from_dict,
+    gaussian_from_section,
     gaussian_to_dict,
     rasterize_2d,
     uniform_map,  # unused here; the benchmark tracer patches this module attribute
@@ -324,10 +324,7 @@ def _box_prior_from_dict(category: str, doc: Mapping) -> MultivariateGaussian:
 def _joint_from_dict(section: str, doc: Mapping, dims: tuple[str, ...]) -> MultivariateGaussian:
     """One joint of a model document; its errors name its section."""
     _check_keys(section, [k for k in doc if k != "epsilon"], ("dims", "mean", "cov"))
-    try:
-        joint = gaussian_from_dict(doc)
-    except InvalidInputError as exc:
-        raise InvalidInputError(f"{section}: {exc}") from exc
+    joint = gaussian_from_section(section, doc)
     if joint.dims != dims:
         raise InvalidInputError(f"{section} has dims {list(joint.dims)}, expected {list(dims)}")
     return joint
@@ -367,7 +364,7 @@ def model_from_dict(data: Mapping) -> SituationModel:
 
 
 def save_model(model: SituationModel, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(model_to_dict(model), indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(json_document(model_to_dict(model)))
 
 
 def load_model(path: str | Path) -> SituationModel:

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import replace
 from xml.sax.saxutils import escape as sax_escape
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -13,10 +15,11 @@ from hypothesis.extra.numpy import arrays
 from situsearch import charts, search
 from situsearch.charts import _heat_rects, workspace_snapshot_svg
 from situsearch.evaluation import config_for_token, salience_for_annotation
-from situsearch.gaussian import LocationMap, rasterize_2d
+from situsearch.errors import InvalidInputError
+from situsearch.gaussian import LocationMap, MultivariateGaussian, grid_shape, rasterize_2d
 from situsearch.geometry import normalize_frame, to_normalized
 from situsearch.search import run_image
-from situsearch.situation_model import learn
+from situsearch.situation_model import DEFAULT_CATEGORIES, conditioned_law, learn
 
 
 def loop_heat_rects(coarse, peak, left, top, cw, ch) -> list[str]:
@@ -160,6 +163,56 @@ def test_conditioned_panels_shade_the_maps_the_run_draws_from(
             run_image(model, salience, config, ann, np.random.default_rng(1), watch)
     assert panels > drawn > 100
     assert worst <= 10
+
+
+@pytest.fixture(scope="module")
+def dog_law_given_walker(small_synthetic_dataset):
+    """A held-out image's frame and salience, and the dog's law given the walker's true box."""
+    ann = small_synthetic_dataset[40]
+    frame = normalize_frame(ann.width, ann.height)
+    walker = to_normalized(*ann.boxes["dog_walker"], frame)
+    law = conditioned_law(learn(small_synthetic_dataset[:40]), "dog", {"dog_walker": walker}, frame)
+    return frame, salience_for_annotation(ann, 1.0), law
+
+
+def dog_panel_svg(frame, law, cell_size, salience) -> str:
+    """The snapshot of an empty Workspace showing only the dog's law."""
+    workspace = search.Workspace(DEFAULT_CATEGORIES, True)
+    return workspace_snapshot_svg(frame, {}, workspace, {"dog": law}, 1, cell_size, salience)
+
+
+def fresh(law):
+    """The same law in a new location Gaussian, which no panel has been drawn from."""
+    location = law.location
+    return replace(law, location=MultivariateGaussian(location.dims, location.mean, location.cov))
+
+
+def test_a_laws_panel_is_redrawn_at_another_cell_size(dog_law_given_walker):
+    frame, _, law = dog_law_given_walker
+    coarse, fine = dog_panel_svg(frame, law, 8.0, None), dog_panel_svg(frame, law, 1.0, None)
+    assert coarse == dog_panel_svg(frame, fresh(law), 8.0, None)
+    assert fine == dog_panel_svg(frame, fresh(law), 1.0, None) != coarse
+
+
+def test_a_laws_panel_is_redrawn_with_another_salience_map(dog_law_given_walker):
+    frame, salience, law = dog_law_given_walker
+    plain, folded = dog_panel_svg(frame, law, 1.0, None), dog_panel_svg(frame, law, 1.0, salience)
+    assert plain == dog_panel_svg(frame, fresh(law), 1.0, None)
+    assert folded == dog_panel_svg(frame, fresh(law), 1.0, salience) != plain
+    assert dog_panel_svg(frame, law, 1.0, None) == plain
+
+
+@pytest.mark.parametrize(
+    "salience_cell, cell_size", [(1.0, 8.0), (8.0, 1.0)], ids=["finer", "coarser"]
+)
+def test_a_salience_map_on_another_grid_is_rejected_naming_both_shapes(
+    dog_law_given_walker, small_synthetic_dataset, salience_cell, cell_size
+):
+    frame, _, law = dog_law_given_walker
+    salience = salience_for_annotation(small_synthetic_dataset[40], salience_cell)
+    shapes = f"grid shapes differ: {grid_shape(frame, cell_size)} vs {salience.shape}"
+    with pytest.raises(InvalidInputError, match=re.escape(shapes)):
+        dog_panel_svg(frame, law, cell_size, salience)
 
 
 @given(st.text(alphabet=st.sampled_from("&<>;amplgt# \"'x\u00e9\n")) | st.text())

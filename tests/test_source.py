@@ -34,11 +34,9 @@ def unused_imports(source: str) -> set[str]:
 
 
 def test_no_module_imports_a_name_it_never_uses():
-    # The package's __init__ imports its public names for its users.
     found = {
         (path.stem, name)
         for path in sorted(PACKAGE.glob("*.py"))
-        if path.name != "__init__.py"
         for name in unused_imports(path.read_text())
     }
     assert found == TRACER_ONLY_IMPORTS
