@@ -12,8 +12,7 @@ import weakref
 
 import numpy as np
 
-from .gaussian import LocationMap, MultivariateGaussian, cell_centers, cell_masses, check_grid
-from .gaussian import grid_shape
+from .gaussian import GaussianMap, LocationMap, cell_centers, cell_masses
 
 PALETTE = [
     "#d94a4a",
@@ -296,54 +295,45 @@ def _block_samples(n: int, factor: int) -> tuple[np.ndarray, np.ndarray]:
     return (starts[:, None] + offsets.astype(int)).ravel(), extents / samples
 
 
-def _law_cells(
-    location: MultivariateGaussian, frame, cell_size: float, salience: LocationMap | None
-) -> np.ndarray:
-    """``_heat_cells`` of a location Gaussian's map, estimated from a few of each block's cells.
+def _law_cells(location: GaussianMap) -> np.ndarray:
+    """``_heat_cells`` of a Gaussian's map, estimated from a few of each block's cells.
 
-    The map at ``cell_size``, folded with ``salience`` if given, is evaluated
+    The map is evaluated from its Gaussian, folded with its weights if any,
     only at the cells ``_block_samples`` picks, and each block sums its
-    samples, each weighted by the cells it stands for.
+    samples, each weighted by the cells it stands for. Its grid is not built.
     """
-    xs, ys = cell_centers(frame, cell_size)
+    xs, ys = cell_centers(location.frame, location.cell_size)
     factor = _heat_factor(len(xs))
     rows, row_spans = _block_samples(len(ys), factor)
     cols, col_spans = _block_samples(len(xs), factor)
-    weights = None if salience is None else salience.grid[np.ix_(rows, cols)]
-    masses = cell_masses(location, xs[cols], ys[rows], weights, None)
+    weights = None if location.weights is None else location.weights.grid[np.ix_(rows, cols)]
+    masses = cell_masses(location.gaussian, xs[cols], ys[rows], weights, None)
     samples = min(HEAT_SAMPLES, factor)
     blocks = sum(masses[:, j::samples] for j in range(samples))
     blocks = sum(blocks[j::samples] for j in range(samples))
     return blocks * row_spans[:, None] * col_spans
 
 
-# Each location map's or law's heat cells, held only as long as it is: a
-# run's snapshots show an unchanged one again at every later change.
+# Each location map's heat cells, held only as long as the map is: a run's
+# snapshots show an unchanged law again at every later change.
 _coarse_of: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _coarse(
-    location: LocationMap | MultivariateGaussian,
-    frame,
-    cell_size: float,
-    salience: LocationMap | None,
-) -> np.ndarray:
-    """A panel's heat cells, once per location map, and per location Gaussian and run grid.
+def _coarse(location: LocationMap) -> np.ndarray:
+    """A panel's heat cells, once per location map.
 
-    A map's are its block sums (``_heat_cells``); a Gaussian's come from
-    its law (``_law_cells``) on ``frame`` at ``cell_size``, folded with
-    ``salience`` if given, and are drawn again when any of those differs.
+    A Gaussian's map is shaded from its Gaussian (``_law_cells``); any other
+    map block-sums its grid (``_heat_cells``).
     """
-    drawn_at = None if isinstance(location, LocationMap) else (frame, cell_size, salience)
-    entry = _coarse_of.get(location)
-    if entry is None or entry[0] != drawn_at:
-        if drawn_at is None:
-            coarse = _heat_cells(location.grid)
+    coarse = _coarse_of.get(location)
+    if coarse is None:
+        if isinstance(location, GaussianMap):
+            coarse = _law_cells(location)
         else:
-            coarse = _law_cells(location, frame, cell_size, salience)
+            coarse = _heat_cells(location.grid)
         coarse.flags.writeable = False
-        entry = _coarse_of[location] = (drawn_at, coarse)
-    return entry[1]
+        _coarse_of[location] = coarse
+    return coarse
 
 
 def _heat_rects(
@@ -372,18 +362,13 @@ def workspace_snapshot_svg(
     workspace,
     dists: dict | None,
     iteration: int,
-    cell_size: float,
-    salience: LocationMap | None,
 ) -> str:
     """One frame of a run: the Workspace plus per-category location heatmaps.
 
     ``dists`` holds each category's law as ``run_image``'s ``shown()`` gives
-    it. A location map's panel block-sums it; a location Gaussian's panel
-    is evaluated at the panel's cells, with the run's ``cell_size`` and the
-    ``salience`` map its conditioned maps are folded with, if any, which
-    must lie on the frame's grid at ``cell_size``.
+    it. A prior map's panel block-sums its grid; a conditioned Gaussian's
+    map's panel is evaluated at the panel's cells, and builds no grid.
     """
-    check_grid(grid_shape(frame, cell_size), salience)
     scale = 320.0 / frame.norm_width
     main_w = frame.norm_width * scale
     main_h = frame.norm_height * scale
@@ -450,7 +435,7 @@ def workspace_snapshot_svg(
                 f'fill="#999" text-anchor="middle">final</text>'
             )
         else:
-            coarse = _coarse(dist.location, frame, cell_size, salience)
+            coarse = _coarse(dist.location)
             peak = float(coarse.max()) or 1.0
             cw = panel_w / coarse.shape[1]
             ch = map_h / coarse.shape[0]

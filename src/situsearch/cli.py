@@ -162,9 +162,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             if snap_dir is not None and shown is not None:
                 snapshots += 1
                 path = snap_dir / f"snapshot_{snapshots:04d}_iter{iteration:05d}.svg"
-                svg = workspace_snapshot_svg(
-                    frame, ground_truth, workspace, shown(), iteration, config.cell_size, salience
-                )
+                svg = workspace_snapshot_svg(frame, ground_truth, workspace, shown(), iteration)
                 path.write_text(svg)
 
         watched = trace is not None or snap_dir is not None

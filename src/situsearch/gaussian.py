@@ -310,7 +310,8 @@ class LocationMap:
     (-norm_width/2 + j*cell_size, -norm_height/2 + i*cell_size). Cells are
     non-negative and sum to 1. Instances are immutable in practice: the grid
     is read-only and the sampling CDF is cached. The constructor normalizes
-    a copy of the grid it is given.
+    a copy of the grid it is given; a ``GaussianMap`` builds its grid from
+    its Gaussian when the grid is first read.
     """
 
     frame: ImageFrame
@@ -352,6 +353,35 @@ class LocationMap:
         x = -hx + (col + ux) * self.cell_size
         y = -hy + (row + uy) * self.cell_size
         return min(x, hx), min(y, hy)
+
+
+class GaussianMap(LocationMap):
+    """``rasterize_2d``'s map of a 2-d ``gaussian`` on a frame's grid, folded with ``weights``.
+
+    Its grid is built when first read, by a draw or otherwise, and its CDF
+    when first drawn from: in ``out`` when given (see rasterize_2d).
+    """
+
+    def __init__(
+        self,
+        gaussian: MultivariateGaussian,
+        frame: ImageFrame,
+        cell_size: float,
+        weights: LocationMap | None,
+        out: np.ndarray | None,
+    ):
+        self.gaussian, self.frame, self.cell_size = gaussian, frame, cell_size
+        self.weights, self._out = weights, out
+        if out is not None:
+            self._cdf_buffer = out[1].reshape(-1)
+
+    @cached_property
+    def grid(self) -> np.ndarray:
+        xs, ys = cell_centers(self.frame, self.cell_size)
+        weights = None if self.weights is None else self.weights.grid
+        return _frozen(
+            cell_masses(self.gaussian, xs, ys, weights, None if self._out is None else self._out[0])
+        )
 
 
 def grid_shape(frame: ImageFrame, cell_size: float) -> tuple[int, int]:
@@ -411,7 +441,7 @@ def rasterize_2d(
     cell_size: float = 1.0,
     weights: LocationMap | None = None,
     out: np.ndarray | None = None,
-) -> LocationMap:
+) -> GaussianMap:
     """Location map with cell mass proportional to the density at cell centers.
 
     The distribution must be exactly 2-d with dims ordered (x, y). Mass is
@@ -419,20 +449,14 @@ def rasterize_2d(
     map on the same grid, such as salience) the normalized density is folded
     with it and renormalized, in the same buffer: the map
     ``salience.combine(rasterize_2d(dist, frame, cell_size), weights)`` gives.
+    The arguments are checked here; the grid is built when first read.
     With ``out``, a (2, rows, cols) float array, the grid is built in ``out[0]``
     and the CDF in ``out[1]``: the map holds only until ``out`` is reused.
     """
     if dist.dim != 2:
         raise InvalidInputError(f"rasterize_2d needs a 2-d distribution, got {dist.dim}-d")
-    xs, ys = cell_centers(frame, cell_size)
-    check_grid((len(ys), len(xs)), weights)
-    grid = cell_masses(
-        dist, xs, ys, None if weights is None else weights.grid, None if out is None else out[0]
-    )
-    lmap = LocationMap._adopt(frame, cell_size, grid)
-    if out is not None:
-        lmap._cdf_buffer = out[1].reshape(-1)
-    return lmap
+    check_grid(grid_shape(frame, cell_size), weights)
+    return GaussianMap(dist, frame, cell_size, weights, out)
 
 
 def check_grid(shape: tuple[int, int], weights: LocationMap | None) -> None:

@@ -13,15 +13,16 @@ provisional one) steers the search for the others. Methods with the
 salience location prior multiply every conditioned location map by the
 salience map as it is rasterized.
 
-Conditioning draws no random numbers, so a category's conditioned map is
-built only when that category is next drawn from, on the Workspace as it
-stood at its last change; a map replaced by a later change before any draw
-is never built. A watch is shown each category's law, the conditioned
-Gaussians before any grid, so watching a run builds no map. Between
-changes the loop is a tight sample/score/file cycle. A category's
-out-of-date map is released at the change that supersedes it, so it never
+Each category has one law at a time. Conditioning draws no random
+numbers, so a category's conditioned law is made only when that category
+is next drawn from or shown, on the Workspace as it stood at its last
+change, and its location map's grid is built only at its first draw; a
+law replaced by a later change before any draw builds no grid. A watch is
+shown the laws the run draws from, so watching a run builds no grid.
+Between changes the loop is a tight sample/score/file cycle. A category's
+out-of-date law is released at the change that supersedes it, so it never
 holds memory beside its successor.
-All of a category's maps in a run are built in one buffer for grid and
+All of a category's grids in a run are built in one buffer for grid and
 CDF, taken from those earlier runs gave back, so their pages are touched
 once per process, not once per map.
 
@@ -59,7 +60,6 @@ from .situation_model import (
     SituationModel,
     box_from_descriptor,
     conditioned_distribution,
-    conditioned_law,
 )
 
 LOCATION_UNIFORM = "uniform"
@@ -275,10 +275,13 @@ def run_image(
     ``watch(iteration, proposal, score, workspace, shown)`` is called after
     every proposal is filed, in iteration order. ``shown`` is None unless
     that proposal changed the Workspace; then ``shown()`` returns each
-    category's current law, None for a category with a final detection:
-    the method's priors until another category is detected, then the
-    category's ``conditioned_law``, whose location is a Gaussian. It builds
-    no map, so a watched run builds the maps an unwatched one builds.
+    category's law, None for a category with a final detection: the
+    method's priors until another category is detected, then the
+    category's ``conditioned_distribution``. These are the laws the run
+    draws from. Showing one builds no grid, so a watched run builds the
+    grids an unwatched one builds. A shown law is current only until the
+    next Workspace change; its grid, if first read after that, is built in
+    the run's buffer for its category, as ``rasterize_2d``'s ``out`` says.
     Watched or not, a context-free run on PCG64 draws in blocks (``_block``).
     """
     frame = image_frame(annotation, config.cell_size)
@@ -298,45 +301,39 @@ def run_image(
         prior_boxes = model.box_priors
     else:
         prior_boxes = dict.fromkeys(DEFAULT_CATEGORIES, LogUniformBox())
-    # A category's entries are None from the change that puts them out of
-    # date until it is next drawn from (``dists``) or shown (``laws``).
-    dists: dict[str, CategorySearchDist | None] = {
+    # A category's law is None from the change that puts it out of date
+    # until it is next drawn from or shown.
+    laws: dict[str, CategorySearchDist | None] = {
         c: CategorySearchDist(location=prior_location, alpha_gamma=prior_boxes[c])
         for c in DEFAULT_CATEGORIES
     }
-    laws = dict(dists)
     workspace = Workspace(DEFAULT_CATEGORIES, config.provisional_enabled)
     detected: dict[str, BoundingBox] = {}  # the detections at the Workspace's last change
     spare = _spare_buffers(shape)
     buffers: dict[str, np.ndarray] = {}  # each category's map buffer, held for the run
 
-    def current(cat: str) -> CategorySearchDist:
-        if dists[cat] is None:
-            if cat not in buffers:
-                buffers[cat] = spare.pop() if spare else np.empty((2, *shape))
-            dists[cat] = conditioned_distribution(
-                model, cat, detected, frame, config.cell_size, salience, buffers[cat]
-            )
-        return dists[cat]
-
     def law(cat: str) -> CategorySearchDist:
         if laws[cat] is None:
-            laws[cat] = conditioned_law(model, cat, detected, frame)
+            if cat not in buffers:
+                buffers[cat] = spare.pop() if spare else np.empty((2, *shape))
+            laws[cat] = conditioned_distribution(
+                model, cat, detected, frame, config.cell_size, salience, buffers[cat]
+            )
         return laws[cat]
 
     def shown() -> dict[str, CategorySearchDist | None]:
         remaining = workspace.remaining()
-        return {c: law(c) if c in remaining else None for c in dists}
+        return {c: law(c) if c in remaining else None for c in laws}
 
     blocks = config.situation_model == MODEL_NONE and type(rng.bit_generator) is np.random.PCG64
     iterations = 0
     remaining = workspace.remaining()  # refreshed at each Workspace change
     while remaining and iterations < config.max_iterations:
         budget = config.max_iterations - iterations
-        made, drawn = _block(dists, remaining, frame, gt, budget, rng, watch) if blocks else (0, ())
+        made, drawn = _block(laws, remaining, frame, gt, budget, rng, watch) if blocks else (0, ())
         if not made:
             category = remaining[int(rng.integers(len(remaining)))]
-            proposal = sample_proposal(category, current(category), frame, rng)
+            proposal = sample_proposal(category, law(category), frame, rng)
             made, drawn = 1, [(1, proposal, score_proposal(gt, proposal))]
         for offset, proposal, score in drawn:
             t, category = iterations + offset, proposal.category
@@ -344,14 +341,14 @@ def run_image(
             if changed:
                 remaining = workspace.remaining()
                 if workspace.slots[category].kind == FINAL:
-                    dists[category] = None  # never drawn from again
+                    laws[category] = None  # never drawn from again
                 if config.situation_model != MODEL_NONE:
                     detected = dict(workspace.detected_boxes())
                     # The change is in this category's own slot, which never
                     # conditions its own maps: only the others go out of date.
                     for cat in remaining:
                         if cat != category:
-                            dists[cat] = laws[cat] = None
+                            laws[cat] = None
             if watch is not None:
                 watch(t, proposal, score, workspace, shown if changed else None)
         iterations += made
@@ -487,7 +484,7 @@ def _score_block(
 
 
 def _block(
-    dists: Mapping[str, CategorySearchDist],
+    laws: Mapping[str, CategorySearchDist],
     remaining: Sequence[str],
     frame: ImageFrame,
     gt: Mapping[str, BoundingBox],
@@ -505,7 +502,7 @@ def _block(
     iterations made, 0 if the first pick is rejected, and their (offset from
     1, proposal, score); unwatched, only those that can change a Workspace.
     """
-    searched = [dists[c] for c in remaining]
+    searched = [laws[c] for c in remaining]
     size = min(BLOCK_SIZE, budget)
     start = rng.bit_generator.state
     draws, rejected = _draw(rng, searched, size)

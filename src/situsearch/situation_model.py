@@ -9,12 +9,12 @@ A situation model holds, for the three categories of DEFAULT_CATEGORIES:
   area-ratio and log aspect-ratio) per pair of categories and over all
   three, each table keyed by the categories its joint spans.
 
-At search time each category is given a location map plus a box-descriptor
-distribution. Until another category is detected these are the search
-method's priors; after that, the joint over the category and the detected
-others is conditioned on the others' boxes: a law of two Gaussians
-(``conditioned_law``), whose location Gaussian is rasterized into a map
-only to be drawn from (``conditioned_distribution``).
+At search time each category has one law: a location map plus a
+box-descriptor distribution. Until another category is detected these are
+the search method's priors; after that, the joint over the category and the
+detected others is conditioned on the others' boxes
+(``conditioned_distribution``): the location Gaussian's map, whose grid is
+built only when it is first drawn from, and the box Gaussian.
 A category's own detection never conditions its own distributions, and
 provisional detections condition exactly like final ones.
 """
@@ -113,13 +113,14 @@ class SituationModel:
 
 @dataclass(eq=False)
 class CategorySearchDist:
-    """Current search distributions for one category on one image, filed under the category.
+    """One category's search law on one image: where proposals are drawn, and their boxes.
 
-    ``location`` is the map proposals are drawn from or, in a law that is
-    not yet rasterized (``conditioned_law``), the 2-d location Gaussian.
+    ``location`` is the map proposals are drawn from: the method's prior
+    map, or a conditioned Gaussian's map (``conditioned_distribution``),
+    whose grid is built at its first draw.
     """
 
-    location: LocationMap | MultivariateGaussian
+    location: LocationMap
     alpha_gamma: MultivariateGaussian | LogUniformBox
 
     def sample_alpha_gamma(self, rng: np.random.Generator) -> tuple[float, float]:
@@ -224,19 +225,25 @@ def learn(training: Sequence) -> SituationModel:
     return SituationModel(box_priors, loc_joints, box_joints)
 
 
-def conditioned_law(
+def conditioned_distribution(
     model: SituationModel,
     category: str,
     detections: Mapping[str, BoundingBox],
     frame: ImageFrame,
+    cell_size: float = 1.0,
+    salience: LocationMap | None = None,
+    out: np.ndarray | None = None,
 ) -> CategorySearchDist:
-    """One category's search law given current detections, not rasterized.
+    """One category's search law given current detections.
 
-    Its location is the conditioned 2-d Gaussian over (x, y), its box the
-    conditioned Gaussian over (alpha, gamma). Detections of the category
-    itself are ignored; at least one other category must be detected. The
-    joints over the category and the detected others are conditioned on the
-    others' boxes.
+    The joints over the category and the detected others are conditioned on
+    the others' boxes. The location is the conditioned 2-d Gaussian over
+    (x, y) as a map on the frame's grid at ``cell_size``, folded with a
+    ``salience`` map if given; its grid is built when first drawn from, in
+    ``out`` (see rasterize_2d). The box is the conditioned Gaussian over
+    (alpha, gamma). Detections of the category itself are ignored; at least
+    one other category must be detected. Every argument is checked here,
+    before any grid is built.
     """
     if category not in DEFAULT_CATEGORIES:
         raise InvalidInputError(f"unknown category {category!r}")
@@ -247,29 +254,11 @@ def conditioned_law(
     boxes = [detections[cat] for cat in others]
     loc_obs = dict(zip(loc_dims(others), [v for box in boxes for v in (box.cx, box.cy)]))
     box_obs = dict(zip(box_dims(others), [v for box in boxes for v in box_descriptor(box, frame)]))
+    location = condition(model.loc_joints[group], loc_obs)
     return CategorySearchDist(
-        condition(model.loc_joints[group], loc_obs), condition(model.box_joints[group], box_obs)
+        rasterize_2d(location, frame, cell_size, salience, out),
+        condition(model.box_joints[group], box_obs),
     )
-
-
-def conditioned_distribution(
-    model: SituationModel,
-    category: str,
-    detections: Mapping[str, BoundingBox],
-    frame: ImageFrame,
-    cell_size: float = 1.0,
-    salience: LocationMap | None = None,
-    out: np.ndarray | None = None,
-) -> CategorySearchDist:
-    """Search distributions for one category given current detections.
-
-    The category's conditioned_law with its location Gaussian rasterized. A
-    ``salience`` map is folded into the location map as it is rasterized (in
-    ``out``, see rasterize_2d).
-    """
-    law = conditioned_law(model, category, detections, frame)
-    location = rasterize_2d(law.location, frame, cell_size, salience, out)
-    return CategorySearchDist(location, law.alpha_gamma)
 
 
 # ---------------------------------------------------------------------------

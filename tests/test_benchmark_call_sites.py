@@ -12,7 +12,7 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-from situsearch import evaluation, search
+from situsearch import cli, evaluation, search
 from situsearch.datagen import default_generator_config, generate_synthetic
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -65,3 +65,30 @@ def test_tracer_installs_counts_and_restores_every_attribute():
     finals = sum(t is not None for run in context_free.runs for t in run.detections.values())
     assert finals > 0
     assert tracer.workspace_changes - situation_only.workspace_changes >= finals
+
+
+def test_a_traced_watched_run_writes_the_untraced_runs_bytes(tmp_path, capsys):
+    # A watched run makes a law when it is shown, and the tracer reads the
+    # grid of every law made; the run's stdout, trace and snapshots must not
+    # change for it.
+    data, model = tmp_path / "data", tmp_path / "model.json"
+    assert cli.main(["gen", "--out", str(data), "--n", "12", "--seed", "2"]) == 0
+    assert cli.main(["learn", "--data", str(data), "--out", str(model)]) == 0
+    annotation = sorted(data.glob("synthetic_*.json"))[0]
+    capsys.readouterr()
+
+    def run(out):
+        args = ["run", "--model", str(model), "--image-annotation", str(annotation)]
+        args += ["--method", "salience-learned-learned", "--cell-size", "8", "--seed", "1"]
+        args += ["--trace", str(out / "trace.jsonl"), "--snapshots", str(out / "snaps")]
+        assert cli.main(args) == 0
+        files = sorted(out.rglob("*.*"))
+        return capsys.readouterr().out, [(p.relative_to(out), p.read_bytes()) for p in files]
+
+    untraced = run(tmp_path / "untraced")
+    tracer = _load_tracer().Tracer("watched")
+    with tracer:
+        traced = run(tmp_path / "traced")
+    assert traced == untraced
+    assert len(untraced[1]) > 2  # the trace and more than one snapshot
+    assert 0 < tracer.maps_sampled <= tracer.maps_built

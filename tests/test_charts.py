@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import re
 from dataclasses import replace
 from xml.sax.saxutils import escape as sax_escape
 
@@ -15,11 +14,10 @@ from hypothesis.extra.numpy import arrays
 from situsearch import charts, search
 from situsearch.charts import _heat_rects, workspace_snapshot_svg
 from situsearch.evaluation import config_for_token, salience_for_annotation
-from situsearch.errors import InvalidInputError
-from situsearch.gaussian import LocationMap, MultivariateGaussian, grid_shape, rasterize_2d
+from situsearch.gaussian import GaussianMap
 from situsearch.geometry import normalize_frame, to_normalized
 from situsearch.search import run_image
-from situsearch.situation_model import DEFAULT_CATEGORIES, conditioned_law, learn
+from situsearch.situation_model import DEFAULT_CATEGORIES, conditioned_distribution, learn
 
 
 def loop_heat_rects(coarse, peak, left, top, cw, ch) -> list[str]:
@@ -87,19 +85,16 @@ def test_snapshots_equal_the_per_cell_loop(small_synthetic_dataset, monkeypatch)
             salience = None
             if config.needs_salience:
                 salience = salience_for_annotation(ann, config.cell_size)
-            drawing = (config.cell_size, salience)
 
             def watch(iteration, proposal, score, workspace, shown):
                 nonlocal snapshots
                 if shown is None:
                     return
                 dists = shown()
-                svg = workspace_snapshot_svg(frame, truth, workspace, dists, iteration, *drawing)
+                svg = workspace_snapshot_svg(frame, truth, workspace, dists, iteration)
                 with monkeypatch.context() as patched:
                     patched.setattr(charts, "_heat_rects", loop_heat_rects)
-                    assert svg == workspace_snapshot_svg(
-                        frame, truth, workspace, dists, iteration, *drawing
-                    )
+                    assert svg == workspace_snapshot_svg(frame, truth, workspace, dists, iteration)
                 snapshots += 1
 
             run_image(model, salience, config, ann, np.random.default_rng(1), watch)
@@ -116,31 +111,25 @@ def test_conditioned_panels_shade_the_maps_the_run_draws_from(
     small_synthetic_dataset, monkeypatch
 ):
     # A conditioned panel is drawn from the category's law at heat-cell
-    # resolution. Its shades stay within 10 of 255 of the block sums of the
-    # law's map, and that map is, bit for bit, the one the run builds and
-    # draws from when it next draws the category.
+    # resolution, without building its grid. Its shades stay within 10 of
+    # 255 of the block sums of the law's grid, and the run draws from the
+    # very law it showed.
     model = learn(small_synthetic_dataset[:40])
-    conditioned = search.conditioned_distribution
-    shown_laws, drawn, worst, panels = {}, 0, 0, 0
+    sample = search.sample_proposal
+    shown_laws, drawn, worst, panels = {}, set(), 0, 0
 
-    def checked_conditioned(model, category, detected, frame, cell_size, salience, out):
-        nonlocal drawn
-        dist = conditioned(model, category, detected, frame, cell_size, salience, out)
-        law = shown_laws[category]
-        expected = rasterize_2d(law.location, frame, cell_size, salience)
-        assert dist.location.grid.tobytes() == expected.grid.tobytes()
-        for name in ("mean", "cov"):
-            got, shown = getattr(dist.alpha_gamma, name), getattr(law.alpha_gamma, name)
-            assert got.tobytes() == shown.tobytes()
-        drawn += 1
-        return dist
+    def checked_sample(category, dist, frame, rng):
+        if isinstance(dist.location, GaussianMap):
+            assert shown_laws[id(dist.location)] is dist.location
+            drawn.add(id(dist.location))
+        return sample(category, dist, frame, rng)
 
-    monkeypatch.setattr(search, "conditioned_distribution", checked_conditioned)
+    monkeypatch.setattr(search, "sample_proposal", checked_sample)
+
     for token in ("uniform-learned-learned", "salience-learned-learned"):
         config = replace(config_for_token(token), max_iterations=300)
         assert config.cell_size == 1.0  # panels of 13 x 13 cells on these frames
         for ann in small_synthetic_dataset[40:60]:
-            frame = normalize_frame(ann.width, ann.height)
             salience = None
             if config.needs_salience:
                 salience = salience_for_annotation(ann, config.cell_size)
@@ -149,70 +138,58 @@ def test_conditioned_panels_shade_the_maps_the_run_draws_from(
                 nonlocal worst, panels
                 if shown is None:
                     return
-                shown_laws.clear()
                 for category, law in shown().items():
-                    if law is None or isinstance(law.location, LocationMap):
+                    if law is None or not isinstance(law.location, GaussianMap):
                         continue
-                    shown_laws[category] = law
-                    cells = charts._law_cells(law.location, frame, config.cell_size, salience)
-                    grid = rasterize_2d(law.location, frame, config.cell_size, salience).grid
-                    difference = panel_shades(cells) - panel_shades(charts._heat_cells(grid))
+                    location = law.location
+                    assert location.weights is salience
+                    built = "grid" in vars(location)  # drawn from before this change
+                    cells = charts._law_cells(location)
+                    assert ("grid" in vars(location)) == built
+                    shown_laws[id(location)] = location
+                    block_sums = charts._heat_cells(location.grid)
+                    difference = panel_shades(cells) - panel_shades(block_sums)
                     worst = max(worst, int(np.abs(difference).max()))
                     panels += 1
 
             run_image(model, salience, config, ann, np.random.default_rng(1), watch)
-    assert panels > drawn > 100
+    assert panels > len(drawn) > 100
     assert worst <= 10
 
 
 @pytest.fixture(scope="module")
-def dog_law_given_walker(small_synthetic_dataset):
-    """A held-out image's frame and salience, and the dog's law given the walker's true box."""
+def dog_given_walker(small_synthetic_dataset):
+    """A held-out image's frame and salience, a model, and the walker's true box."""
     ann = small_synthetic_dataset[40]
     frame = normalize_frame(ann.width, ann.height)
     walker = to_normalized(*ann.boxes["dog_walker"], frame)
-    law = conditioned_law(learn(small_synthetic_dataset[:40]), "dog", {"dog_walker": walker}, frame)
-    return frame, salience_for_annotation(ann, 1.0), law
+    model = learn(small_synthetic_dataset[:40])
+    return frame, salience_for_annotation(ann, 1.0), model, {"dog_walker": walker}
 
 
-def dog_panel_svg(frame, law, cell_size, salience) -> str:
-    """The snapshot of an empty Workspace showing only the dog's law."""
+def dog_panel_svg(dog_given_walker, cell_size, salience) -> str:
+    """The snapshot of an empty Workspace showing only the dog's law given the walker."""
+    frame, _, model, detected = dog_given_walker
+    law = conditioned_distribution(model, "dog", detected, frame, cell_size, salience)
     workspace = search.Workspace(DEFAULT_CATEGORIES, True)
-    return workspace_snapshot_svg(frame, {}, workspace, {"dog": law}, 1, cell_size, salience)
+    svg = workspace_snapshot_svg(frame, {}, workspace, {"dog": law}, 1)
+    assert svg == workspace_snapshot_svg(frame, {}, workspace, {"dog": law}, 1)  # from the memo
+    assert "grid" not in vars(law.location)
+    return svg
 
 
-def fresh(law):
-    """The same law in a new location Gaussian, which no panel has been drawn from."""
-    location = law.location
-    return replace(law, location=MultivariateGaussian(location.dims, location.mean, location.cov))
+def test_a_laws_panel_is_drawn_at_its_own_cell_size(dog_given_walker):
+    coarse = dog_panel_svg(dog_given_walker, 8.0, None)
+    fine = dog_panel_svg(dog_given_walker, 1.0, None)
+    assert coarse == dog_panel_svg(dog_given_walker, 8.0, None)
+    assert fine == dog_panel_svg(dog_given_walker, 1.0, None) != coarse
 
 
-def test_a_laws_panel_is_redrawn_at_another_cell_size(dog_law_given_walker):
-    frame, _, law = dog_law_given_walker
-    coarse, fine = dog_panel_svg(frame, law, 8.0, None), dog_panel_svg(frame, law, 1.0, None)
-    assert coarse == dog_panel_svg(frame, fresh(law), 8.0, None)
-    assert fine == dog_panel_svg(frame, fresh(law), 1.0, None) != coarse
-
-
-def test_a_laws_panel_is_redrawn_with_another_salience_map(dog_law_given_walker):
-    frame, salience, law = dog_law_given_walker
-    plain, folded = dog_panel_svg(frame, law, 1.0, None), dog_panel_svg(frame, law, 1.0, salience)
-    assert plain == dog_panel_svg(frame, fresh(law), 1.0, None)
-    assert folded == dog_panel_svg(frame, fresh(law), 1.0, salience) != plain
-    assert dog_panel_svg(frame, law, 1.0, None) == plain
-
-
-@pytest.mark.parametrize(
-    "salience_cell, cell_size", [(1.0, 8.0), (8.0, 1.0)], ids=["finer", "coarser"]
-)
-def test_a_salience_map_on_another_grid_is_rejected_naming_both_shapes(
-    dog_law_given_walker, small_synthetic_dataset, salience_cell, cell_size
-):
-    frame, _, law = dog_law_given_walker
-    salience = salience_for_annotation(small_synthetic_dataset[40], salience_cell)
-    shapes = f"grid shapes differ: {grid_shape(frame, cell_size)} vs {salience.shape}"
-    with pytest.raises(InvalidInputError, match=re.escape(shapes)):
-        dog_panel_svg(frame, law, cell_size, salience)
+def test_a_laws_panel_is_drawn_with_its_own_salience_map(dog_given_walker):
+    salience = dog_given_walker[1]
+    plain = dog_panel_svg(dog_given_walker, 1.0, None)
+    folded = dog_panel_svg(dog_given_walker, 1.0, salience)
+    assert folded == dog_panel_svg(dog_given_walker, 1.0, salience) != plain
 
 
 @given(st.text(alphabet=st.sampled_from("&<>;amplgt# \"'x\u00e9\n")) | st.text())

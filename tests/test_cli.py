@@ -8,11 +8,11 @@ import weakref
 import numpy as np
 import pytest
 
-from situsearch import charts, evaluation, search
+from situsearch import charts, evaluation, gaussian
 from situsearch.cli import build_parser, main
 from situsearch.datagen import SituationAnnotation, load_generator_config, save_annotation
 from situsearch.errors import InvalidInputError
-from situsearch.gaussian import LocationMap
+from situsearch.gaussian import GaussianMap
 from situsearch.images import write_pgm
 from situsearch.search import Workspace, ObjectProposal
 from situsearch.geometry import BoundingBox
@@ -190,22 +190,22 @@ def test_run_snapshots_block_sum_each_map_once(dataset_dir, model_path, tmp_path
 
         return counted
 
-    def uncached(location, frame, cell_size, salience):
-        if isinstance(location, LocationMap):
-            return heat_cells(location.grid)
-        return law_cells(location, frame, cell_size, salience)
+    def uncached(location):
+        if isinstance(location, GaussianMap):
+            return law_cells(location)
+        return heat_cells(location.grid)
 
-    def checked_snapshot_svg(frame, ground_truth, workspace, dists, iteration, *drawing):
-        svg = snapshot_svg(frame, ground_truth, workspace, dists, iteration, *drawing)
+    def checked_snapshot_svg(frame, ground_truth, workspace, dists, iteration):
+        svg = snapshot_svg(frame, ground_truth, workspace, dists, iteration)
         for dist in dists.values():
             if dist is not None:
-                kind = "map" if isinstance(dist.location, LocationMap) else "law"
+                kind = "law" if isinstance(dist.location, GaussianMap) else "map"
                 counts[f"{kind} panels"] += 1
                 counts[f"{kind}s"] += dist.location not in shown
                 shown.add(dist.location)
         with monkeypatch.context() as patched:
             patched.setattr(charts, "_coarse", uncached)
-            assert svg == snapshot_svg(frame, ground_truth, workspace, dists, iteration, *drawing)
+            assert svg == snapshot_svg(frame, ground_truth, workspace, dists, iteration)
         return svg
 
     monkeypatch.setattr(charts, "_heat_cells", counting("sums", heat_cells))
@@ -221,21 +221,20 @@ def test_run_snapshots_block_sum_each_map_once(dataset_dir, model_path, tmp_path
     assert counts["law cells"] == counts["laws"] < counts["law panels"]
 
 
-def test_run_trace_builds_the_maps_an_unwatched_run_builds(
+def test_run_trace_builds_the_grids_an_unwatched_run_builds(
     dataset_dir, model_path, tmp_path, monkeypatch, capsys
 ):
-    # Neither a trace nor snapshots build maps: snapshots are drawn from the
-    # laws, so each watched run builds the maps of the unwatched run, in its
-    # order, from the same detections.
+    # Neither a trace nor snapshots build grids: snapshots are drawn from
+    # the laws, so each watched run builds the grids of the unwatched run,
+    # in its order, from the same conditioned Gaussians.
     builds = []
-    conditioned = search.conditioned_distribution
+    cell_masses = gaussian.cell_masses
 
-    def recording_conditioned(*args):
-        model, category, detected = args[:3]
-        builds.append((category, sorted(detected.items(), key=lambda item: item[0])))
-        return conditioned(*args)
+    def recording_masses(dist, xs, ys, weights, out):
+        builds.append((dist.mean.tobytes(), dist.cov.tobytes(), weights is None))
+        return cell_masses(dist, xs, ys, weights, out)
 
-    monkeypatch.setattr(search, "conditioned_distribution", recording_conditioned)
+    monkeypatch.setattr(gaussian, "cell_masses", recording_masses)
     schedules, outputs = [], []
     for i, watching in enumerate(([], ["--trace"], ["--trace", "--snapshots"])):
         for ann in annotation_files(dataset_dir)[:4]:

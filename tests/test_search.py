@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import oracles
 from strategies import SALIENCE_THINNEST, extreme_annotations
-from situsearch import search
+from situsearch import gaussian, search
 from situsearch.datagen import SituationAnnotation, default_generator_config, generate_synthetic
 from situsearch.errors import InvalidInputError
 from situsearch.evaluation import (
@@ -25,6 +25,7 @@ from situsearch.evaluation import (
     salience_for_annotation,
 )
 from situsearch.gaussian import (
+    GaussianMap,
     LocationMap,
     MultivariateGaussian,
     grid_shape,
@@ -468,24 +469,30 @@ def test_lazy_conditioning_matches_eager(held_out, token):
 @pytest.mark.parametrize(
     "token", [t for t, c in METHOD_TOKENS.items() if c.situation_model != search.MODEL_NONE]
 )
-def test_every_lazily_built_map_is_drawn_from_before_the_next_change(
-    held_out, token, monkeypatch
-):
+def test_every_grid_built_is_drawn_from_before_the_next_change(held_out, token, monkeypatch):
+    # A grid is built by the first draw from its law, never before: each
+    # build is followed by the draw from the Gaussian's map it was built for.
     events: list[tuple[str, object]] = []
+    laws = []
     conditioned, sample, observe = (
         search.conditioned_distribution,
         search.sample_proposal,
         Workspace.observe,
     )
+    cell_masses = gaussian.cell_masses
 
-    def counting_conditioned(*args, **kwargs):
-        dist = conditioned(*args, **kwargs)
-        events.append(("built", dist.alpha_gamma))
-        return dist
+    def counting_conditioned(*args):
+        laws.append(conditioned(*args))
+        return laws[-1]
+
+    def counting_masses(dist, *args):
+        events.append(("built", dist))
+        return cell_masses(dist, *args)
 
     def counting_sample(category, dist, frame, rng):
-        events.append(("drawn", dist.alpha_gamma))
-        return sample(category, dist, frame, rng)
+        proposal = sample(category, dist, frame, rng)
+        events.append(("drawn", getattr(dist.location, "gaussian", None)))
+        return proposal
 
     def counting_observe(self, *args, **kwargs):
         changed = observe(self, *args, **kwargs)
@@ -494,34 +501,29 @@ def test_every_lazily_built_map_is_drawn_from_before_the_next_change(
         return changed
 
     monkeypatch.setattr(search, "conditioned_distribution", counting_conditioned)
+    monkeypatch.setattr(gaussian, "cell_masses", counting_masses)
     monkeypatch.setattr(search, "sample_proposal", counting_sample)
     monkeypatch.setattr(Workspace, "observe", counting_observe)
 
     for _ in held_out_runs(held_out, token):
         pass
-    lazy_built = [i for i, (kind, _) in enumerate(events) if kind == "built"]
-    assert lazy_built
-    for i in lazy_built:  # drawn from at once, so before any later change
+    built = [i for i, (kind, _) in enumerate(events) if kind == "built"]
+    assert built and len(built) == len(laws)  # unwatched, a law is made only to be drawn
+    for i in built:  # by the draw that needs it, so before any later change
         assert events[i + 1][0] == "drawn" and events[i + 1][1] is events[i][1]
 
-    # A watch shown every law at each change builds no map: the runs build
-    # the same maps in the same order, while more laws are shown than built.
+    # A watch shown every law at each change builds no grid: the runs build
+    # the same grids in the same order, while more laws are shown than built.
     def schedule():
-        return [(kind, None if box is None else box.mean.tobytes()) for kind, box in events]
+        return [(kind, None if law is None else law.mean.tobytes()) for kind, law in events]
 
     lazy = schedule()
     events.clear()
-    laws, conditioned_law = [], search.conditioned_law
-
-    def counting_law(*args):
-        laws.append(conditioned_law(*args))
-        return laws[-1]
-
-    monkeypatch.setattr(search, "conditioned_law", counting_law)
+    laws.clear()
     for _ in held_out_runs(held_out, token, eager=True):
         pass
     assert schedule() == lazy
-    assert len(laws) > len(lazy_built)
+    assert len(laws) > len(built)
 
 
 SITUATION_TOKENS = [t for t, c in METHOD_TOKENS.items() if c.situation_model != search.MODEL_NONE]
@@ -612,38 +614,45 @@ def test_a_second_run_builds_its_maps_in_the_first_runs_buffers(held_out, monkey
     assert sorted(map(id, spare_buffers(ann))) == sorted(held)
 
 
-def test_drawn_maps_live_in_the_runs_buffers_and_shown_laws_in_none(held_out, monkeypatch):
-    # Every conditioned map the run builds and draws from is built in the
-    # one buffer of its category, grid then CDF; shown() builds none, and
-    # the laws it shows hold no grid.
+def test_built_grids_live_in_the_runs_buffers_and_shown_builds_none(held_out, monkeypatch):
+    # Every grid the run builds is built in the one buffer of its law's
+    # category, grid then CDF, when the law is first drawn from; shown()
+    # builds none.
     ann = held_out[1][0]
-    built_maps, laws = [], 0
-    conditioned = search.conditioned_distribution
+    laws, builds, shown_laws = [], 0, 0
+    conditioned, cell_masses = search.conditioned_distribution, gaussian.cell_masses
 
     def recording_conditioned(*args):
         dist = conditioned(*args)
-        built_maps.append((args[1], dist.location))
+        laws.append((args[1], dist.location))
         return dist
 
+    def counting_masses(*args):
+        nonlocal builds
+        builds += 1
+        return cell_masses(*args)
+
     def watch(iteration, proposal, score, workspace, shown):
-        nonlocal laws
+        nonlocal shown_laws
         if shown is not None:
-            before = len(built_maps)
+            before = builds
             for dist in shown().values():
                 if dist is not None:
-                    assert isinstance(dist.location, MultivariateGaussian | LocationMap)
-                    laws += isinstance(dist.location, MultivariateGaussian)
-            assert len(built_maps) == before
+                    assert isinstance(dist.location, LocationMap)
+                    shown_laws += isinstance(dist.location, GaussianMap)
+            assert builds == before
 
     monkeypatch.setattr(search, "conditioned_distribution", recording_conditioned)
+    monkeypatch.setattr(gaussian, "cell_masses", counting_masses)
     search._spare_buffers.cache_clear()
     conditioned_run(held_out, ann, 3, watch)
     spare = spare_buffers(ann)
-    assert built_maps and laws and len(spare) <= 3
+    built = [(cat, location) for cat, location in laws if "grid" in vars(location)]
+    assert built and len(built) == builds < len(laws) <= shown_laws and len(spare) <= 3
     homes = defaultdict(set)
-    for cat, location in built_maps:
+    for cat, location in built:
         (home,) = [i for i, b in enumerate(spare) if np.shares_memory(location.grid, b)]
-        assert np.shares_memory(location._cdf_buffer, spare[home])
+        assert np.shares_memory(location._cdf, spare[home])
         homes[cat].add(home)
     assert all(len(h) == 1 for h in homes.values())
 

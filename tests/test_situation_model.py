@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import oracles
-from situsearch import search
+from situsearch import gaussian, search
 from situsearch.datagen import SituationAnnotation, default_generator_config, generate_synthetic
 from situsearch.errors import DatasetError, InsufficientDataError, InvalidInputError
 from situsearch.gaussian import (
@@ -265,7 +265,8 @@ def test_empty_workspace_matches_initial(synthetic_model):
         np.testing.assert_array_equal(
             dists[cat].location.grid, combine(cond.location, salience).grid
         )
-        drawn_from_law = rasterize_2d(laws[cat].location, frame, 4, salience)
+        assert laws[cat].location.weights is salience
+        drawn_from_law = rasterize_2d(laws[cat].location.gaussian, frame, 4, salience)
         assert dists[cat].location.grid.tobytes() == drawn_from_law.grid.tobytes()
 
 
@@ -286,10 +287,12 @@ def test_single_detection_matches_manual_pipeline(synthetic_model):
         expected_box = condition(
             box_joint, {"alpha_dog_walker": alpha, "gamma_dog_walker": gamma}
         )
-        for got, expected in ((laws[cat].location, loc), (laws[cat].alpha_gamma, expected_box)):
+        law = laws[cat]
+        for got, expected in ((law.location.gaussian, loc), (law.alpha_gamma, expected_box)):
             assert got.dims == expected.dims
             for name in ("mean", "cov"):
                 assert getattr(got, name).tobytes() == getattr(expected, name).tobytes()
+        assert dists[cat].alpha_gamma is law.alpha_gamma  # the law shown is the law drawn
         expected_map = rasterize_2d(loc, frame, cell_size=4)
         assert dists[cat].location.grid.tobytes() == expected_map.grid.tobytes()
         np.testing.assert_allclose(dists[cat].alpha_gamma.mean, expected_box.mean)
@@ -329,6 +332,32 @@ def test_conditioning_is_one_lookup_of_the_joint_over_target_and_detected(
     assert got.alpha_gamma.dims == box.dims == (f"alpha_{target}", f"gamma_{target}")
     for name in ("mean", "cov"):
         assert getattr(got.alpha_gamma, name).tobytes() == getattr(box, name).tobytes()
+
+
+GRID_ERRORS = {
+    "finer salience": (8.0, 1.0, "grid shapes differ: (55, 73) vs (434, 578)"),
+    "coarser salience": (1.0, 8.0, "grid shapes differ: (434, 578) vs (55, 73)"),
+    "frame under a cell": (600.0, None, "frame is smaller than a single grid cell"),
+}
+
+
+@pytest.mark.parametrize("cell_size, salience_cell, message", GRID_ERRORS.values(), ids=GRID_ERRORS)
+def test_conditioning_rejects_a_bad_grid_when_called_before_building_any(
+    synthetic_model, monkeypatch, cell_size, salience_cell, message
+):
+    # The grid is built at the law's first draw, but its arguments are
+    # checked when the law is made: no error waits for the search loop.
+    frame = normalize_frame(640, 480)
+    salience = None
+    if salience_cell is not None:
+        shape = grid_shape(frame, salience_cell)
+        salience = LocationMap(frame=frame, cell_size=salience_cell, grid=np.ones(shape))
+    builds = []
+    monkeypatch.setattr(gaussian, "cell_masses", lambda *args: builds.append(args))
+    walker = {"dog_walker": BoundingBox(cx=-40.0, cy=10.0, w=90.0, h=200.0)}
+    with pytest.raises(InvalidInputError, match=re.escape(message)):
+        conditioned_distribution(synthetic_model, "dog", walker, frame, cell_size, salience)
+    assert builds == []
 
 
 def assert_joint_tables(model):
@@ -388,8 +417,10 @@ def test_provisional_and_final_condition_identically(synthetic_model):
     assert box_a == box_b
     for cat in ("dog", "leash"):
         for name in ("mean", "cov"):
-            for part in ("location", "alpha_gamma"):
-                law_a, law_b = getattr(laws_a[cat], part), getattr(laws_b[cat], part)
+            for law_a, law_b in (
+                (laws_a[cat].location.gaussian, laws_b[cat].location.gaussian),
+                (laws_a[cat].alpha_gamma, laws_b[cat].alpha_gamma),
+            ):
                 assert getattr(law_a, name).tobytes() == getattr(law_b, name).tobytes()
         np.testing.assert_array_equal(a[cat].location.grid, b[cat].location.grid)
         np.testing.assert_array_equal(a[cat].alpha_gamma.mean, b[cat].alpha_gamma.mean)
