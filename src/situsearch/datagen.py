@@ -25,7 +25,7 @@ from .errors import DatasetError, GenerationError, InvalidInputError, ParseError
 from .errors import json_document, json_integer, json_number, read_json
 from .gaussian import MultivariateGaussian, gaussian_from_section, gaussian_to_dict
 from .geometry import normalize_frame, to_original
-from .seeding import rng_for, stable_seed
+from .seeding import stable_seed
 from .situation_model import DEFAULT_CATEGORIES, box_dims, box_from_descriptor, loc_dims
 
 
@@ -339,7 +339,7 @@ def render_annotation_image(ann: SituationAnnotation) -> np.ndarray:
     object-sized regions without giving their categories away. Determinism
     comes from seeding with the image id alone.
     """
-    rng = rng_for("render", ann.image_id)
+    rng = np.random.default_rng(stable_seed("render", ann.image_id))
     img = rng.standard_normal((ann.height, ann.width))
     img *= 0.03
     img += 0.25

@@ -71,15 +71,19 @@ METHOD_TOKENS: dict[str, MethodConfig] = {
 }
 
 
+def _unknown_token(token: str, *also: str) -> InvalidInputError:
+    """The error for a method token not in METHOD_TOKENS, listing ``also`` and the tokens."""
+    return InvalidInputError(
+        f"unknown method token {token!r}; valid tokens: " + ", ".join([*also, *METHOD_TOKENS])
+    )
+
+
 def config_for_token(
     token: str, max_iterations: int | None = None, cell_size: float | None = None
 ) -> MethodConfig:
     """The token's method, with the budget and grid overridden where given."""
     if token not in METHOD_TOKENS:
-        raise InvalidInputError(
-            f"unknown method token {token!r}; valid tokens: "
-            + ", ".join(METHOD_TOKENS)
-        )
+        raise _unknown_token(token)
     config = METHOD_TOKENS[token]
     if max_iterations is not None:
         config = replace(config, max_iterations=max_iterations)
@@ -98,9 +102,7 @@ def expand_method_spec(spec: str) -> list[str]:
         if part == "all":
             tokens.extend(t for t in METHOD_TOKENS if t not in tokens)
         elif part not in METHOD_TOKENS:
-            raise InvalidInputError(
-                f"unknown method token {part!r}; valid tokens: all, " + ", ".join(METHOD_TOKENS)
-            )
+            raise _unknown_token(part, "all")
         elif part not in tokens:
             tokens.append(part)
     if not tokens:

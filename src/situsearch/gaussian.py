@@ -18,6 +18,7 @@ The observed block is solved through a Cholesky factorization of the
 
 from __future__ import annotations
 
+import copy
 import math
 import sys
 from dataclasses import dataclass, field
@@ -244,6 +245,7 @@ def _conditional(dist: MultivariateGaussian, labels: tuple[str, ...]) -> _Condit
         cov=new_cov,
         epsilon=dist.epsilon,
     )
+    template._chol  # factored here, so that every copy of the template shares it
     mu_b = dist.mean[obs_idx]
     # Shared by every conditional built from this entry. The gain keeps its
     # memory layout, on which the bits of the matrix product may depend.
@@ -273,16 +275,9 @@ def condition(dist: MultivariateGaussian, observed: Mapping[str, float]) -> Mult
         new_mean = template.mean + fixed.gain @ (values - fixed.mu_b)
     if not np.all(np.isfinite(new_mean)):
         raise InvalidInputError("mean and covariance must be finite")
-    # The template's validated fields and cached factor, with the new mean.
-    out = object.__new__(MultivariateGaussian)
-    out.__dict__.update(
-        dims=template.dims,
-        mean=_frozen(new_mean),
-        cov=template.cov,
-        epsilon=template.epsilon,
-        _index=template._index,
-        _chol=template._chol,
-    )
+    # The template's validated state and cached factor, with the new mean.
+    out = copy.copy(template)
+    out.mean = _frozen(new_mean)
     return out
 
 
@@ -317,7 +312,7 @@ class LocationMap:
     frame: ImageFrame
     cell_size: float
     grid: np.ndarray = field(repr=False)
-    _cdf_buffer = None  # where the CDF is built: a new array, or half a run's map buffer
+    _cdf_buffer = None  # where the CDF is built: a new array, or half a category's map buffer
 
     def __post_init__(self) -> None:
         self.grid = _frozen(_normalize(np.array(self.grid, dtype=float)))

@@ -22,9 +22,9 @@ shown the laws the run draws from, so watching a run builds no grid.
 Between changes the loop is a tight sample/score/file cycle. A category's
 out-of-date law is released at the change that supersedes it, so it never
 holds memory beside its successor.
-All of a category's grids in a run are built in one buffer for grid and
-CDF, taken from those earlier runs gave back, so their pages are touched
-once per process, not once per map.
+Every run builds a category's grids, grid and CDF, in that category's row
+of one array the process keeps, so their pages are touched once per
+process, not once per map.
 
 Each turn of the loop draws one proposal or, in a context-free run
 (situation model ``none``) on PCG64, watched or not, a block of up to
@@ -51,8 +51,6 @@ from .geometry import BoundingBox, ImageFrame, crop_to_frame, iou, normalize_fra
 from .salience import combine  # unused here; the benchmark tracer patches this module attribute
 from .situation_model import (
     DEFAULT_CATEGORIES,
-    LOG_AREA_RANGE,
-    LOG_ASPECT_RANGE,
     MAX_LOG_SIDE,
     MIN_BOX_SIDE,
     CategorySearchDist,
@@ -222,7 +220,7 @@ def sample_proposal(
 ) -> ObjectProposal:
     """Draw location, area-ratio, and aspect-ratio from the category's dist, then crop."""
     cx, cy = dist.location.sample_point(rng)
-    alpha, gamma = dist.sample_alpha_gamma(rng)
+    alpha, gamma = dist.alpha_gamma.sample(rng).tolist()
     box = crop_to_frame(box_from_descriptor(cx, cy, alpha, gamma, frame), frame)
     return ObjectProposal(category, box)
 
@@ -254,12 +252,14 @@ def image_frame(annotation, cell_size: float) -> ImageFrame:
 
 
 @lru_cache(maxsize=1)
-def _spare_buffers(shape: tuple[int, int]) -> list[np.ndarray]:
-    """The (2, rows, cols) map buffers runs have given back, for the last grid shape asked for.
+def _map_buffers(shape: tuple[int, int]) -> np.ndarray:
+    """The process's map buffers for the last grid shape asked for, one array.
 
-    A run gives its buffers back when it ends; one that raises keeps them with its maps.
+    Row k is the (2, rows, cols) buffer of category k of DEFAULT_CATEGORIES,
+    in which every run builds that category's conditioned maps. It is made at
+    the first conditioning, so a process of context-free runs never makes it.
     """
-    return []
+    return np.empty((len(DEFAULT_CATEGORIES), 2, *shape))
 
 
 def run_image(
@@ -281,7 +281,8 @@ def run_image(
     draws from. Showing one builds no grid, so a watched run builds the
     grids an unwatched one builds. A shown law is current only until the
     next Workspace change; its grid, if first read after that, is built in
-    the run's buffer for its category, as ``rasterize_2d``'s ``out`` says.
+    its category's map buffer (``_map_buffers``), as ``rasterize_2d``'s
+    ``out`` says, and holds only until a later map is built there.
     Watched or not, a context-free run on PCG64 draws in blocks (``_block``).
     """
     frame = image_frame(annotation, config.cell_size)
@@ -309,15 +310,12 @@ def run_image(
     }
     workspace = Workspace(DEFAULT_CATEGORIES, config.provisional_enabled)
     detected: dict[str, BoundingBox] = {}  # the detections at the Workspace's last change
-    spare = _spare_buffers(shape)
-    buffers: dict[str, np.ndarray] = {}  # each category's map buffer, held for the run
 
     def law(cat: str) -> CategorySearchDist:
         if laws[cat] is None:
-            if cat not in buffers:
-                buffers[cat] = spare.pop() if spare else np.empty((2, *shape))
+            out = _map_buffers(shape)[DEFAULT_CATEGORIES.index(cat)]
             laws[cat] = conditioned_distribution(
-                model, cat, detected, frame, config.cell_size, salience, buffers[cat]
+                model, cat, detected, frame, config.cell_size, salience, out
             )
         return laws[cat]
 
@@ -352,7 +350,6 @@ def run_image(
             if watch is not None:
                 watch(t, proposal, score, workspace, shown if changed else None)
         iterations += made
-    spare.extend(buffers.values())
 
     finals = {
         c: slot.iteration if slot is not None and slot.kind == FINAL else None
@@ -366,7 +363,7 @@ def _draw(rng: np.random.Generator, searched: Sequence[CategorySearchDist], size
 
     For a PCG64 ``rng`` and box priors all ``LogUniformBox`` or all diagonal
     Gaussians: the values of the loop's ``rng.integers(len(searched))``,
-    ``rng.random(3)`` and ``searched[k].sample_alpha_gamma(rng)`` calls, read
+    ``rng.random(3)`` and ``searched[k].alpha_gamma.sample(rng)`` calls, read
     as raw 64-bit words and decoded as numpy decodes them, as if numpy
     rejected no pick. A pick takes PCG64's buffered half-word, or else reads
     a word, takes its low half and buffers its high half; a pick among one
@@ -422,8 +419,7 @@ def _draw(rng: np.random.Generator, searched: Sequence[CategorySearchDist], size
     bitgen.state = state
 
     if log_uniform:
-        (a0, a1), (g0, g1) = LOG_AREA_RANGE, LOG_ASPECT_RANGE
-        descriptors = np.array([a0, g0]) + np.array([a1 - a0, g1 - g0]) * doubles[:, 3:]
+        descriptors = boxes[0].low + boxes[0].span * doubles[:, 3:]
     else:
         # mean + chol @ z, whose off-diagonal products are exact zeros
         means = np.array([box.mean for box in boxes])

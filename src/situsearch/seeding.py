@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import hashlib
 
-import numpy as np
-
 
 def stable_seed(*parts: object) -> int:
     """Platform-stable 64-bit seed from the string forms of the parts.
@@ -16,7 +14,3 @@ def stable_seed(*parts: object) -> int:
     """
     key = "|".join(str(p) for p in parts).encode("utf-8")
     return int.from_bytes(hashlib.blake2b(key, digest_size=8).digest(), "big")
-
-
-def rng_for(*parts: object) -> np.random.Generator:
-    return np.random.default_rng(stable_seed(*parts))

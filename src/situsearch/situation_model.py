@@ -78,9 +78,12 @@ _PRIOR_STD_RANGE = (math.sqrt(sys.float_info.min), math.sqrt(sys.float_info.max 
 class LogUniformBox:
     """Uniform draws of (ln area-ratio, ln aspect-ratio) over the fixed ranges."""
 
-    def sample(self, rng: np.random.Generator) -> tuple[float, float]:
-        (a0, a1), (g0, g1) = LOG_AREA_RANGE, LOG_ASPECT_RANGE
-        return a0 + (a1 - a0) * rng.random(), g0 + (g1 - g0) * rng.random()
+    low = np.array([LOG_AREA_RANGE[0], LOG_ASPECT_RANGE[0]])
+    span = np.array([LOG_AREA_RANGE[1], LOG_ASPECT_RANGE[1]]) - low
+
+    def sample(self, rng: np.random.Generator) -> np.ndarray:
+        """One (alpha, gamma) draw, as a Gaussian box law's ``sample`` gives it."""
+        return self.low + self.span * rng.random(2)
 
 
 @dataclass(eq=False)
@@ -117,17 +120,13 @@ class CategorySearchDist:
 
     ``location`` is the map proposals are drawn from: the method's prior
     map, or a conditioned Gaussian's map (``conditioned_distribution``),
-    whose grid is built at its first draw.
+    whose grid is built at its first draw. ``alpha_gamma`` is the box law:
+    its ``sample(rng)`` draws (alpha, gamma) as an array, whichever of the
+    two laws it is.
     """
 
     location: LocationMap
     alpha_gamma: MultivariateGaussian | LogUniformBox
-
-    def sample_alpha_gamma(self, rng: np.random.Generator) -> tuple[float, float]:
-        if isinstance(self.alpha_gamma, LogUniformBox):
-            return self.alpha_gamma.sample(rng)
-        a, g = self.alpha_gamma.sample(rng).tolist()
-        return a, g
 
 
 def loc_dims(categories: Sequence[str]) -> tuple[str, ...]:

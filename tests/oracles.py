@@ -33,8 +33,8 @@ def marginal(dist: MultivariateGaussian, keep: list[str]) -> MultivariateGaussia
 def draw(rng: np.random.Generator, searched, size: int):
     """The random calls of ``size`` iterations of the per-proposal loop over ``searched``.
 
-    One ``rng.integers``, ``rng.random(3)`` and ``sample_alpha_gamma`` call
-    per iteration, in the loop's order: the oracle of the block decoder,
+    One ``rng.integers``, ``rng.random(3)`` and ``alpha_gamma.sample`` call per
+    iteration, in the loop's order: the oracle of the block decoder,
     ``search._draw``. Returns each iteration's index into ``searched``, its
     three location uniforms and its (alpha, gamma) draw, as arrays, and the
     first iteration whose pick took more than one 32-bit half-word of a
@@ -49,7 +49,7 @@ def draw(rng: np.random.Generator, searched, size: int):
             rejected = i
         picks.append(k)
         uniforms.append(rng.random(3))
-        descriptors.append(searched[k].sample_alpha_gamma(rng))
+        descriptors.append(searched[k].alpha_gamma.sample(rng))
     arrays = (
         np.array(picks, dtype=np.intp),
         np.reshape(uniforms, (size, 3)),

@@ -589,8 +589,12 @@ def conditioned_run(held_out, ann, seed, watch=None, token="uniform-learned-lear
     return run_image(model, None, config, ann, np.random.default_rng(seed), watch)
 
 
-def spare_buffers(ann) -> list[np.ndarray]:
-    return search._spare_buffers(grid_shape(normalize_frame(ann.width, ann.height), 8.0))
+def map_buffers(ann) -> np.ndarray:
+    return search._map_buffers(grid_shape(normalize_frame(ann.width, ann.height), 8.0))
+
+
+def category_row(ann, category: str) -> np.ndarray:
+    return map_buffers(ann)[CATS.index(category)]
 
 
 def test_a_second_run_builds_its_maps_in_the_first_runs_buffers(held_out, monkeypatch):
@@ -599,25 +603,27 @@ def test_a_second_run_builds_its_maps_in_the_first_runs_buffers(held_out, monkey
     conditioned = search.conditioned_distribution
 
     def recording_conditioned(*args):
-        outs.append(args[6])
+        outs.append((args[1], args[6]))
         return conditioned(*args)
 
     monkeypatch.setattr(search, "conditioned_distribution", recording_conditioned)
-    search._spare_buffers.cache_clear()
+    search._map_buffers.cache_clear()
     first = conditioned_run(held_out, ann, 3)
-    held = {id(buffer) for buffer in spare_buffers(ann)}
-    assert outs and held == {id(out) for out in outs}
+    rows = map_buffers(ann)
+    assert outs and search._map_buffers.cache_info().misses == 1
+    for cat, out in outs:
+        assert out.shape == rows.shape[1:] and np.shares_memory(out, category_row(ann, cat))
 
     outs.clear()
     assert conditioned_run(held_out, ann, 3).to_dict() == first.to_dict()
-    assert outs and {id(out) for out in outs} <= held
-    assert sorted(map(id, spare_buffers(ann))) == sorted(held)
+    assert outs and map_buffers(ann) is rows and search._map_buffers.cache_info().misses == 1
+    for cat, out in outs:
+        assert np.shares_memory(out, category_row(ann, cat))
 
 
 def test_built_grids_live_in_the_runs_buffers_and_shown_builds_none(held_out, monkeypatch):
-    # Every grid the run builds is built in the one buffer of its law's
-    # category, grid then CDF, when the law is first drawn from; shown()
-    # builds none.
+    # Every grid the run builds is built in the row of its law's category,
+    # grid then CDF, when the law is first drawn from; shown() builds none.
     ann = held_out[1][0]
     laws, builds, shown_laws = [], 0, 0
     conditioned, cell_masses = search.conditioned_distribution, gaussian.cell_masses
@@ -644,17 +650,24 @@ def test_built_grids_live_in_the_runs_buffers_and_shown_builds_none(held_out, mo
 
     monkeypatch.setattr(search, "conditioned_distribution", recording_conditioned)
     monkeypatch.setattr(gaussian, "cell_masses", counting_masses)
-    search._spare_buffers.cache_clear()
+    search._map_buffers.cache_clear()
     conditioned_run(held_out, ann, 3, watch)
-    spare = spare_buffers(ann)
     built = [(cat, location) for cat, location in laws if "grid" in vars(location)]
-    assert built and len(built) == builds < len(laws) <= shown_laws and len(spare) <= 3
-    homes = defaultdict(set)
+    assert built and len(built) == builds < len(laws) <= shown_laws
     for cat, location in built:
-        (home,) = [i for i, b in enumerate(spare) if np.shares_memory(location.grid, b)]
-        assert np.shares_memory(location._cdf, spare[home])
-        homes[cat].add(home)
-    assert all(len(h) == 1 for h in homes.values())
+        grid_row, cdf_row = category_row(ann, cat)
+        assert np.shares_memory(location.grid, grid_row)
+        assert np.shares_memory(location._cdf, cdf_row)
+
+
+@pytest.mark.parametrize("token", ["uniform-uniform-none", "uniform-learned-none"])
+def test_a_context_free_run_makes_no_map_buffers(held_out, token):
+    # Its laws are never conditioned, so the process holds no map buffers:
+    # a context-free process's peak memory stays its own.
+    search._map_buffers.cache_clear()
+    for ann in held_out[1]:
+        conditioned_run(held_out, ann, 3, logging_watch(eager=True)[0], token)
+    assert search._map_buffers.cache_info().misses == 0
 
 
 @pytest.mark.parametrize(
@@ -669,10 +682,8 @@ def test_a_run_whose_watch_raises_leaves_the_next_runs_unchanged(held_out, token
             for ann in held_out[1]
         ]
 
-    search._spare_buffers.cache_clear()
+    search._map_buffers.cache_clear()
     expected = results()
-    spare = spare_buffers(held_out[1][0])
-    before = len(spare)
     calls = itertools.count()
 
     def raising(iteration, proposal, score, workspace, shown):
@@ -687,10 +698,6 @@ def test_a_run_whose_watch_raises_leaves_the_next_runs_unchanged(held_out, token
             script_scores(patched, lambda p: 0.3 if next(first) == 0 else 0.0)
         with pytest.raises(RuntimeError, match="watch failed"):
             conditioned_run(held_out, held_out[1][0], 3, raising, token)
-    if token == "uniform-learned-learned":
-        assert len(spare) < before  # the failed run took buffers and kept them
-    else:
-        assert len(spare) == before
     assert results() == expected
 
 

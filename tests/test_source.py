@@ -106,6 +106,30 @@ def test_no_module_rebinds_a_module_global():
     assert found == []
 
 
+def instance_builds_outside_classes(source: str) -> list[int]:
+    """The lines that read some ``__new__`` outside every class body."""
+
+    def visit(node: ast.AST) -> list[int]:
+        if isinstance(node, ast.ClassDef):
+            return []
+        here = [node.lineno] if isinstance(node, ast.Attribute) and node.attr == "__new__" else []
+        return here + [line for child in ast.iter_child_nodes(node) for line in visit(child)]
+
+    return visit(ast.parse(source))
+
+
+def test_only_a_class_builds_its_instances():
+    # An instance made outside its class, such as by object.__new__ and a
+    # hand-written __dict__, bypasses the state the class keeps itself; a
+    # copy goes through the class's own __getstate__ and __setstate__.
+    found = {
+        path.stem: lines
+        for path in sorted(PACKAGE.glob("*.py"))
+        if (lines := instance_builds_outside_classes(path.read_text()))
+    }
+    assert found == {}
+
+
 SETTABLE_VALUES = 107
 
 
