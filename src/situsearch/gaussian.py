@@ -304,15 +304,14 @@ class LocationMap:
     grid[i, j] is the mass of the cell whose top-left corner sits at
     (-norm_width/2 + j*cell_size, -norm_height/2 + i*cell_size). Cells are
     non-negative and sum to 1. Instances are immutable in practice: the grid
-    is read-only and the sampling CDF is cached. The constructor normalizes
-    a copy of the grid it is given; a ``GaussianMap`` builds its grid from
-    its Gaussian when the grid is first read.
+    is read-only and the sampling CDF, a new array, is cached. The
+    constructor normalizes a copy of the grid it is given; a ``GaussianMap``
+    builds its grid from its Gaussian when the grid is first read.
     """
 
     frame: ImageFrame
     cell_size: float
     grid: np.ndarray = field(repr=False)
-    _cdf_buffer = None  # where the CDF is built: a new array, or half a category's map buffer
 
     def __post_init__(self) -> None:
         self.grid = _frozen(_normalize(np.array(self.grid, dtype=float)))
@@ -330,19 +329,22 @@ class LocationMap:
 
     @cached_property
     def _cdf(self) -> np.ndarray:
-        return _frozen(np.cumsum(self.grid.ravel(), out=self._cdf_buffer))
+        return _frozen(np.cumsum(self.grid.ravel()))
 
     def __setstate__(self, state: dict) -> None:
         _set_frozen_state(self, state, ("grid", "_cdf"))
 
+    def _cell(self, u: float) -> int:
+        """The row-major index of the cell a uniform ``u`` in [0, 1) draws by mass."""
+        cdf = self._cdf
+        return min(int(cdf.searchsorted(u * cdf[-1], "right")), cdf.size - 1)
+
     def sample_point(self, rng: np.random.Generator) -> tuple[float, float]:
         """Draw a cell by mass, then a uniform point inside it (clamped to frame)."""
-        cdf = self._cdf
         # One call for the three uniforms the cell and the point in it take:
         # the same values, in the same order, as three rng.random() calls.
         u, ux, uy = rng.random(3).tolist()
-        idx = min(int(cdf.searchsorted(u * cdf[-1], "right")), cdf.size - 1)
-        row, col = divmod(idx, self.grid.shape[1])
+        row, col = divmod(self._cell(u), self.shape[1])
         hx = self.frame.norm_width / 2
         hy = self.frame.norm_height / 2
         x = -hx + (col + ux) * self.cell_size
@@ -353,8 +355,45 @@ class LocationMap:
 class GaussianMap(LocationMap):
     """``rasterize_2d``'s map of a 2-d ``gaussian`` on a frame's grid, folded with ``weights``.
 
-    Its grid is built when first read, by a draw or otherwise, and its CDF
-    when first drawn from: in ``out`` when given (see rasterize_2d).
+    Its grid is built only when read, and a draw needs neither the grid nor
+    its CDF, yet draws the very cell ``LocationMap._cell`` would. At its
+    first draw the map keeps its Gaussian's unnormalized density p (the
+    ``pdf_grid`` that ``cell_masses`` would normalize) and the running sums
+    of its row totals (``density_rows``); a draw searches those for the row,
+    then a cached cumulative sum of that one row for the cell, and returns
+    the cell only when both neighbouring approximate prefixes clear the
+    target by a certified slack. Any other draw searches the exact CDF.
+
+    Why the cell is exact. Let x_c >= 0 be cell c's unnormalized mass in
+    real arithmetic, x_c = p_c, or p_c w_c + eps t1 with weights w, where t1
+    is p's float total and eps = default_epsilon(n); let X_k = x_0 + ... + x_k
+    in row-major order over the n cells, and g_m = m 2^-53 / (1 - m 2^-53).
+    Every term is >= 0, so a sum in any order in which no term passes
+    through more than m roundings is its real value times (1 + e), |e| <= g_m
+    (Higham, Accuracy and Stability of Numerical Algorithms, section 4.2).
+    - Exact path: normalizing, folding and normalizing again change each
+      cell to x_c / (t1 t2) (1 + e), |e| <= g_4, t2 being the folded total
+      (1 without weights). So cdf_k = X_k / (t1 t2) (1 + e) with |e| <=
+      g_(n+4), and the drawn value u cdf_(n-1) is u X_(n-1) / (t1 t2) (1 + e)
+      with |e| <= g_(n+5). The search returns cell k exactly when
+      cdf_(k-1) <= u cdf_(n-1) < cdf_k (cdf_(-1) = 0). The scales t1 and t2
+      cancel, so that holds when X_(k-1) (1 + g_(n+4)) <= u X_(n-1) (1 - g_(n+5))
+      and X_k (1 - g_(n+4)) > u X_(n-1) (1 + g_(n+5)).
+    - Certified path: a row's end, and a row's start plus a prefix of the
+      row's cumulative sum, are each some A_k = X_k (1 + e) with |e| <= g_m,
+      m = rows + cols + 3, and the total T = A_(n-1). A draw returns k only
+      when A_(k-1) <= u T - s and A_k > u T + s (A_(-1) = 0), with slack
+      s = 4 (n + 2 cols + rows + 16) 2^-53 T. To first order the two
+      conditions above need s >= (2n + 2 rows + 2 cols + 20) 2^-53 X_(n-1);
+      the factor of 4 covers the higher-order terms, the roundings of u T
+      and u T -+ s, and underflow, which adds at most a few n 2^-1074 while
+      T >= 1e-6 (p peaks at 1, and the floor alone holds 1e-6 t1).
+    A density with no finite positive total (NaN cells where the quadratic
+    form overflows everywhere) is drawn from on the exact path, whose grid
+    is then ``cell_masses``' point mass.
+
+    With ``out`` (see ``rasterize_2d``) the density is built in ``out[0]``
+    and the grid, when read, in ``out[1]``; the exact CDF is a new array.
     """
 
     def __init__(
@@ -367,16 +406,46 @@ class GaussianMap(LocationMap):
     ):
         self.gaussian, self.frame, self.cell_size = gaussian, frame, cell_size
         self.weights, self._out = weights, out
-        if out is not None:
-            self._cdf_buffer = out[1].reshape(-1)
+        self._prefixes: dict[int, np.ndarray] = {}  # per row drawn from: its start + its cumsum
+
+    @cached_property
+    def shape(self) -> tuple[int, int]:
+        return grid_shape(self.frame, self.cell_size)
+
+    def _build(self, builder, half: int):
+        xs, ys = cell_centers(self.frame, self.cell_size)
+        weights = None if self.weights is None else self.weights.grid
+        return builder(self.gaussian, xs, ys, weights, None if self._out is None else self._out[half])
 
     @cached_property
     def grid(self) -> np.ndarray:
-        xs, ys = cell_centers(self.frame, self.cell_size)
-        weights = None if self.weights is None else self.weights.grid
-        return _frozen(
-            cell_masses(self.gaussian, xs, ys, weights, None if self._out is None else self._out[0])
-        )
+        return _frozen(self._build(cell_masses, 1))
+
+    @cached_property
+    def _rows(self) -> tuple[np.ndarray, np.ndarray, float] | None:
+        return self._build(density_rows, 0)
+
+    def _cell(self, u: float) -> int:
+        rows = self._rows
+        if rows is not None:
+            density, ends, floor = rows
+            total = float(ends[-1])
+            target = u * total
+            slack = 4 * (density.size + 2 * density.shape[1] + ends.size + 16) * 2**-53 * total
+            i = int(ends.searchsorted(target, "right"))
+            if i < ends.size:
+                start = float(ends[i - 1]) if i else 0.0
+                prefix = self._prefixes.get(i)
+                if prefix is None:
+                    cells = density[i]
+                    if self.weights is not None:
+                        cells = cells * self.weights.grid[i] + floor
+                    prefix = self._prefixes[i] = np.cumsum(cells) + start
+                j = int(prefix.searchsorted(target, "right"))
+                below = float(prefix[j - 1]) if j else start
+                if j < prefix.size and below <= target - slack and prefix[j] > target + slack:
+                    return i * prefix.size + j
+        return super()._cell(u)
 
 
 def grid_shape(frame: ImageFrame, cell_size: float) -> tuple[int, int]:
@@ -444,9 +513,10 @@ def rasterize_2d(
     map on the same grid, such as salience) the normalized density is folded
     with it and renormalized, in the same buffer: the map
     ``salience.combine(rasterize_2d(dist, frame, cell_size), weights)`` gives.
-    The arguments are checked here; the grid is built when first read.
-    With ``out``, a (2, rows, cols) float array, the grid is built in ``out[0]``
-    and the CDF in ``out[1]``: the map holds only until ``out`` is reused.
+    The arguments are checked here; nothing grid-sized is built until the
+    map is drawn from or its grid is read. With ``out``, a (2, rows, cols)
+    float array, the density a draw needs is built in ``out[0]`` and the
+    grid, if read, in ``out[1]``: the map holds only until ``out`` is reused.
     """
     if dist.dim != 2:
         raise InvalidInputError(f"rasterize_2d needs a 2-d distribution, got {dist.dim}-d")
@@ -488,6 +558,34 @@ def cell_masses(
     if weights is not None:
         _normalize(fold(grid, weights, default_epsilon(grid.size)))
     return grid
+
+
+def density_rows(
+    dist: MultivariateGaussian,
+    xs: np.ndarray,
+    ys: np.ndarray,
+    weights: np.ndarray | None,
+    out: np.ndarray | None,
+) -> tuple[np.ndarray, np.ndarray, float] | None:
+    """What ``GaussianMap`` draws from in place of ``cell_masses``' grid, in ``out`` when given.
+
+    Returns the unnormalized density ``pdf_grid`` gives on ys x xs, the
+    running sums of its row totals and each cell's floor. With ``weights``
+    a cell's mass is density * weights + floor, the floor being
+    ``default_epsilon`` times the density's total, as ``cell_masses`` folds
+    it before its second normalization. None when the masses have no
+    finite positive total.
+    """
+    density = dist.pdf_grid(xs, ys, out)
+    if weights is None:
+        floor, sums = 0.0, density.sum(axis=1)
+    else:
+        floor = default_epsilon(density.size) * float(density.sum())
+        sums = np.einsum("ij,ij->i", density, weights) + density.shape[1] * floor
+    ends = np.cumsum(sums)
+    if not 0 < ends[-1] < math.inf:
+        return None
+    return density, ends, floor
 
 
 # ---------------------------------------------------------------------------

@@ -16,15 +16,17 @@ salience map as it is rasterized.
 Each category has one law at a time. Conditioning draws no random
 numbers, so a category's conditioned law is made only when that category
 is next drawn from or shown, on the Workspace as it stood at its last
-change, and its location map's grid is built only at its first draw; a
-law replaced by a later change before any draw builds no grid. A watch is
-shown the laws the run draws from, so watching a run builds no grid.
-Between changes the loop is a tight sample/score/file cycle. A category's
-out-of-date law is released at the change that supersedes it, so it never
-holds memory beside its successor.
-Every run builds a category's grids, grid and CDF, in that category's row
-of one array the process keeps, so their pages are touched once per
-process, not once per map.
+change, and its location map's density is built only at its first draw; a
+law replaced by a later change before any draw builds nothing grid-sized.
+A draw needs the density alone, not the normalized grid or its CDF
+(``gaussian.GaussianMap``). A watch is shown the laws the run draws from,
+so watching a run builds nothing grid-sized. Between changes the loop is
+a tight sample/score/file cycle. A category's out-of-date law is released
+at the change that supersedes it, so it never holds memory beside its
+successor.
+Every run builds a category's densities in that category's row of one
+array the process keeps, so their pages are touched once per process, not
+once per map.
 
 Each turn of the loop draws one proposal or, in a context-free run
 (situation model ``none``) on PCG64, watched or not, a block of up to
@@ -256,8 +258,11 @@ def _map_buffers(shape: tuple[int, int]) -> np.ndarray:
     """The process's map buffers for the last grid shape asked for, one array.
 
     Row k is the (2, rows, cols) buffer of category k of DEFAULT_CATEGORIES,
-    in which every run builds that category's conditioned maps. It is made at
-    the first conditioning, so a process of context-free runs never makes it.
+    in which every run builds that category's conditioned maps: each map's
+    density in its first half and, only if the map's grid is read (as a draw
+    whose certificate fails reads it), the grid in its second. The exact
+    CDF of such a draw is a new array. The buffer is made at the first
+    conditioning, so a process of context-free runs never makes it.
     """
     return np.empty((len(DEFAULT_CATEGORIES), 2, *shape))
 
@@ -278,11 +283,12 @@ def run_image(
     category's law, None for a category with a final detection: the
     method's priors until another category is detected, then the
     category's ``conditioned_distribution``. These are the laws the run
-    draws from. Showing one builds no grid, so a watched run builds the
-    grids an unwatched one builds. A shown law is current only until the
-    next Workspace change; its grid, if first read after that, is built in
-    its category's map buffer (``_map_buffers``), as ``rasterize_2d``'s
-    ``out`` says, and holds only until a later map is built there.
+    draws from. Showing one builds nothing grid-sized, so a watched run
+    builds the densities an unwatched one builds. A shown law is current
+    only until the next Workspace change; its density or grid, if first
+    built after that, is built in its category's map buffer
+    (``_map_buffers``), as ``rasterize_2d``'s ``out`` says, and holds only
+    until a later map is built there.
     Watched or not, a context-free run on PCG64 draws in blocks (``_block``).
     """
     frame = image_frame(annotation, config.cell_size)

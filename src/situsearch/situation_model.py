@@ -13,8 +13,8 @@ At search time each category has one law: a location map plus a
 box-descriptor distribution. Until another category is detected these are
 the search method's priors; after that, the joint over the category and the
 detected others is conditioned on the others' boxes
-(``conditioned_distribution``): the location Gaussian's map, whose grid is
-built only when it is first drawn from, and the box Gaussian.
+(``conditioned_distribution``): the location Gaussian's map, whose density
+is built only when it is first drawn from, and the box Gaussian.
 A category's own detection never conditions its own distributions, and
 provisional detections condition exactly like final ones.
 """
@@ -120,7 +120,7 @@ class CategorySearchDist:
 
     ``location`` is the map proposals are drawn from: the method's prior
     map, or a conditioned Gaussian's map (``conditioned_distribution``),
-    whose grid is built at its first draw. ``alpha_gamma`` is the box law:
+    whose density is built at its first draw. ``alpha_gamma`` is the box law:
     its ``sample(rng)`` draws (alpha, gamma) as an array, whichever of the
     two laws it is.
     """
@@ -238,11 +238,11 @@ def conditioned_distribution(
     The joints over the category and the detected others are conditioned on
     the others' boxes. The location is the conditioned 2-d Gaussian over
     (x, y) as a map on the frame's grid at ``cell_size``, folded with a
-    ``salience`` map if given; its grid is built when first drawn from, in
-    ``out`` (see rasterize_2d). The box is the conditioned Gaussian over
+    ``salience`` map if given; its density is built when first drawn from,
+    in ``out`` (see rasterize_2d). The box is the conditioned Gaussian over
     (alpha, gamma). Detections of the category itself are ignored; at least
     one other category must be detected. Every argument is checked here,
-    before any grid is built.
+    before anything grid-sized is built.
     """
     if category not in DEFAULT_CATEGORIES:
         raise InvalidInputError(f"unknown category {category!r}")

@@ -58,6 +58,17 @@ def draw(rng: np.random.Generator, searched, size: int):
     return arrays, rejected
 
 
+def exact_cells(grid: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """The cells uniforms in [0, 1) draw from ``grid`` by the cumulative sum of its cells.
+
+    ``min(searchsorted(cumsum(grid), u * cdf[-1], "right"), n - 1)``, as
+    every location map once drew: the oracle of ``GaussianMap``'s search,
+    which draws without the grid.
+    """
+    cdf = np.cumsum(grid.ravel())
+    return np.minimum(np.searchsorted(cdf, uniforms * cdf[-1], "right"), cdf.size - 1)
+
+
 class LoopPCG64(np.random.PCG64):
     """PCG64 under another name, on which ``search.run_image`` draws no block:
     each of its runs' iterations is a single ``sample_proposal`` draw."""

@@ -221,20 +221,20 @@ def test_run_snapshots_block_sum_each_map_once(dataset_dir, model_path, tmp_path
     assert counts["law cells"] == counts["laws"] < counts["law panels"]
 
 
-def test_run_trace_builds_the_grids_an_unwatched_run_builds(
+def test_run_trace_builds_the_densities_an_unwatched_run_builds(
     dataset_dir, model_path, tmp_path, monkeypatch, capsys
 ):
-    # Neither a trace nor snapshots build grids: snapshots are drawn from
-    # the laws, so each watched run builds the grids of the unwatched run,
-    # in its order, from the same conditioned Gaussians.
+    # Neither a trace nor snapshots build a map's density: snapshots are
+    # drawn from the laws, so each watched run builds the densities of the
+    # unwatched run, in its order, from the same conditioned Gaussians.
     builds = []
-    cell_masses = gaussian.cell_masses
+    density_rows = gaussian.density_rows
 
-    def recording_masses(dist, xs, ys, weights, out):
+    def recording_rows(dist, xs, ys, weights, out):
         builds.append((dist.mean.tobytes(), dist.cov.tobytes(), weights is None))
-        return cell_masses(dist, xs, ys, weights, out)
+        return density_rows(dist, xs, ys, weights, out)
 
-    monkeypatch.setattr(gaussian, "cell_masses", recording_masses)
+    monkeypatch.setattr(gaussian, "density_rows", recording_rows)
     schedules, outputs = [], []
     for i, watching in enumerate(([], ["--trace"], ["--trace", "--snapshots"])):
         for ann in annotation_files(dataset_dir)[:4]:

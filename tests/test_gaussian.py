@@ -27,7 +27,7 @@ from situsearch.gaussian import (
 )
 from situsearch.geometry import normalize_frame
 from situsearch.salience import combine, default_epsilon
-from oracles import marginal
+from oracles import exact_cells, marginal
 
 
 def random_gaussian(rng: np.random.Generator, d: int) -> MultivariateGaussian:
@@ -525,6 +525,94 @@ def test_rasterize_with_weights_is_bit_identical_to_the_two_step_oracle(
         assert np.array_equal(lmap.grid, want)
         assert np.array_equal(lmap._cdf, np.cumsum(want.ravel()))
         assert not lmap.grid.flags.writeable
+
+
+def certified_search_cases():
+    """(grid name, frame, cell size, Gaussian name, Gaussian) for the certified search's oracle test."""
+    grids = {
+        "434x578": (normalize_frame(640, 480), 1.0),
+        "one row": (normalize_frame(1000, 1), normalize_frame(1000, 1).norm_height),
+        "one column": (normalize_frame(1, 1000), normalize_frame(1, 1000).norm_width),
+    }
+    rng = np.random.default_rng(28)
+    for grid_name, (frame, cell) in grids.items():
+        hx, hy = frame.norm_width / 2, frame.norm_height / 2
+
+        def gaussian(mean, sx, sy, rho):
+            cov = np.array([[sx * sx, rho * sx * sy], [rho * sx * sy, sy * sy]])
+            return MultivariateGaussian(dims=("x", "y"), mean=np.array(mean), cov=cov)
+
+        somewhere = (rng.uniform(-hx, hx), rng.uniform(-hy, hy))
+        dists = {
+            f"random {i}": gaussian(
+                (rng.uniform(-1.2 * hx, 1.2 * hx), rng.uniform(-1.2 * hy, 1.2 * hy)),
+                rng.uniform(0.02, 1.0) * hx,
+                rng.uniform(0.02, 1.0) * hy,
+                rng.uniform(-0.95, 0.95),
+            )
+            for i in range(4)
+        }
+        dists["det 0"] = gaussian(somewhere, 30.0, 30.0, 1.0)
+        dists["NaN density"] = gaussian((1e7, -1e7), 1e-153, 1.0, 0.0)
+        dists["rho near 1"] = gaussian(somewhere, 0.3 * hx, 0.3 * hy, 1 - 1e-12)
+        dists["rho near -1"] = gaussian(somewhere, 0.3 * hx, 0.3 * hy, -1 + 1e-9)
+        dists["tiny sigma"] = gaussian(somewhere, 1e-3, 1e-3, 0.0)
+        dists["huge sigma"] = gaussian(somewhere, 1e6, 1e6, 0.2)
+        for dist_name, dist in dists.items():
+            yield grid_name, frame, cell, dist_name, dist
+
+
+CERTIFIED_SEARCH_CASES = [
+    pytest.param(*case, salient, id=f"{case[0]}-{case[3]}-{'salience' if salient else 'plain'}")
+    for case in certified_search_cases()
+    for salient in (False, True)
+]
+
+
+@pytest.mark.parametrize("grid_name, frame, cell, dist_name, dist, salient", CERTIFIED_SEARCH_CASES)
+def test_the_certified_search_draws_the_cell_the_exact_cdf_draws(
+    grid_name, frame, cell, dist_name, dist, salient, monkeypatch
+):
+    # A Gaussian's map draws without its grid, and falls back to the exact
+    # CDF only where its certificate fails: every cell is the CDF's, for
+    # uniforms drawn at random and for uniforms within 4 ulps of the
+    # boundaries between cells, where only the exact CDF can decide.
+    rng = np.random.default_rng(len(dist_name) + 100 * salient)
+    weights = None
+    if salient:
+        raw = rng.random(grid_shape(frame, cell)) ** 3 * (rng.random(grid_shape(frame, cell)) > 0.1)
+        weights = LocationMap(frame=frame, cell_size=cell, grid=raw + (raw.sum() == 0))
+    grid = rasterize_2d(dist, frame, cell, weights).grid
+    cdf = np.cumsum(grid.ravel())
+    massive = np.flatnonzero(np.diff(cdf, prepend=0.0) > 0)
+    edges = cdf[rng.choice(massive, size=min(200, massive.size), replace=False)] / cdf[-1]
+    boundary = [edges]
+    for direction in (0.0, 1.0):
+        u = edges
+        for _ in range(4):
+            u = np.nextafter(u, direction)
+            boundary.append(u)
+    boundary = np.concatenate(boundary)
+    boundary = boundary[(boundary >= 0) & (boundary < 1)]
+
+    fallbacks = []
+    exact_cell = LocationMap._cell
+
+    def counting_exact_cell(lmap, u):
+        fallbacks.append(u)
+        return exact_cell(lmap, u)
+
+    monkeypatch.setattr(LocationMap, "_cell", counting_exact_cell)
+    lmap = rasterize_2d(dist, frame, cell, weights)
+    assert lmap.shape == grid.shape
+    uniform = rng.random(500)
+    assert [lmap._cell(u) for u in uniform] == exact_cells(grid, uniform).tolist()
+    at_random = len(fallbacks)
+    assert [lmap._cell(u) for u in boundary] == exact_cells(grid, boundary).tolist()
+    assert len(fallbacks) > at_random  # the boundary draws need the exact CDF
+    assert ("grid" in vars(lmap)) == bool(fallbacks)
+    if dist_name == "NaN density":
+        assert lmap._rows is None and len(fallbacks) == uniform.size + boundary.size
 
 
 def test_rasterize_rejects_weights_on_another_grid():

@@ -469,25 +469,40 @@ def test_lazy_conditioning_matches_eager(held_out, token):
 @pytest.mark.parametrize(
     "token", [t for t, c in METHOD_TOKENS.items() if c.situation_model != search.MODEL_NONE]
 )
-def test_every_grid_built_is_drawn_from_before_the_next_change(held_out, token, monkeypatch):
-    # A grid is built by the first draw from its law, never before: each
-    # build is followed by the draw from the Gaussian's map it was built for.
+def test_every_density_built_is_drawn_from_before_the_next_change(held_out, token, monkeypatch):
+    # A map's density is built by the first draw from its law, never before:
+    # each build is followed by the draw from the Gaussian's map it was
+    # built for. An exact grid, and its CDF, only by a failed certificate.
     events: list[tuple[str, object]] = []
-    laws = []
+    laws, exact_grids = [], []
+    fell_back = set()
     conditioned, sample, observe = (
         search.conditioned_distribution,
         search.sample_proposal,
         Workspace.observe,
     )
-    cell_masses = gaussian.cell_masses
+    density_rows, cell_masses, exact_cell = (
+        gaussian.density_rows,
+        gaussian.cell_masses,
+        LocationMap._cell,
+    )
 
     def counting_conditioned(*args):
         laws.append(conditioned(*args))
         return laws[-1]
 
-    def counting_masses(dist, *args):
+    def counting_rows(dist, *args):
         events.append(("built", dist))
-        return cell_masses(dist, *args)
+        return density_rows(dist, *args)
+
+    def counting_masses(*args):
+        exact_grids.append(args)
+        return cell_masses(*args)
+
+    def recording_exact_cell(lmap, u):
+        if isinstance(lmap, GaussianMap):
+            fell_back.add(lmap)
+        return exact_cell(lmap, u)
 
     def counting_sample(category, dist, frame, rng):
         proposal = sample(category, dist, frame, rng)
@@ -501,7 +516,9 @@ def test_every_grid_built_is_drawn_from_before_the_next_change(held_out, token, 
         return changed
 
     monkeypatch.setattr(search, "conditioned_distribution", counting_conditioned)
+    monkeypatch.setattr(gaussian, "density_rows", counting_rows)
     monkeypatch.setattr(gaussian, "cell_masses", counting_masses)
+    monkeypatch.setattr(LocationMap, "_cell", recording_exact_cell)
     monkeypatch.setattr(search, "sample_proposal", counting_sample)
     monkeypatch.setattr(Workspace, "observe", counting_observe)
 
@@ -511,15 +528,20 @@ def test_every_grid_built_is_drawn_from_before_the_next_change(held_out, token, 
     assert built and len(built) == len(laws)  # unwatched, a law is made only to be drawn
     for i in built:  # by the draw that needs it, so before any later change
         assert events[i + 1][0] == "drawn" and events[i + 1][1] is events[i][1]
+    exact = [law.location for law in laws if "_cdf" in vars(law.location)]
+    assert set(exact) == fell_back
+    assert len(exact_grids) == len(fell_back)
 
-    # A watch shown every law at each change builds no grid: the runs build
-    # the same grids in the same order, while more laws are shown than built.
+    # A watch shown every law at each change builds nothing grid-sized: the
+    # runs build the same densities in the same order, while more laws are
+    # shown than built.
     def schedule():
         return [(kind, None if law is None else law.mean.tobytes()) for kind, law in events]
 
     lazy = schedule()
     events.clear()
     laws.clear()
+    fell_back.clear()
     for _ in held_out_runs(held_out, token, eager=True):
         pass
     assert schedule() == lazy
@@ -621,22 +643,23 @@ def test_a_second_run_builds_its_maps_in_the_first_runs_buffers(held_out, monkey
         assert np.shares_memory(out, category_row(ann, cat))
 
 
-def test_built_grids_live_in_the_runs_buffers_and_shown_builds_none(held_out, monkeypatch):
-    # Every grid the run builds is built in the row of its law's category,
-    # grid then CDF, when the law is first drawn from; shown() builds none.
+def test_built_densities_live_in_the_runs_buffers_and_shown_builds_none(held_out, monkeypatch):
+    # Every density the run builds is built in the first half of its law's
+    # category's row, when the law is first drawn from; shown() builds none.
+    # A map's exact grid is built only when read, in the row's second half.
     ann = held_out[1][0]
     laws, builds, shown_laws = [], 0, 0
-    conditioned, cell_masses = search.conditioned_distribution, gaussian.cell_masses
+    conditioned, density_rows = search.conditioned_distribution, gaussian.density_rows
 
     def recording_conditioned(*args):
         dist = conditioned(*args)
         laws.append((args[1], dist.location))
         return dist
 
-    def counting_masses(*args):
+    def counting_rows(*args):
         nonlocal builds
         builds += 1
-        return cell_masses(*args)
+        return density_rows(*args)
 
     def watch(iteration, proposal, score, workspace, shown):
         nonlocal shown_laws
@@ -649,15 +672,17 @@ def test_built_grids_live_in_the_runs_buffers_and_shown_builds_none(held_out, mo
             assert builds == before
 
     monkeypatch.setattr(search, "conditioned_distribution", recording_conditioned)
-    monkeypatch.setattr(gaussian, "cell_masses", counting_masses)
+    monkeypatch.setattr(gaussian, "density_rows", counting_rows)
     search._map_buffers.cache_clear()
     conditioned_run(held_out, ann, 3, watch)
-    built = [(cat, location) for cat, location in laws if "grid" in vars(location)]
+    built = [(cat, location) for cat, location in laws if "_rows" in vars(location)]
     assert built and len(built) == builds < len(laws) <= shown_laws
     for cat, location in built:
-        grid_row, cdf_row = category_row(ann, cat)
-        assert np.shares_memory(location.grid, grid_row)
-        assert np.shares_memory(location._cdf, cdf_row)
+        density_row, grid_row = category_row(ann, cat)
+        assert np.shares_memory(location._rows[0], density_row)
+        assert "grid" not in vars(location) and "_cdf" not in vars(location)
+    cat, location = built[-1]
+    assert np.shares_memory(location.grid, category_row(ann, cat)[1])
 
 
 @pytest.mark.parametrize("token", ["uniform-uniform-none", "uniform-learned-none"])

@@ -22,6 +22,7 @@ from situsearch.datagen import SituationAnnotation, default_generator_config, ge
 from situsearch.errors import DatasetError, InsufficientDataError, InvalidInputError
 from situsearch.gaussian import (
     FIT_RIDGE_FLOOR,
+    GaussianMap,
     LocationMap,
     MultivariateGaussian,
     condition,
@@ -186,7 +187,7 @@ def dists_after_first_detection(
         return 0.0
 
     def kept(dist):
-        if dist.location._cdf_buffer is None:  # not in a buffer
+        if not isinstance(dist.location, GaussianMap):  # not in a buffer
             return dist
         location = dist.location
         grid = location.grid.copy()
@@ -740,9 +741,10 @@ def test_model_section_keys_are_checked_but_a_joint_may_omit_its_ridge(synthetic
 
 
 @pytest.mark.parametrize("salient", [False, True], ids=["uniform-prior", "salience-prior"])
-def test_a_conditioned_map_costs_one_grid_buffer(synthetic_model, salient):
-    # The density, its normalization and the salience fold share one buffer;
-    # the sampling CDF is the only other grid-sized array.
+def test_a_conditioned_map_draws_from_one_grid_buffer(synthetic_model, salient):
+    # Draws need the density alone, with its row sums and a few rows'
+    # prefixes; the exact grid and its CDF are two more grid-sized arrays,
+    # built only when the grid is read, as a failed certificate reads it.
     frame = normalize_frame(640, 480)
     shape = grid_shape(frame, 1.0)
     grid_bytes = shape[0] * shape[1] * 8
@@ -755,14 +757,19 @@ def test_a_conditioned_map_costs_one_grid_buffer(synthetic_model, salient):
     try:
         base = tracemalloc.get_traced_memory()[0]
         dist = conditioned_distribution(synthetic_model, "dog", detections, frame, 1.0, salience)
-        built = tracemalloc.get_traced_memory()[1] - base
+        rng = np.random.default_rng(0)
+        for _ in range(100):
+            dist.location.sample_point(rng)
+        drawn = tracemalloc.get_traced_memory()[1] - base
+        assert "grid" not in vars(dist.location)
         tracemalloc.reset_peak()
         dist.location._cdf
-        with_cdf = tracemalloc.get_traced_memory()[1] - base
+        exact = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert built <= 1.1 * grid_bytes
-    assert with_cdf <= 2.1 * grid_bytes
+    prefixes = sum(prefix.nbytes for prefix in dist.location._prefixes.values())
+    assert drawn <= 1.1 * grid_bytes + prefixes
+    assert exact <= 3.1 * grid_bytes + prefixes
 
 
 def test_a_model_pickled_after_conditioning_round_trips(synthetic_model):
