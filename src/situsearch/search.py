@@ -24,7 +24,7 @@ so watching a run builds nothing grid-sized. Between changes the loop is
 a tight sample/score/file cycle. A category's out-of-date law is released
 at the change that supersedes it, so it never holds memory beside its
 successor.
-Every run builds a category's densities in that category's row of one
+Every run builds a category's densities in that category's part of one
 array the process keeps, so their pages are touched once per process, not
 once per map.
 
@@ -257,14 +257,16 @@ def image_frame(annotation, cell_size: float) -> ImageFrame:
 def _map_buffers(shape: tuple[int, int]) -> np.ndarray:
     """The process's map buffers for the last grid shape asked for, one array.
 
-    Row k is the (2, rows, cols) buffer of category k of DEFAULT_CATEGORIES,
-    in which every run builds that category's conditioned maps: each map's
-    density in its first half and, only if the map's grid is read (as a draw
-    whose certificate fails reads it), the grid in its second. The exact
-    CDF of such a draw is a new array. The buffer is made at the first
-    conditioning, so a process of context-free runs never makes it.
+    Column k, a (2, rows, cols) view, is the buffer of category k of
+    DEFAULT_CATEGORIES, in which every run builds that category's
+    conditioned maps: each map's density in half 0 and, only if the map's
+    grid is read (as a draw whose certificate fails reads it), the grid in
+    half 1. The exact CDF of such a draw is a new array. So the densities,
+    which every run writes, share no page with the grids, which runs
+    rarely write. The array is made at the first conditioning, so a process
+    of context-free runs never makes it.
     """
-    return np.empty((len(DEFAULT_CATEGORIES), 2, *shape))
+    return np.empty((2, len(DEFAULT_CATEGORIES), *shape))
 
 
 def run_image(
@@ -319,7 +321,7 @@ def run_image(
 
     def law(cat: str) -> CategorySearchDist:
         if laws[cat] is None:
-            out = _map_buffers(shape)[DEFAULT_CATEGORIES.index(cat)]
+            out = _map_buffers(shape)[:, DEFAULT_CATEGORIES.index(cat)]
             laws[cat] = conditioned_distribution(
                 model, cat, detected, frame, config.cell_size, salience, out
             )

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import gc
+import itertools
 import json
 import math
 import pickle
@@ -527,24 +528,25 @@ def test_rasterize_with_weights_is_bit_identical_to_the_two_step_oracle(
         assert not lmap.grid.flags.writeable
 
 
+def gaussian_2d(mean, sx: float, sy: float, rho: float) -> MultivariateGaussian:
+    cov = np.array([[sx * sx, rho * sx * sy], [rho * sx * sy, sy * sy]])
+    return MultivariateGaussian(dims=("x", "y"), mean=np.array(mean), cov=cov)
+
+
 def certified_search_cases():
-    """(grid name, frame, cell size, Gaussian name, Gaussian) for the certified search's oracle test."""
+    """The certified search's oracle cases: (frame, cell size, Gaussian name, Gaussian, salient)."""
+    wide, tall = normalize_frame(1000, 1), normalize_frame(1, 1000)
     grids = {
         "434x578": (normalize_frame(640, 480), 1.0),
-        "one row": (normalize_frame(1000, 1), normalize_frame(1000, 1).norm_height),
-        "one column": (normalize_frame(1, 1000), normalize_frame(1, 1000).norm_width),
+        "one row": (wide, wide.norm_height),
+        "one column": (tall, tall.norm_width),
     }
     rng = np.random.default_rng(28)
     for grid_name, (frame, cell) in grids.items():
         hx, hy = frame.norm_width / 2, frame.norm_height / 2
-
-        def gaussian(mean, sx, sy, rho):
-            cov = np.array([[sx * sx, rho * sx * sy], [rho * sx * sy, sy * sy]])
-            return MultivariateGaussian(dims=("x", "y"), mean=np.array(mean), cov=cov)
-
         somewhere = (rng.uniform(-hx, hx), rng.uniform(-hy, hy))
         dists = {
-            f"random {i}": gaussian(
+            f"random {i}": gaussian_2d(
                 (rng.uniform(-1.2 * hx, 1.2 * hx), rng.uniform(-1.2 * hy, 1.2 * hy)),
                 rng.uniform(0.02, 1.0) * hx,
                 rng.uniform(0.02, 1.0) * hy,
@@ -552,26 +554,20 @@ def certified_search_cases():
             )
             for i in range(4)
         }
-        dists["det 0"] = gaussian(somewhere, 30.0, 30.0, 1.0)
-        dists["NaN density"] = gaussian((1e7, -1e7), 1e-153, 1.0, 0.0)
-        dists["rho near 1"] = gaussian(somewhere, 0.3 * hx, 0.3 * hy, 1 - 1e-12)
-        dists["rho near -1"] = gaussian(somewhere, 0.3 * hx, 0.3 * hy, -1 + 1e-9)
-        dists["tiny sigma"] = gaussian(somewhere, 1e-3, 1e-3, 0.0)
-        dists["huge sigma"] = gaussian(somewhere, 1e6, 1e6, 0.2)
-        for dist_name, dist in dists.items():
-            yield grid_name, frame, cell, dist_name, dist
+        dists["det 0"] = gaussian_2d(somewhere, 30.0, 30.0, 1.0)
+        dists["NaN density"] = gaussian_2d((1e7, -1e7), 1e-153, 1.0, 0.0)
+        dists["rho near 1"] = gaussian_2d(somewhere, 0.3 * hx, 0.3 * hy, 1 - 1e-12)
+        dists["rho near -1"] = gaussian_2d(somewhere, 0.3 * hx, 0.3 * hy, -1 + 1e-9)
+        dists["tiny sigma"] = gaussian_2d(somewhere, 1e-3, 1e-3, 0.0)
+        dists["huge sigma"] = gaussian_2d(somewhere, 1e6, 1e6, 0.2)
+        for (dist_name, dist), salient in itertools.product(dists.items(), (False, True)):
+            case_id = f"{grid_name}-{dist_name}-{'salience' if salient else 'plain'}"
+            yield pytest.param(frame, cell, dist_name, dist, salient, id=case_id)
 
 
-CERTIFIED_SEARCH_CASES = [
-    pytest.param(*case, salient, id=f"{case[0]}-{case[3]}-{'salience' if salient else 'plain'}")
-    for case in certified_search_cases()
-    for salient in (False, True)
-]
-
-
-@pytest.mark.parametrize("grid_name, frame, cell, dist_name, dist, salient", CERTIFIED_SEARCH_CASES)
+@pytest.mark.parametrize("frame, cell, dist_name, dist, salient", certified_search_cases())
 def test_the_certified_search_draws_the_cell_the_exact_cdf_draws(
-    grid_name, frame, cell, dist_name, dist, salient, monkeypatch
+    frame, cell, dist_name, dist, salient, monkeypatch
 ):
     # A Gaussian's map draws without its grid, and falls back to the exact
     # CDF only where its certificate fails: every cell is the CDF's, for
@@ -580,8 +576,9 @@ def test_the_certified_search_draws_the_cell_the_exact_cdf_draws(
     rng = np.random.default_rng(len(dist_name) + 100 * salient)
     weights = None
     if salient:
-        raw = rng.random(grid_shape(frame, cell)) ** 3 * (rng.random(grid_shape(frame, cell)) > 0.1)
-        weights = LocationMap(frame=frame, cell_size=cell, grid=raw + (raw.sum() == 0))
+        shape = grid_shape(frame, cell)
+        raw = rng.random(shape) ** 3 * (rng.random(shape) > 0.1)  # a tenth of the cells 0
+        weights = LocationMap(frame=frame, cell_size=cell, grid=raw)
     grid = rasterize_2d(dist, frame, cell, weights).grid
     cdf = np.cumsum(grid.ravel())
     massive = np.flatnonzero(np.diff(cdf, prepend=0.0) > 0)

@@ -615,8 +615,8 @@ def map_buffers(ann) -> np.ndarray:
     return search._map_buffers(grid_shape(normalize_frame(ann.width, ann.height), 8.0))
 
 
-def category_row(ann, category: str) -> np.ndarray:
-    return map_buffers(ann)[CATS.index(category)]
+def category_buffer(ann, category: str) -> np.ndarray:
+    return map_buffers(ann)[:, CATS.index(category)]
 
 
 def test_a_second_run_builds_its_maps_in_the_first_runs_buffers(held_out, monkeypatch):
@@ -631,22 +631,23 @@ def test_a_second_run_builds_its_maps_in_the_first_runs_buffers(held_out, monkey
     monkeypatch.setattr(search, "conditioned_distribution", recording_conditioned)
     search._map_buffers.cache_clear()
     first = conditioned_run(held_out, ann, 3)
-    rows = map_buffers(ann)
+    buffers = map_buffers(ann)
     assert outs and search._map_buffers.cache_info().misses == 1
     for cat, out in outs:
-        assert out.shape == rows.shape[1:] and np.shares_memory(out, category_row(ann, cat))
+        assert out.shape == (2, *buffers.shape[2:])
+        assert np.shares_memory(out, category_buffer(ann, cat))
 
     outs.clear()
     assert conditioned_run(held_out, ann, 3).to_dict() == first.to_dict()
-    assert outs and map_buffers(ann) is rows and search._map_buffers.cache_info().misses == 1
+    assert outs and map_buffers(ann) is buffers and search._map_buffers.cache_info().misses == 1
     for cat, out in outs:
-        assert np.shares_memory(out, category_row(ann, cat))
+        assert np.shares_memory(out, category_buffer(ann, cat))
 
 
 def test_built_densities_live_in_the_runs_buffers_and_shown_builds_none(held_out, monkeypatch):
     # Every density the run builds is built in the first half of its law's
-    # category's row, when the law is first drawn from; shown() builds none.
-    # A map's exact grid is built only when read, in the row's second half.
+    # category's buffer, when the law is first drawn from; shown() builds
+    # none. A map's exact grid is built only when read, in the second half.
     ann = held_out[1][0]
     laws, builds, shown_laws = [], 0, 0
     conditioned, density_rows = search.conditioned_distribution, gaussian.density_rows
@@ -678,11 +679,10 @@ def test_built_densities_live_in_the_runs_buffers_and_shown_builds_none(held_out
     built = [(cat, location) for cat, location in laws if "_rows" in vars(location)]
     assert built and len(built) == builds < len(laws) <= shown_laws
     for cat, location in built:
-        density_row, grid_row = category_row(ann, cat)
-        assert np.shares_memory(location._rows[0], density_row)
+        assert np.shares_memory(location._rows[0], category_buffer(ann, cat)[0])
         assert "grid" not in vars(location) and "_cdf" not in vars(location)
     cat, location = built[-1]
-    assert np.shares_memory(location.grid, category_row(ann, cat)[1])
+    assert np.shares_memory(location.grid, category_buffer(ann, cat)[1])
 
 
 @pytest.mark.parametrize("token", ["uniform-uniform-none", "uniform-learned-none"])
