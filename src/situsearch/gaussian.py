@@ -443,6 +443,7 @@ class GaussianMap(LocationMap):
                     prefix = self._prefixes[i] = np.cumsum(cells) + start
                 j = int(prefix.searchsorted(target, "right"))
                 below = float(prefix[j - 1]) if j else start
+                # The certificate derived above: the exact CDF draws this cell too.
                 if j < prefix.size and below <= target - slack and prefix[j] > target + slack:
                     return i * prefix.size + j
         return super()._cell(u)
