@@ -307,7 +307,7 @@ def _law_cells(location: GaussianMap) -> np.ndarray:
     rows, row_spans = _block_samples(len(ys), factor)
     cols, col_spans = _block_samples(len(xs), factor)
     weights = None if location.weights is None else location.weights.grid[np.ix_(rows, cols)]
-    masses = cell_masses(location.gaussian, xs[cols], ys[rows], weights, None)
+    masses = cell_masses(location.gaussian, xs[cols], ys[rows], weights)
     samples = min(HEAT_SAMPLES, factor)
     blocks = sum(masses[:, j::samples] for j in range(samples))
     blocks = sum(blocks[j::samples] for j in range(samples))

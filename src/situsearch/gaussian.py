@@ -21,6 +21,7 @@ from __future__ import annotations
 import copy
 import math
 import sys
+import weakref
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -392,8 +393,9 @@ class GaussianMap(LocationMap):
     form overflows everywhere) is drawn from on the exact path, whose grid
     is then ``cell_masses``' point mass.
 
-    With ``out`` (see ``rasterize_2d``) the density is built in ``out[0]``
-    and the grid, when read, in ``out[1]``; the exact CDF is a new array.
+    The map owns its density: it takes the array at its first draw from the
+    spare grids of its shape (``_take_grid``) and gives it back when it is
+    collected. Its grid and exact CDF, built only when read, are new arrays.
     """
 
     def __init__(
@@ -402,28 +404,29 @@ class GaussianMap(LocationMap):
         frame: ImageFrame,
         cell_size: float,
         weights: LocationMap | None,
-        out: np.ndarray | None,
     ):
         self.gaussian, self.frame, self.cell_size = gaussian, frame, cell_size
-        self.weights, self._out = weights, out
+        self.weights = weights
         self._prefixes: dict[int, np.ndarray] = {}  # per row drawn from: its start + its cumsum
 
     @cached_property
     def shape(self) -> tuple[int, int]:
         return grid_shape(self.frame, self.cell_size)
 
-    def _build(self, builder, half: int):
+    def _grid_inputs(self):
+        """The Gaussian, cell centres and weights ``cell_masses`` and ``density_rows`` take."""
         xs, ys = cell_centers(self.frame, self.cell_size)
-        weights = None if self.weights is None else self.weights.grid
-        return builder(self.gaussian, xs, ys, weights, None if self._out is None else self._out[half])
+        return self.gaussian, xs, ys, None if self.weights is None else self.weights.grid
 
     @cached_property
     def grid(self) -> np.ndarray:
-        return _frozen(self._build(cell_masses, 1))
+        return _frozen(cell_masses(*self._grid_inputs()))
 
     @cached_property
     def _rows(self) -> tuple[np.ndarray, np.ndarray, float] | None:
-        return self._build(density_rows, 0)
+        density = _take_grid(self.shape)
+        weakref.finalize(self, _give_back, density)
+        return density_rows(*self._grid_inputs(), density)
 
     def _cell(self, u: float) -> int:
         rows = self._rows
@@ -447,6 +450,26 @@ class GaussianMap(LocationMap):
                 if j < prefix.size and below <= target - slack and prefix[j] > target + slack:
                     return i * prefix.size + j
         return super()._cell(u)
+
+
+# The density grids no map holds, of the last shape taken only (as
+# uniform_map caches the last frame): a process keeps at most as many as it
+# has held drawn-from maps at once.
+_SPARE_GRIDS: dict[tuple[int, int], list[np.ndarray]] = {}
+
+
+def _take_grid(shape: tuple[int, int]) -> np.ndarray:
+    """A writeable grid of ``shape``, a spare if there is one; other shapes' spares are dropped."""
+    spares = _SPARE_GRIDS.get(shape)
+    if spares is None:
+        _SPARE_GRIDS.clear()
+        spares = _SPARE_GRIDS[shape] = []
+    return spares.pop() if spares else np.empty(shape)
+
+
+def _give_back(grid: np.ndarray) -> None:
+    """Keep a collected map's density as a spare, unless another shape was taken since."""
+    _SPARE_GRIDS.get(grid.shape, []).append(grid)
 
 
 def grid_shape(frame: ImageFrame, cell_size: float) -> tuple[int, int]:
@@ -505,7 +528,6 @@ def rasterize_2d(
     frame: ImageFrame,
     cell_size: float = 1.0,
     weights: LocationMap | None = None,
-    out: np.ndarray | None = None,
 ) -> GaussianMap:
     """Location map with cell mass proportional to the density at cell centers.
 
@@ -515,14 +537,12 @@ def rasterize_2d(
     with it and renormalized, in the same buffer: the map
     ``salience.combine(rasterize_2d(dist, frame, cell_size), weights)`` gives.
     The arguments are checked here; nothing grid-sized is built until the
-    map is drawn from or its grid is read. With ``out``, a (2, rows, cols)
-    float array, the density a draw needs is built in ``out[0]`` and the
-    grid, if read, in ``out[1]``: the map holds only until ``out`` is reused.
+    map is drawn from or its grid is read, and the map keeps what it builds.
     """
     if dist.dim != 2:
         raise InvalidInputError(f"rasterize_2d needs a 2-d distribution, got {dist.dim}-d")
     check_grid(grid_shape(frame, cell_size), weights)
-    return GaussianMap(dist, frame, cell_size, weights, out)
+    return GaussianMap(dist, frame, cell_size, weights)
 
 
 def check_grid(shape: tuple[int, int], weights: LocationMap | None) -> None:
@@ -536,15 +556,14 @@ def cell_masses(
     xs: np.ndarray,
     ys: np.ndarray,
     weights: np.ndarray | None,
-    out: np.ndarray | None,
 ) -> np.ndarray:
-    """rasterize_2d's grid for the cells centred on ys x xs, in ``out`` when given.
+    """rasterize_2d's grid for the cells centred on ys x xs, a new array.
 
     Each cell's mass is proportional to the 2-d density at its centre, and
     the masses sum to 1. With ``weights``, a grid of the same shape, they
     are multiplied by it, given ``default_epsilon``'s floor, and renormalized.
     """
-    grid = dist.pdf_grid(xs, ys, out)
+    grid = dist.pdf_grid(xs, ys)
     try:
         _normalize(grid)
     except InvalidInputError:
@@ -566,9 +585,9 @@ def density_rows(
     xs: np.ndarray,
     ys: np.ndarray,
     weights: np.ndarray | None,
-    out: np.ndarray | None,
+    out: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, float] | None:
-    """What ``GaussianMap`` draws from in place of ``cell_masses``' grid, in ``out`` when given.
+    """What ``GaussianMap`` draws from in place of ``cell_masses``' grid, in ``out``.
 
     Returns the unnormalized density ``pdf_grid`` gives on ys x xs, the
     running sums of its row totals and each cell's floor. With ``weights``

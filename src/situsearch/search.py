@@ -23,10 +23,8 @@ A draw needs the density alone, not the normalized grid or its CDF
 so watching a run builds nothing grid-sized. Between changes the loop is
 a tight sample/score/file cycle. A category's out-of-date law is released
 at the change that supersedes it, so it never holds memory beside its
-successor.
-Every run builds a category's densities in that category's part of one
-array the process keeps, so their pages are touched once per process, not
-once per map.
+successor, and its density goes back to ``gaussian``'s spare grids for the
+next map to reuse.
 
 Each turn of the loop draws one proposal or, in a context-free run
 (situation model ``none``) on PCG64, watched or not, a block of up to
@@ -42,7 +40,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -253,22 +250,6 @@ def image_frame(annotation, cell_size: float) -> ImageFrame:
     return frame
 
 
-@lru_cache(maxsize=1)
-def _map_buffers(shape: tuple[int, int]) -> np.ndarray:
-    """The process's map buffers for the last grid shape asked for, one array.
-
-    Column k, a (2, rows, cols) view, is the buffer of category k of
-    DEFAULT_CATEGORIES, in which every run builds that category's
-    conditioned maps: each map's density in half 0 and, only if the map's
-    grid is read (as a draw whose certificate fails reads it), the grid in
-    half 1. The exact CDF of such a draw is a new array. So the densities,
-    which every run writes, share no page with the grids, which runs
-    rarely write. The array is made at the first conditioning, so a process
-    of context-free runs never makes it.
-    """
-    return np.empty((2, len(DEFAULT_CATEGORIES), *shape))
-
-
 def run_image(
     model: SituationModel,
     salience: LocationMap | None,
@@ -287,22 +268,19 @@ def run_image(
     category's ``conditioned_distribution``. These are the laws the run
     draws from. Showing one builds nothing grid-sized, so a watched run
     builds the densities an unwatched one builds. A shown law is current
-    only until the next Workspace change; its density or grid, if first
-    built after that, is built in its category's map buffer
-    (``_map_buffers``), as ``rasterize_2d``'s ``out`` says, and holds only
-    until a later map is built there.
+    only until the next Workspace change, but it stays the same law for as
+    long as it is kept: each map owns what it builds.
     Watched or not, a context-free run on PCG64 draws in blocks (``_block``).
     """
     frame = image_frame(annotation, config.cell_size)
     gt = ground_truth(annotation, DEFAULT_CATEGORIES, frame)
 
-    shape = grid_shape(frame, config.cell_size)
     if not config.needs_salience:
         salience = None  # conditioned maps are folded with salience only under its prior
         prior_location: LocationMap = uniform_map(frame, config.cell_size)
     elif salience is None:
         raise InvalidInputError(f"method {config} needs a salience map")
-    elif salience.grid.shape != shape:
+    elif salience.grid.shape != grid_shape(frame, config.cell_size):
         raise InvalidInputError("salience grid does not match the rasterization grid")
     else:
         prior_location = salience
@@ -321,9 +299,8 @@ def run_image(
 
     def law(cat: str) -> CategorySearchDist:
         if laws[cat] is None:
-            out = _map_buffers(shape)[:, DEFAULT_CATEGORIES.index(cat)]
             laws[cat] = conditioned_distribution(
-                model, cat, detected, frame, config.cell_size, salience, out
+                model, cat, detected, frame, config.cell_size, salience
             )
         return laws[cat]
 

@@ -231,15 +231,14 @@ def conditioned_distribution(
     frame: ImageFrame,
     cell_size: float = 1.0,
     salience: LocationMap | None = None,
-    out: np.ndarray | None = None,
 ) -> CategorySearchDist:
     """One category's search law given current detections.
 
     The joints over the category and the detected others are conditioned on
     the others' boxes. The location is the conditioned 2-d Gaussian over
     (x, y) as a map on the frame's grid at ``cell_size``, folded with a
-    ``salience`` map if given; its density is built when first drawn from,
-    in ``out`` (see rasterize_2d). The box is the conditioned Gaussian over
+    ``salience`` map if given, which owns its density, built when first
+    drawn from (see rasterize_2d). The box is the conditioned Gaussian over
     (alpha, gamma). Detections of the category itself are ignored; at least
     one other category must be detected. Every argument is checked here,
     before anything grid-sized is built.
@@ -255,7 +254,7 @@ def conditioned_distribution(
     box_obs = dict(zip(box_dims(others), [v for box in boxes for v in box_descriptor(box, frame)]))
     location = condition(model.loc_joints[group], loc_obs)
     return CategorySearchDist(
-        rasterize_2d(location, frame, cell_size, salience, out),
+        rasterize_2d(location, frame, cell_size, salience),
         condition(model.box_joints[group], box_obs),
     )
 

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from situsearch import gaussian
 from situsearch.errors import InsufficientDataError, InvalidInputError
 from situsearch.gaussian import (
     LocationMap,
@@ -610,6 +611,29 @@ def test_the_certified_search_draws_the_cell_the_exact_cdf_draws(
     assert ("grid" in vars(lmap)) == bool(fallbacks)
     if dist_name == "NaN density":
         assert lmap._rows is None and len(fallbacks) == uniform.size + boundary.size
+
+
+def test_a_failed_certificate_builds_its_grid_apart_from_the_spare_grids():
+    # A NaN density fails every certificate, so each draw reads the exact
+    # grid: a new array, frozen, never a spare. Once the map is collected
+    # its density is a spare, and the next map of that shape builds in it.
+    frame = normalize_frame(640, 480)
+    rng = np.random.default_rng(29)
+    gaussian._SPARE_GRIDS.clear()
+    lmap = rasterize_2d(gaussian_2d((1e7, -1e7), 1e-153, 1.0, 0.0), frame)
+    lmap.sample_point(rng)
+    grid = lmap.grid
+    assert lmap._rows is None and not grid.flags.writeable
+    del lmap
+    (spare,) = gaussian._SPARE_GRIDS[grid.shape]
+    assert not np.shares_memory(grid, spare)
+
+    dist = gaussian_2d((10.0, -20.0), 80.0, 50.0, 0.3)
+    lmap = rasterize_2d(dist, frame)
+    uniform = rng.random(100)
+    cells = [lmap._cell(u) for u in uniform]
+    assert lmap._rows[0] is spare and spare.flags.writeable
+    assert cells == exact_cells(rasterize_2d(dist, frame).grid, uniform).tolist()
 
 
 def test_rasterize_rejects_weights_on_another_grid():

@@ -29,6 +29,7 @@ from situsearch.gaussian import (
     LocationMap,
     MultivariateGaussian,
     grid_shape,
+    rasterize_2d,
     uniform_map,
 )
 from situsearch.geometry import (
@@ -602,97 +603,104 @@ def test_every_draw_uses_the_maps_of_the_current_workspace(held_out, token, monk
 
 
 # ---------------------------------------------------------------------------
-# map buffers, and the watch
+# spare grids, and the watch
 
 
-def conditioned_run(held_out, ann, seed, watch=None, token="uniform-learned-learned"):
+def conditioned_run(held_out, ann, seed, watch=None, token="uniform-learned-learned", cell=8.0):
     model, _ = held_out
-    config = replace(config_for_token(token), cell_size=8.0)
+    config = replace(config_for_token(token), cell_size=cell)
     return run_image(model, None, config, ann, np.random.default_rng(seed), watch)
 
 
-def map_buffers(ann) -> np.ndarray:
-    return search._map_buffers(grid_shape(normalize_frame(ann.width, ann.height), 8.0))
+def record_densities(monkeypatch) -> list[np.ndarray]:
+    """The array each density is built in, in build order."""
+    built = []
+    density_rows = gaussian.density_rows
+
+    def recording_rows(dist, xs, ys, weights, out):
+        built.append(out)
+        return density_rows(dist, xs, ys, weights, out)
+
+    monkeypatch.setattr(gaussian, "density_rows", recording_rows)
+    return built
 
 
-def category_buffer(ann, category: str) -> np.ndarray:
-    return map_buffers(ann)[:, CATS.index(category)]
-
-
-def test_a_second_run_builds_its_maps_in_the_first_runs_buffers(held_out, monkeypatch):
+def test_two_conditioned_runs_build_every_density_in_at_most_three_arrays(held_out, monkeypatch):
+    # A run holds at most one drawn-from map per category, and a map gives
+    # its density back when it is released, so a process keeps no more
+    # arrays than that however many maps its runs build.
     ann = held_out[1][0]
-    outs = []
+    built = record_densities(monkeypatch)
+    first = conditioned_run(held_out, ann, 3)
+    assert conditioned_run(held_out, ann, 3).to_dict() == first.to_dict()
+    assert len(built) > 3 and len({id(out) for out in built}) <= 3
+
+
+def test_shown_builds_no_density_and_a_drawn_map_builds_its_grid_apart(held_out, monkeypatch):
+    # A density is built when its law is first drawn from, in the array
+    # density_rows is given, and shown() builds none. A map's exact grid is
+    # built only when read, in an array of its own.
+    ann = held_out[1][0]
+    laws, shown_laws = [], 0
+    built = record_densities(monkeypatch)
     conditioned = search.conditioned_distribution
 
     def recording_conditioned(*args):
-        outs.append((args[1], args[6]))
-        return conditioned(*args)
-
-    monkeypatch.setattr(search, "conditioned_distribution", recording_conditioned)
-    search._map_buffers.cache_clear()
-    first = conditioned_run(held_out, ann, 3)
-    buffers = map_buffers(ann)
-    assert outs and search._map_buffers.cache_info().misses == 1
-    for cat, out in outs:
-        assert out.shape == (2, *buffers.shape[2:])
-        assert np.shares_memory(out, category_buffer(ann, cat))
-
-    outs.clear()
-    assert conditioned_run(held_out, ann, 3).to_dict() == first.to_dict()
-    assert outs and map_buffers(ann) is buffers and search._map_buffers.cache_info().misses == 1
-    for cat, out in outs:
-        assert np.shares_memory(out, category_buffer(ann, cat))
-
-
-def test_built_densities_live_in_the_runs_buffers_and_shown_builds_none(held_out, monkeypatch):
-    # Every density the run builds is built in the first half of its law's
-    # category's buffer, when the law is first drawn from; shown() builds
-    # none. A map's exact grid is built only when read, in the second half.
-    ann = held_out[1][0]
-    laws, builds, shown_laws = [], 0, 0
-    conditioned, density_rows = search.conditioned_distribution, gaussian.density_rows
-
-    def recording_conditioned(*args):
         dist = conditioned(*args)
-        laws.append((args[1], dist.location))
+        laws.append(dist.location)
         return dist
-
-    def counting_rows(*args):
-        nonlocal builds
-        builds += 1
-        return density_rows(*args)
 
     def watch(iteration, proposal, score, workspace, shown):
         nonlocal shown_laws
         if shown is not None:
-            before = builds
+            before = len(built)
             for dist in shown().values():
                 if dist is not None:
                     assert isinstance(dist.location, LocationMap)
                     shown_laws += isinstance(dist.location, GaussianMap)
-            assert builds == before
+            assert len(built) == before
 
     monkeypatch.setattr(search, "conditioned_distribution", recording_conditioned)
-    monkeypatch.setattr(gaussian, "density_rows", counting_rows)
-    search._map_buffers.cache_clear()
     conditioned_run(held_out, ann, 3, watch)
-    built = [(cat, location) for cat, location in laws if "_rows" in vars(location)]
-    assert built and len(built) == builds < len(laws) <= shown_laws
-    for cat, location in built:
-        assert np.shares_memory(location._rows[0], category_buffer(ann, cat)[0])
+    drawn = [location for location in laws if "_rows" in vars(location)]
+    assert drawn and len(drawn) == len(built) < len(laws) <= shown_laws
+    for location, out in zip(drawn, built):
+        assert location._rows[0] is out
         assert "grid" not in vars(location) and "_cdf" not in vars(location)
-    cat, location = built[-1]
-    assert np.shares_memory(location.grid, category_buffer(ann, cat)[1])
+    grid = drawn[-1].grid
+    assert not grid.flags.writeable
+    assert not any(np.shares_memory(grid, out) for out in built)
 
 
 @pytest.mark.parametrize("token", ["uniform-uniform-none", "uniform-learned-none"])
-def test_a_context_free_run_makes_no_map_buffers(held_out, token):
-    # Its laws are never conditioned, so the process holds no map buffers:
+def test_a_context_free_run_takes_no_spare_grid(held_out, token):
+    # Its laws are never conditioned, so the process takes no density grid:
     # a context-free process's peak memory stays its own.
-    search._map_buffers.cache_clear()
+    gaussian._SPARE_GRIDS.clear()
     for ann in held_out[1]:
         conditioned_run(held_out, ann, 3, logging_watch(eager=True)[0], token)
-    assert search._map_buffers.cache_info().misses == 0
+    assert gaussian._SPARE_GRIDS == {}
+
+
+def test_a_kept_law_draws_what_a_fresh_copy_of_it_draws(held_out):
+    # The conditioned laws shown at each run's first change are kept while
+    # the runs go on: later maps of the same category must not change the
+    # cells they draw.
+    kept = []
+    for ann in held_out[1]:
+        first = []
+
+        def keep_first(iteration, proposal, score, workspace, shown):
+            if shown is not None and not first:
+                first.extend(dist.location for dist in shown().values() if dist is not None)
+
+        conditioned_run(held_out, ann, 3, keep_first, cell=1.0)
+        kept += [law for law in first if isinstance(law, GaussianMap)]
+    assert any("_rows" in vars(law) for law in kept)  # some were drawn from in their run
+    uniforms = np.random.default_rng(29).random(300)
+    for law in kept:
+        fresh = rasterize_2d(law.gaussian, law.frame, law.cell_size, law.weights)
+        assert [law._cell(u) for u in uniforms] == [fresh._cell(u) for u in uniforms]
 
 
 @pytest.mark.parametrize(
@@ -707,7 +715,6 @@ def test_a_run_whose_watch_raises_leaves_the_next_runs_unchanged(held_out, token
             for ann in held_out[1]
         ]
 
-    search._map_buffers.cache_clear()
     expected = results()
     calls = itertools.count()
 
@@ -718,7 +725,7 @@ def test_a_run_whose_watch_raises_leaves_the_next_runs_unchanged(held_out, token
     with monkeypatch.context() as patched:
         if token == "uniform-learned-none":  # raised from inside the first block
             patched.setattr(search, "sample_proposal", no_draws)
-        else:  # a provisional first: the others are conditioned in buffers
+        else:  # a provisional first: the others are conditioned
             first = itertools.count()
             script_scores(patched, lambda p: 0.3 if next(first) == 0 else 0.0)
         with pytest.raises(RuntimeError, match="watch failed"):

@@ -22,7 +22,6 @@ from situsearch.datagen import SituationAnnotation, default_generator_config, ge
 from situsearch.errors import DatasetError, InsufficientDataError, InvalidInputError
 from situsearch.gaussian import (
     FIT_RIDGE_FLOOR,
-    GaussianMap,
     LocationMap,
     MultivariateGaussian,
     condition,
@@ -176,7 +175,7 @@ def dists_after_first_detection(
     0 to every other proposal, on the per-proposal loop. Returns that
     proposal's box, the per-category laws shown right after it was filed,
     and each remaining category's distributions at its first draw after
-    that, each conditioned map copied out of the run's buffer.
+    that.
     """
     hits = []
 
@@ -186,15 +185,6 @@ def dists_after_first_detection(
             return score
         return 0.0
 
-    def kept(dist):
-        if not isinstance(dist.location, GaussianMap):  # not in a buffer
-            return dist
-        location = dist.location
-        grid = location.grid.copy()
-        return CategorySearchDist(
-            LocationMap._adopt(location.frame, location.cell_size, grid), dist.alpha_gamma
-        )
-
     changes, drawn = [], {}
 
     def watch(iteration, proposal, score, workspace, shown):
@@ -203,7 +193,7 @@ def dists_after_first_detection(
 
     def recording_sample(cat, dist, frame, rng):
         if changes and cat not in drawn:
-            drawn[cat] = kept(dist)
+            drawn[cat] = dist
         return sample_proposal(cat, dist, frame, rng)
 
     with pytest.MonkeyPatch.context() as patch:

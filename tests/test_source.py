@@ -130,7 +130,21 @@ def test_only_a_class_builds_its_instances():
     assert found == {}
 
 
-SETTABLE_VALUES = 107
+def test_only_gaussian_takes_an_out_array():
+    # A conditioned map owns its density, so where a grid is built is decided
+    # inside gaussian.py alone: no caller above it passes an array down.
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.stem != "gaussian"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.arg) and node.arg == "out"
+    ]
+    assert found == []
+
+
+# 107 -> 105: rasterize_2d's and conditioned_distribution's ``out=None`` are deleted.
+SETTABLE_VALUES = 105
 
 
 def is_dataclass(node: ast.ClassDef) -> bool:
